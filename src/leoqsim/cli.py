@@ -17,7 +17,6 @@ from .scenario import (
     ScenarioError,
     apply_overrides,
     bundled_scenario_path,
-    load_scenario,
     loads_scenario,
 )
 from .scheduling import ALL_CLASSES

@@ -35,24 +35,6 @@ class CongestionConfig:
             raise ValueError("window_s must be > 0")
 
 
-def classify(rate: float, cfg: CongestionConfig) -> CongestionLabel:
-    """Threshold comparison; both boundaries fall in the transition band."""
-    if rate > cfg.beta:
-        return CongestionLabel.BUSY
-    if rate < cfg.alpha:
-        return CongestionLabel.IDLE
-    return CongestionLabel.TRANSITION
-
-
-def maybe_notify(last_notified: CongestionLabel, label: CongestionLabel) -> Optional[CongestionLabel]:
-    """New label to broadcast, or None. Transition never notifies."""
-    if label is CongestionLabel.BUSY and last_notified is not CongestionLabel.BUSY:
-        return CongestionLabel.BUSY
-    if label is CongestionLabel.IDLE and last_notified is not CongestionLabel.IDLE:
-        return CongestionLabel.IDLE
-    return None
-
-
 class Notification(NamedTuple):
     time: float
     satellite: Optional[SatelliteId]
@@ -87,7 +69,12 @@ class NodeCongestionState:
 
     def evaluate(self, t: float, cfg: CongestionConfig) -> Optional[Notification]:
         """Refresh the rate estimate at time t; returns a notification on a
-        busy/idle crossing. Hot path: equivalent to classify + maybe_notify."""
+        busy/idle crossing.
+
+        The rate is classified Busy above beta, Idle below alpha and
+        Transition otherwise (both boundaries included). Only a Busy or Idle
+        label that differs from the last notified one is broadcast.
+        """
         cutoff = t - cfg.window_s
         arrivals = self._arrivals
         while arrivals and arrivals[0] <= cutoff:

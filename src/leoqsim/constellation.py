@@ -6,14 +6,22 @@ cross the counter-rotating seam between the first and last plane. All
 inter-satellite geometry lives in an Earth-centered inertial frame; Earth
 rotation enters only when ground positions are converted for access and
 elevation computations.
+
+Each geometric concept has one implementation here:
+
+- `OrbitGeometry`: the scalar per-event path (one satellite position, one
+  link delay, one uplink/downlink delay) that the event loop calls;
+- `satellite_positions`: all satellites at once, for whole-constellation
+  passes (`build_topology_snapshot`, `AccessResolver`);
+- `TopologySnapshot.neighbor_table`: the link graph of one routing slot;
+- `SatelliteId.__str__`: the printed name of a satellite in every export.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,17 +48,6 @@ class GeoPosition(NamedTuple):
     lat_deg: float
     lon_deg: float
     alt_km: float = 0.0
-
-
-class LinkKind(Enum):
-    ISL = "isl"  # intra-plane, permanent
-    IOL = "iol"  # inter-plane, latitude-gated, absent at the seam
-
-
-class LinkEdge(NamedTuple):
-    delay_s: float
-    delay_ps: int
-    kind: LinkKind
 
 
 @dataclass(frozen=True)
@@ -114,31 +111,6 @@ class ConstellationParams:
         )
 
 
-def satellite_position(
-    sid: SatelliteId, params: ConstellationParams, t: float
-) -> tuple[np.ndarray, GeoPosition]:
-    """Inertial position (km) and sub-satellite point of one satellite at time t."""
-    a = params.orbit_radius_km
-    inc = math.radians(params.inclination_deg)
-    omega = params.raan_rad(sid.plane)
-    u = params.initial_phase_rad(sid) + params.mean_motion_rad_s * t
-    cu, su = math.cos(u), math.sin(u)
-    co, so = math.cos(omega), math.sin(omega)
-    ci, si = math.cos(inc), math.sin(inc)
-    xyz = np.array(
-        [
-            a * (co * cu - so * su * ci),
-            a * (so * cu + co * su * ci),
-            a * su * si,
-        ]
-    )
-    lat = math.degrees(math.asin(xyz[2] / a))
-    lon_inertial = math.atan2(xyz[1], xyz[0])
-    lon = math.degrees(lon_inertial - EARTH_ROTATION_RAD_S * t)
-    lon = (lon + 180.0) % 360.0 - 180.0
-    return xyz, GeoPosition(lat, lon, params.altitude_km)
-
-
 def satellite_positions(params: ConstellationParams, t: float) -> np.ndarray:
     """Inertial positions of all satellites at time t, shape (N, 3), indexed by plane*S+slot."""
     n = params.num_sats
@@ -162,63 +134,93 @@ def satellite_positions(params: ConstellationParams, t: float) -> np.ndarray:
     return out
 
 
-def subsatellite_latitudes_deg(params: ConstellationParams, t: float) -> np.ndarray:
-    pos = satellite_positions(params, t)
-    return np.degrees(np.arcsin(pos[:, 2] / params.orbit_radius_km))
+class OrbitGeometry:
+    """Scalar geometry for the event loop: one satellite's position and the
+    propagation delay of one inter-satellite link or one ground link per call.
 
+    Per-satellite RAAN trigonometry and initial phases are fixed at
+    construction; only the phase advances with time. Ground terminals are
+    fixed Earth points given at construction and addressed by their position
+    in that sequence. The floating-point operation order of these methods is
+    part of every exported delay, so keep it when editing them.
+    """
 
-def ground_position_eci(user: GeoPosition, t: float) -> np.ndarray:
-    """Inertial position of an Earth-fixed point at time t (Earth rotates beneath orbits)."""
-    lat = math.radians(user.lat_deg)
-    lon = math.radians(user.lon_deg) + EARTH_ROTATION_RAD_S * t
-    r = EARTH_RADIUS_KM + user.alt_km
-    cl = math.cos(lat)
-    return np.array([r * cl * math.cos(lon), r * cl * math.sin(lon), r * math.sin(lat)])
+    def __init__(self, params: ConstellationParams, ground: Sequence[GeoPosition]):
+        n = params.num_sats
+        self._orb_a = params.orbit_radius_km
+        self._orb_n = params.mean_motion_rad_s
+        self._orb_ci = math.cos(math.radians(params.inclination_deg))
+        self._orb_si = math.sin(math.radians(params.inclination_deg))
+        self._raan_cos = [math.cos(params.raan_rad(i // params.sats_per_plane)) for i in range(n)]
+        self._raan_sin = [math.sin(params.raan_rad(i // params.sats_per_plane)) for i in range(n)]
+        self._phase0 = [params.initial_phase_rad(params.sid_of(i)) for i in range(n)]
+        self._ground_xyz = []
+        for pos in ground:
+            lat = math.radians(pos.lat_deg)
+            lon = math.radians(pos.lon_deg)
+            r = EARTH_RADIUS_KM + pos.alt_km
+            cl = math.cos(lat)
+            self._ground_xyz.append(
+                (r * cl * math.cos(lon), r * cl * math.sin(lon), r * math.sin(lat))
+            )
 
+    def sat_xyz(self, idx: int, t: float) -> tuple[float, float, float]:
+        """Inertial position (km) of satellite `idx` at time t."""
+        u = self._phase0[idx] + self._orb_n * t
+        cu, su = math.cos(u), math.sin(u)
+        co, so = self._raan_cos[idx], self._raan_sin[idx]
+        a, ci = self._orb_a, self._orb_ci
+        return (
+            a * (co * cu - so * su * ci),
+            a * (so * cu + co * su * ci),
+            a * su * self._orb_si,
+        )
 
-def elevation_deg(user: GeoPosition, sat_xyz: np.ndarray, t: float) -> float:
-    """Elevation angle of a satellite above the user's local horizon."""
-    u = ground_position_eci(user, t)
-    d = sat_xyz - u
-    dn = float(np.linalg.norm(d))
-    un = float(np.linalg.norm(u))
-    s = float(np.dot(d, u)) / (dn * un)
-    return math.degrees(math.asin(max(-1.0, min(1.0, s))))
+    def link_delay(self, i: int, j: int, t: float) -> float:
+        """Propagation delay (s) between satellites i and j at time t."""
+        cos, sin = math.cos, math.sin
+        nt = self._orb_n * t
+        ci, si, a = self._orb_ci, self._orb_si, self._orb_a
+        u = self._phase0[i] + nt
+        cu, su = cos(u), sin(u)
+        co, so = self._raan_cos[i], self._raan_sin[i]
+        xi = co * cu - so * su * ci
+        yi = so * cu + co * su * ci
+        zi = su * si
+        u = self._phase0[j] + nt
+        cu, su = cos(u), sin(u)
+        co, so = self._raan_cos[j], self._raan_sin[j]
+        dx = xi - (co * cu - so * su * ci)
+        dy = yi - (so * cu + co * su * ci)
+        dz = zi - su * si
+        return a * math.sqrt(dx * dx + dy * dy + dz * dz) / SPEED_OF_LIGHT_KM_S
+
+    def slant_delay(self, terminal: int, sat: int, t: float) -> float:
+        """Uplink/downlink propagation delay (s) between a terminal and a satellite."""
+        gx, gy, gz = self._ground_xyz[terminal]
+        theta = EARTH_ROTATION_RAD_S * t
+        c, s = math.cos(theta), math.sin(theta)
+        ux, uy = gx * c - gy * s, gx * s + gy * c
+        sx, sy, sz = self.sat_xyz(sat, t)
+        d = math.sqrt((sx - ux) ** 2 + (sy - uy) ** 2 + (sz - gz) ** 2)
+        return d / SPEED_OF_LIGHT_KM_S
 
 
 @dataclass
 class TopologySnapshot:
     """Static link graph for one routing time slot.
 
-    `adjacency` holds both orderings of every undirected edge. `neighbor_table`
-    is the same graph in index form (sorted by neighbor index) for the route
-    computations.
+    `neighbor_table[i]` lists `(j, delay_ps)` for every link of satellite i,
+    sorted by neighbour index; delays are integer picoseconds.
     """
 
     slot_index: int
     params: ConstellationParams
-    adjacency: dict[tuple[SatelliteId, SatelliteId], LinkEdge]
-    neighbor_table: list[list[tuple[int, int, float]]] = field(repr=False)
-
-    def has_edge(self, a: SatelliteId, b: SatelliteId) -> bool:
-        return (a, b) in self.adjacency
-
-    def delay_s(self, a: SatelliteId, b: SatelliteId) -> float:
-        return self.adjacency[(a, b)].delay_s
-
-    def neighbors(self, a: SatelliteId) -> list[SatelliteId]:
-        idx = self.params.index_of(a)
-        return [self.params.sid_of(j) for j, _, _ in self.neighbor_table[idx]]
-
-    def edges(self) -> Iterator[tuple[SatelliteId, SatelliteId, LinkEdge]]:
-        """Each undirected edge once, with a < b."""
-        for (a, b), e in self.adjacency.items():
-            if a < b:
-                yield a, b, e
+    neighbor_table: list[list[tuple[int, int]]] = field(repr=False)
 
 
 def build_topology_snapshot(
-    params: ConstellationParams, t: float, slot_index: int | None = None
+    params: ConstellationParams, t: float, slot_index: int = 0
 ) -> TopologySnapshot:
     """Derive the link graph at time t.
 
@@ -229,85 +231,37 @@ def build_topology_snapshot(
     pos = satellite_positions(params, t)
     lats = np.degrees(np.arcsin(pos[:, 2] / params.orbit_radius_km))
     S = params.sats_per_plane
-    adjacency: dict[tuple[SatelliteId, SatelliteId], LinkEdge] = {}
-    n = params.num_sats
-    neighbor_table: list[list[tuple[int, int, float]]] = [[] for _ in range(n)]
+    neighbor_table: list[list[tuple[int, int]]] = [[] for _ in range(params.num_sats)]
 
-    def add_edge(i: int, j: int, kind: LinkKind) -> None:
+    def add_edge(i: int, j: int) -> None:
         d = float(np.linalg.norm(pos[i] - pos[j]))
-        delay = d / SPEED_OF_LIGHT_KM_S
-        edge = LinkEdge(delay, round(delay * PICOSECONDS_PER_SECOND), kind)
-        a, b = params.sid_of(i), params.sid_of(j)
-        adjacency[(a, b)] = edge
-        adjacency[(b, a)] = edge
-        neighbor_table[i].append((j, edge.delay_ps, edge.delay_s))
-        neighbor_table[j].append((i, edge.delay_ps, edge.delay_s))
+        delay_ps = round(d / SPEED_OF_LIGHT_KM_S * PICOSECONDS_PER_SECOND)
+        neighbor_table[i].append((j, delay_ps))
+        neighbor_table[j].append((i, delay_ps))
 
     for p in range(params.planes):
         for s in range(S):
-            add_edge(p * S + s, p * S + (s + 1) % S, LinkKind.ISL)
+            add_edge(p * S + s, p * S + (s + 1) % S)
     thr = params.lat_threshold_deg
     for p in range(params.planes - 1):  # seam pair (last, first) excluded
         for s in range(S):
             i, j = p * S + s, (p + 1) * S + s
             if abs(lats[i]) <= thr and abs(lats[j]) <= thr:
-                add_edge(i, j, LinkKind.IOL)
+                add_edge(i, j)
 
     for row in neighbor_table:
         row.sort()
-    if slot_index is None:
-        slot_index = 0
-    return TopologySnapshot(slot_index, params, adjacency, neighbor_table)
-
-
-def access_satellite(
-    user: GeoPosition, params: ConstellationParams, t: float
-) -> Optional[SatelliteId]:
-    """Visible satellite with maximum elevation, or None if none clears the mask.
-
-    Ties break toward the smallest (plane, slot), which argmax's first-match
-    rule delivers because satellites are indexed in that order.
-    """
-    pos = satellite_positions(params, t)
-    u = ground_position_eci(user, t)
-    d = pos - u
-    dn = np.linalg.norm(d, axis=1)
-    un = float(np.linalg.norm(u))
-    sin_e = (d @ u) / (dn * un)
-    best = int(np.argmax(sin_e))
-    if sin_e[best] < math.sin(math.radians(params.min_elevation_deg)):
-        return None
-    return params.sid_of(best)
-
-
-def time_slot_index(t: float, slot_length: float) -> int:
-    if slot_length <= 0:
-        raise ValueError("slot_length must be > 0")
-    return int(math.floor(t / slot_length))
-
-
-def pair_delay_s(params: ConstellationParams, a: SatelliteId, b: SatelliteId, t: float) -> float:
-    """Instantaneous propagation delay between two satellites at time t."""
-    pa, _ = satellite_position(a, params, t)
-    pb, _ = satellite_position(b, params, t)
-    return float(np.linalg.norm(pa - pb)) / SPEED_OF_LIGHT_KM_S
-
-
-def ground_slant_delay_s(
-    user: GeoPosition, sid: SatelliteId, params: ConstellationParams, t: float
-) -> float:
-    """Instantaneous uplink/downlink propagation delay between a ground point and a satellite."""
-    p, _ = satellite_position(sid, params, t)
-    u = ground_position_eci(user, t)
-    return float(np.linalg.norm(p - u)) / SPEED_OF_LIGHT_KM_S
+    return TopologySnapshot(slot_index, params, neighbor_table)
 
 
 class AccessResolver:
     """Cached access-satellite lookups on a fixed time grid.
 
     Terminals sit at fixed ground positions, so per time quantum one
-    vectorized elevation pass covers every registered terminal. The engine
-    quantizes lookup times to `quantum_s`; geometry helpers stay exact.
+    vectorized elevation pass covers every registered terminal. Lookup times
+    are quantized to `quantum_s`. Only the latest quantum's row is kept: the
+    event loop's lookup times never decrease, so memory stays O(terminals)
+    at any horizon, and an earlier time is simply solved again.
     """
 
     def __init__(self, params: ConstellationParams, quantum_s: float = 1.0):
@@ -317,14 +271,15 @@ class AccessResolver:
         self.quantum_s = quantum_s
         self._positions: list[GeoPosition] = []
         self._unit_ecef: np.ndarray | None = None  # (T, 3) unit vectors, Earth-fixed
-        self._cache: dict[int, list[int]] = {}  # quantum -> best sat index per terminal (-1 none)
+        self._quantum: int | None = None  # quantum of `_row`
+        self._row: list[int] = []  # best sat index per terminal (-1 none)
         self._min_sin_e = math.sin(math.radians(params.min_elevation_deg))
 
     def register(self, pos: GeoPosition) -> int:
-        """Add a terminal; returns its handle. Invalidate nothing: call before lookups."""
+        """Add a terminal; returns its handle. Register every terminal before lookups."""
         self._positions.append(pos)
         self._unit_ecef = None
-        self._cache.clear()
+        self._quantum = None
         return len(self._positions) - 1
 
     def _units(self) -> np.ndarray:
@@ -340,15 +295,10 @@ class AccessResolver:
     def access_index(self, terminal: int, t: float) -> int:
         """Best satellite index for a terminal at the quantized time, or -1."""
         q = int(t / self.quantum_s)
-        row = self._cache.get(q)
-        if row is None:
-            row = self._solve(q)
-            self._cache[q] = row
-        return row[terminal]
-
-    def access(self, terminal: int, t: float) -> Optional[SatelliteId]:
-        idx = self.access_index(terminal, t)
-        return None if idx < 0 else self.params.sid_of(idx)
+        if q != self._quantum:
+            self._row = self._solve(q)
+            self._quantum = q
+        return self._row[terminal]
 
     def _solve(self, q: int) -> list[int]:
         t = q * self.quantum_s

@@ -8,23 +8,21 @@ forwarding decision -> per-link transmission and propagation -> next
 satellite (hop += 1) -> ... -> downlink when the current satellite is the
 destination's access satellite. Every event is ordered by (time, sequence),
 so a (scenario, seed) pair fully determines every output.
+
+The engine owns the event loop and the per-satellite state only. Orbit
+geometry and link delays come from `constellation.OrbitGeometry`, the link
+graph from `constellation.build_topology_snapshot`, the forwarding rule from
+`routing.decide_next_index`, and satellite names from `SatelliteId`.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from collections import deque
 from typing import Optional
 
 from .congestion import CongestionLabel, NodeCongestionState
-from .constellation import (
-    EARTH_RADIUS_KM,
-    EARTH_ROTATION_RAD_S,
-    SPEED_OF_LIGHT_KM_S,
-    AccessResolver,
-    build_topology_snapshot,
-)
+from .constellation import AccessResolver, OrbitGeometry, build_topology_snapshot
 from .routing import compute_backup_table, compute_shortest_path_table, decide_next_index
 from .scenario import ScenarioConfig
 from .scheduling import DropReason, DropRecord, PqwrrScheduler
@@ -56,7 +54,7 @@ class _SatNode:
 class Simulation:
     """One run of one scenario. Build, call `run()`, read the report."""
 
-    def __init__(self, cfg: ScenarioConfig, arrivals=None):
+    def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         params = cfg.constellation
         self.params = params
@@ -71,7 +69,6 @@ class Simulation:
             class_mix=cfg.traffic.class_mix,
             seed=cfg.run.seed,
         )
-        self._scripted = arrivals
         self.resolver = AccessResolver(params, quantum_s=cfg.run.access_refresh_s)
         for term in self.generator.terminals:
             self.resolver.register(term.position)
@@ -107,69 +104,7 @@ class Simulation:
         self._count_uplink = cfg.traffic.count_uplink_in_rate
         self.trace: Optional[list] = [] if cfg.run.trace else None
         self.route_dump: Optional[list] = [] if cfg.routing.dump_routes else None
-        self._ground_xyz = self._terminal_vectors()
-        self._setup_orbit_constants()
-
-    # -- geometry fast paths -------------------------------------------------
-
-    def _terminal_vectors(self) -> list[tuple[float, float, float]]:
-        out = []
-        for term in self.generator.terminals:
-            lat = math.radians(term.position.lat_deg)
-            lon = math.radians(term.position.lon_deg)
-            r = EARTH_RADIUS_KM + term.position.alt_km
-            cl = math.cos(lat)
-            out.append((r * cl * math.cos(lon), r * cl * math.sin(lon), r * math.sin(lat)))
-        return out
-
-    def _setup_orbit_constants(self) -> None:
-        p = self.params
-        self._orb_a = p.orbit_radius_km
-        self._orb_n = p.mean_motion_rad_s
-        self._orb_ci = math.cos(math.radians(p.inclination_deg))
-        self._orb_si = math.sin(math.radians(p.inclination_deg))
-        # per-satellite RAAN trig is constant; only the phase advances
-        self._raan_cos = [math.cos(p.raan_rad(i // p.sats_per_plane)) for i in range(self.n)]
-        self._raan_sin = [math.sin(p.raan_rad(i // p.sats_per_plane)) for i in range(self.n)]
-        self._phase0 = [p.initial_phase_rad(self.sids[i]) for i in range(self.n)]
-
-    def _sat_xyz(self, idx: int, t: float) -> tuple[float, float, float]:
-        u = self._phase0[idx] + self._orb_n * t
-        cu, su = math.cos(u), math.sin(u)
-        co, so = self._raan_cos[idx], self._raan_sin[idx]
-        a, ci = self._orb_a, self._orb_ci
-        return (
-            a * (co * cu - so * su * ci),
-            a * (so * cu + co * su * ci),
-            a * su * self._orb_si,
-        )
-
-    def _link_delay(self, i: int, j: int, t: float) -> float:
-        cos, sin = math.cos, math.sin
-        nt = self._orb_n * t
-        ci, si, a = self._orb_ci, self._orb_si, self._orb_a
-        u = self._phase0[i] + nt
-        cu, su = cos(u), sin(u)
-        co, so = self._raan_cos[i], self._raan_sin[i]
-        xi = co * cu - so * su * ci
-        yi = so * cu + co * su * ci
-        zi = su * si
-        u = self._phase0[j] + nt
-        cu, su = cos(u), sin(u)
-        co, so = self._raan_cos[j], self._raan_sin[j]
-        dx = xi - (co * cu - so * su * ci)
-        dy = yi - (so * cu + co * su * ci)
-        dz = zi - su * si
-        return a * math.sqrt(dx * dx + dy * dy + dz * dz) / SPEED_OF_LIGHT_KM_S
-
-    def _slant_delay(self, terminal: int, sat: int, t: float) -> float:
-        gx, gy, gz = self._ground_xyz[terminal]
-        theta = EARTH_ROTATION_RAD_S * t
-        c, s = math.cos(theta), math.sin(theta)
-        ux, uy = gx * c - gy * s, gx * s + gy * c
-        sx, sy, sz = self._sat_xyz(sat, t)
-        d = math.sqrt((sx - ux) ** 2 + (sy - uy) ** 2 + (sz - gz) ** 2)
-        return d / SPEED_OF_LIGHT_KM_S
+        self.geometry = OrbitGeometry(params, [term.position for term in self.generator.terminals])
 
     # -- event plumbing ------------------------------------------------------
 
@@ -230,7 +165,7 @@ class Simulation:
                 self._rebuild_backup(t)
         drop = node.scheduler.enqueue(pkt, t)
         if drop is not None:
-            self.stats.record_drop(drop, sat)
+            self.stats.record_drop(drop)
             if self.trace is not None:
                 self._trace(t, "drop", pkt, sat)
         elif node.in_service is None:
@@ -243,46 +178,25 @@ class Simulation:
 
     def _route(self, t: float, pkt: Packet, sat: int) -> None:
         """Forwarding decision for a packet that finished service (or left the
-        routing wait queue) at satellite `sat`.
-
-        A packet that has been detoured once stays on the backup table until
-        delivery: alternating between the two tables hop by hop can bounce a
-        packet between neighbouring satellites indefinitely, while a single
-        table is loop-free. When the busy episode ends the tables coincide, so
-        a detoured packet naturally rejoins shortest paths.
-        """
+        routing wait queue) at satellite `sat`."""
         dst = self.resolver.access_index(pkt.dst_user, t)
         if dst < 0:
             self._wait(t, pkt, sat)
             return
-        pkt.dst_sat = self.sids[dst]
         if dst == sat:
-            delay = self._slant_delay(pkt.dst_user, sat, t)
+            delay = self.geometry.slant_delay(pkt.dst_user, sat, t)
             self._in_flight += 1
             self._schedule(t + delay, _EV_DELIVERY, pkt)
             if self.trace is not None:
                 self._trace(t, "downlink", pkt, sat)
             return
-        if pkt.detoured:
-            nxt = self.backup.next_idx[sat][dst]
-            if nxt < 0 or self.busy_flags[nxt]:
-                self._wait(t, pkt, sat)
-                return
-            self.stats.backup_forwards += 1
-            self._transmit(t, pkt, sat, nxt)
-            return
-        nxt = self.primary.next_idx[sat][dst]
-        if nxt >= 0 and (not self.busy_flags[nxt] or not self.composite):
-            self._transmit(t, pkt, sat, nxt)
-            return
-        nxt, via = decide_next_index(
-            pkt.tos, sat, dst, self.primary, self.backup if self.composite else None,
-            self.busy_flags,
+        nxt, via_backup = decide_next_index(
+            pkt.tos, sat, dst, self.primary, self.backup, self.busy_flags, pkt.detoured
         )
         if nxt < 0:
             self._wait(t, pkt, sat)
             return
-        if via is not None and via.value == "backup":
+        if via_backup:
             self.stats.backup_forwards += 1
             pkt.detoured = True
         self._transmit(t, pkt, sat, nxt)
@@ -292,8 +206,7 @@ class Simulation:
         free = node.chan_free.get(nxt, 0.0)
         depart = t if t >= free else free
         node.chan_free[nxt] = depart + self._chan_period
-        pkt.next = self.sids[nxt]
-        prop = self._link_delay(sat, nxt, depart)
+        prop = self.geometry.link_delay(sat, nxt, depart)
         self._in_flight += 1
         self._schedule(depart + prop, _EV_LINK, pkt, nxt)
         if self.trace is not None:
@@ -303,7 +216,7 @@ class Simulation:
         node = self.nodes[sat]
         if len(node.wait_queue) >= self.cfg.routing.wait_queue_capacity:
             rec = DropRecord(t, self.sids[sat], pkt.tos, DropReason.ROUTE_WAIT_OVERFLOW)
-            self.stats.record_drop(rec, sat)
+            self.stats.record_drop(rec)
             if self.trace is not None:
                 self._trace(t, "drop", pkt, sat)
         else:
@@ -329,10 +242,7 @@ class Simulation:
         for k in range(1, int(end / sweep) + 1):
             self._schedule(k * sweep, _EV_SWEEP, k)
 
-        if self._scripted is not None:
-            stream = iter(self._scripted)
-        else:
-            stream = self.generator.stream(end)
+        stream = self.generator.stream(end)
         first = next(stream, None)
         if first is not None:
             self._schedule(first[0], _EV_SOURCE, first[1])
@@ -363,9 +273,9 @@ class Simulation:
                 src = self.resolver.access_index(pkt.src_user, t)
                 if src < 0:
                     rec = DropRecord(t, None, pkt.tos, DropReason.ACCESS_BLOCKED)
-                    stats.record_drop(rec, -1)
+                    stats.record_drop(rec)
                 else:
-                    delay = self._slant_delay(pkt.src_user, src, t)
+                    delay = self.geometry.slant_delay(pkt.src_user, src, t)
                     self._in_flight += 1
                     self._schedule(t + delay, _EV_UPLINK, pkt, src)
                     if self.trace is not None:
@@ -378,7 +288,6 @@ class Simulation:
                 self._on_sat_arrival(t, a, b, uplink=True)
             elif kind == _EV_DELIVERY:
                 self._in_flight -= 1
-                a.delivered_at = t
                 stats.record_delivery(a, t)
                 if self.trace is not None:
                     self._trace(t, "deliver", a, -1)
@@ -413,8 +322,8 @@ class Simulation:
         return report
 
 
-def run(cfg: ScenarioConfig, arrivals=None) -> SimulationReport:
-    return Simulation(cfg, arrivals=arrivals).run()
+def run(cfg: ScenarioConfig) -> SimulationReport:
+    return Simulation(cfg).run()
 
 
 def conservation_audit(report: SimulationReport) -> bool:

@@ -1,16 +1,20 @@
-"""Per-slot route tables and the per-packet forwarding decision.
+"""Per-slot route tables and the per-packet forwarding rule.
 
 Two tables exist per slot: the plain shortest-path table, and a backup table
 computed on the topology with busy satellites deleted. Costs are integer
 picoseconds end to end, so equal-cost ties and oracle comparisons are exact.
+
+`decide_next_index` is the whole forwarding rule: the engine makes one call
+to it per forwarding decision and only acts on the answer. Deciding that a
+packet has reached its destination's access satellite, and so leaves by the
+downlink, is the engine's, since it needs no route table.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 from .constellation import (
     PICOSECONDS_PER_SECOND,
@@ -43,25 +47,6 @@ class RouteTable:
         n = self.next_idx[self.params.index_of(cur)][self.params.index_of(dst)]
         return None if n == _UNREACHABLE else self.params.sid_of(n)
 
-    def cost_seconds(self, cur: SatelliteId, dst: SatelliteId) -> Optional[float]:
-        c = self.cost_ps[self.params.index_of(cur)][self.params.index_of(dst)]
-        return None if c < 0 else c / PICOSECONDS_PER_SECOND
-
-    def path(self, src: SatelliteId, dst: SatelliteId) -> Optional[list[SatelliteId]]:
-        """Node sequence src..dst by next-hop iteration, or None if unreachable."""
-        if src == dst:
-            return [src]
-        here, out = src, [src]
-        for _ in range(self.params.num_sats):
-            nxt = self.next_hop(here, dst)
-            if nxt is None:
-                return None
-            out.append(nxt)
-            if nxt == dst:
-                return out
-            here = nxt
-        raise RuntimeError("next-hop iteration did not terminate")
-
     def entries(self) -> Iterator[tuple[SatelliteId, SatelliteId, Optional[SatelliteId], Optional[float]]]:
         """(src, dst, next_hop, cost_seconds) for every src != dst pair."""
         for i in range(self.params.num_sats):
@@ -92,7 +77,7 @@ def _dijkstra_to(dst: int, neighbor_table, excluded: list[bool]) -> list[int]:
         d, v = heapq.heappop(heap)
         if d > dist[v]:
             continue
-        for w, w_ps, _ in neighbor_table[v]:
+        for w, w_ps in neighbor_table[v]:
             if excluded[w]:
                 continue
             nd = d + w_ps
@@ -120,7 +105,7 @@ def _next_hops_to(
             continue
         best_cost = -1
         best_hop = _UNREACHABLE
-        for w, w_ps, _ in neighbor_table[v]:  # sorted by index: first win = lexicographic
+        for w, w_ps in neighbor_table[v]:  # sorted by index: first win = lexicographic
             if excluded[w] or dist[w] < 0:
                 continue
             c = w_ps + dist[w]
@@ -173,28 +158,6 @@ def compute_backup_table(snapshot: TopologySnapshot, busy: set[SatelliteId]) -> 
     return RouteTable(snapshot.slot_index, params, next_idx, cost_ps)
 
 
-class Via(Enum):
-    PRIMARY = "primary"
-    BACKUP = "backup"
-
-
-class Action(Enum):
-    DELIVER = "deliver"
-    FORWARD = "forward"
-    WAIT = "wait"
-
-
-@dataclass(frozen=True)
-class ForwardDecision:
-    action: Action
-    next: Optional[SatelliteId] = None
-    via: Optional[Via] = None
-
-
-DELIVER = ForwardDecision(Action.DELIVER)
-WAIT_FOR_ROUTE = ForwardDecision(Action.WAIT)
-
-
 def decide_next_index(
     tos: TrafficClass,
     here: int,
@@ -202,47 +165,27 @@ def decide_next_index(
     primary: RouteTable,
     backup: Optional[RouteTable],
     busy_flags: list[bool],
-) -> tuple[int, Via | None]:
-    """Index-level core of the forwarding rule; (-1, None) means wait.
+    detoured: bool,
+) -> tuple[int, bool]:
+    """Next satellite index for a packet at `here` bound for `dst`, and
+    whether that hop comes from the backup table; (-1, False) means wait.
 
-    Real-time traffic always follows the primary table, even into a busy hop.
+    Real-time traffic always follows the primary table, even into a busy hop,
+    as does all traffic when there is no backup table (strategy pqwrr_only).
     Non-real-time traffic detours via the backup table when the primary hop is
     busy, and waits when the backup hop is missing or itself busy.
+
+    A packet that has been detoured once stays on the backup table until
+    delivery: alternating between the two tables hop by hop can bounce a
+    packet between neighbouring satellites indefinitely, while a single table
+    is loop-free. When the busy episode ends the tables coincide, so a
+    detoured packet naturally rejoins shortest paths.
     """
-    n = primary.next_idx[here][dst]
-    if n < 0:
-        return _UNREACHABLE, None
-    if not busy_flags[n] or tos is TrafficClass.A or backup is None:
-        return n, Via.PRIMARY
+    if not detoured:
+        n = primary.next_idx[here][dst]
+        if n < 0 or not busy_flags[n] or tos is TrafficClass.A or backup is None:
+            return n, False
     b = backup.next_idx[here][dst]
     if b >= 0 and not busy_flags[b]:
-        return b, Via.BACKUP
-    return _UNREACHABLE, None
-
-
-def decide_forward(
-    pkt,
-    here: SatelliteId,
-    primary: RouteTable,
-    backup: Optional[RouteTable],
-    states: Mapping[SatelliteId, object],
-) -> ForwardDecision:
-    """Forwarding decision for one packet at one satellite.
-
-    `pkt` must expose `tos` and its resolved destination satellite `dst_sat`;
-    `states` values expose `is_busy` (the last notified busy/idle view).
-    """
-    params = primary.params
-    dst = pkt.dst_sat
-    if here == dst:
-        return DELIVER
-    busy_flags = [False] * params.num_sats
-    for sid, st in states.items():
-        if st.is_busy:
-            busy_flags[params.index_of(sid)] = True
-    n, via = decide_next_index(
-        pkt.tos, params.index_of(here), params.index_of(dst), primary, backup, busy_flags
-    )
-    if n < 0:
-        return WAIT_FOR_ROUTE
-    return ForwardDecision(Action.FORWARD, params.sid_of(n), via)
+        return b, True
+    return _UNREACHABLE, False

@@ -316,15 +316,6 @@ def loads_scenario(text: str, base_dir: Optional[str] = None) -> ScenarioConfig:
     )
 
 
-def load_scenario(path) -> ScenarioConfig:
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as e:
-        raise ScenarioError(f"cannot read scenario file {p}: {e}") from None
-    return loads_scenario(text, base_dir=str(p.parent))
-
-
 def bundled_scenario_path(name: str):
     """Path-like handle to a scenario shipped with the package."""
     return resources.files("leoqsim.data.scenarios").joinpath(f"{name}.ini")

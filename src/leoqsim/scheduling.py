@@ -4,10 +4,9 @@ tail drop."""
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from enum import Enum, IntEnum
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .constellation import SatelliteId
 
@@ -17,10 +16,6 @@ class TrafficClass(IntEnum):
     B2 = 1
     B1 = 2
     B0 = 3
-
-    @property
-    def is_realtime(self) -> bool:
-        return self is TrafficClass.A
 
 
 B_CLASSES = (TrafficClass.B2, TrafficClass.B1, TrafficClass.B0)
@@ -115,44 +110,3 @@ class PqwrrScheduler:
                     credits[k] = 0  # forfeit: empty at its turn
             credits[0], credits[1], credits[2] = self._wlist  # new round
         return None
-
-
-def service_process(
-    sched: PqwrrScheduler,
-    rate: float,
-    arrivals: Iterable[tuple[float, object]],
-    horizon: float = math.inf,
-) -> tuple[list[tuple[float, object]], list[DropRecord]]:
-    """Single-server reference loop: one dequeue per 1/rate while backlogged.
-
-    `arrivals` must be time-ordered. Selection happens at service start and is
-    non-preemptive. Returns (completions, drops); completions later than
-    `horizon` are discarded.
-    """
-    if rate <= 0:
-        raise ValueError("rate must be > 0")
-    period = 1.0 / rate
-    completions: list[tuple[float, object]] = []
-    drops: list[DropRecord] = []
-    in_service = None
-    busy_until = 0.0
-
-    def drain(upto: float) -> None:
-        nonlocal in_service, busy_until
-        while in_service is not None and busy_until <= upto:
-            completions.append((busy_until, in_service))
-            nxt = sched.dequeue()
-            in_service = nxt
-            if nxt is not None:
-                busy_until += period
-
-    for ta, pkt in arrivals:
-        drain(ta)
-        drop = sched.enqueue(pkt, ta)
-        if drop is not None:
-            drops.append(drop)
-        elif in_service is None:
-            in_service = sched.dequeue()
-            busy_until = ta + period
-    drain(horizon)
-    return completions, drops

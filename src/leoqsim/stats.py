@@ -65,7 +65,7 @@ class SimulationReport:
     fg_delay_sum_bucket: dict[TrafficClass, list[float]]
     fg_hop_sum_bucket: dict[TrafficClass, list[int]]
     delay_samples: dict[TrafficClass, array]
-    drops_detail: dict[tuple[int, int, TrafficClass, str], int]
+    drops_detail: dict[tuple[int, Optional[SatelliteId], TrafficClass, str], int]
     busy_buckets: set[int]
     state_log: list[Notification]
     residual: int = 0
@@ -120,15 +120,6 @@ class SimulationReport:
             s = sum(self.hop_sum_bucket[cls])
         return s / n if n else None
 
-    def bucket_mean_hops(self, cls: TrafficClass, bucket: int, foreground: bool = False):
-        if foreground:
-            n = self.fg_delivered_bucket[cls][bucket]
-            s = self.fg_hop_sum_bucket[cls][bucket]
-        else:
-            n = self.delivered_bucket[cls][bucket]
-            s = self.hop_sum_bucket[cls][bucket]
-        return s / n if n else None
-
 
 class StatsCollector:
     """Event-loop-facing accumulator; `finalize` freezes a SimulationReport."""
@@ -152,7 +143,7 @@ class StatsCollector:
         self.fg_delay_sum_bucket = {c: [0.0] * n for c in ALL_CLASSES}
         self.fg_hop_sum_bucket = {c: [0] * n for c in ALL_CLASSES}
         self.delay_samples = {c: array("d") for c in ALL_CLASSES}
-        self.drops_detail: dict[tuple[int, int, TrafficClass, str], int] = {}
+        self.drops_detail: dict[tuple[int, Optional[SatelliteId], TrafficClass, str], int] = {}
         self.busy_buckets: set[int] = set()
         self.state_log: list[Notification] = []
         self.backup_forwards = 0
@@ -180,14 +171,15 @@ class StatsCollector:
             self.fg_delay_sum_bucket[cls][b] += delay
             self.fg_hop_sum_bucket[cls][b] += pkt.hop
 
-    def record_drop(self, rec: DropRecord, sat_index: int) -> None:
-        """sat_index -1 marks a source-side (no satellite) drop."""
+    def record_drop(self, rec: DropRecord) -> None:
+        """Count one drop under its bucket, satellite, class and reason; a
+        satellite of None marks a source-side (no satellite) drop."""
         cls = rec.tos
         self.dropped[cls] += 1
         reason = rec.reason.value
         key = (cls, reason)
         self.dropped_by_reason[key] = self.dropped_by_reason.get(key, 0) + 1
-        dkey = (self.bucket_of(rec.time), sat_index, cls, reason)
+        dkey = (self.bucket_of(rec.time), rec.satellite, cls, reason)
         self.drops_detail[dkey] = self.drops_detail.get(dkey, 0) + 1
 
     def note_busy(self, t: float) -> None:
@@ -231,12 +223,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _sat_name(idx: int, sats_per_plane: int = 11) -> str:
-    if idx < 0:
-        return "-"
-    return f"S-{idx // sats_per_plane}-{idx % sats_per_plane}"
-
-
 def export(report: SimulationReport, out_dir) -> None:
     """Write the report as a directory of CSVs plus run_meta.json.
 
@@ -248,10 +234,13 @@ def export(report: SimulationReport, out_dir) -> None:
 
     with open(out / "drops_per_sat.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("bucket,satellite,class,reason,count\n")
+        # No-satellite drops sort first, then satellites in (plane, slot) order.
         for (b, sat, cls, reason), count in sorted(
-            report.drops_detail.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2], kv[0][3])
+            report.drops_detail.items(),
+            key=lambda kv: (kv[0][0], () if kv[0][1] is None else kv[0][1], kv[0][2], kv[0][3]),
         ):
-            f.write(f"{b},{_sat_name(sat)},{cls.name},{reason},{count}\n")
+            name = "-" if sat is None else str(sat)
+            f.write(f"{b},{name},{cls.name},{reason},{count}\n")
 
     with open(out / "delay_series.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("bucket,class,deliveries,mean_delay_ms\n")

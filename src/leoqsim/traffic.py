@@ -6,7 +6,6 @@ per-stream seeded generators, so the event stream is reproducible."""
 from __future__ import annotations
 
 import heapq
-import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -15,10 +14,9 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .constellation import ConstellationParams, GeoPosition, SatelliteId, access_satellite
+from .constellation import GeoPosition
 from .scheduling import ALL_CLASSES, TrafficClass
 
-DEFAULT_PACKET_SIZE_BITS = 1000
 GRID_ROWS = 12
 GRID_COLS = 24
 
@@ -48,8 +46,7 @@ DEFAULT_CONTINENT_RATIOS = (
 class Packet:
     """One unit of traffic in transit.
 
-    `src_user`/`dst_user` are terminal handles, `dst_sat` is the destination
-    access satellite resolved at forwarding time, `hop` counts
+    `src_user`/`dst_user` are terminal handles, `hop` counts
     satellite-to-satellite transmissions only.
     """
 
@@ -58,12 +55,8 @@ class Packet:
         "tos",
         "src_user",
         "dst_user",
-        "dst_sat",
-        "next",
         "hop",
-        "size_bits",
         "created_at",
-        "delivered_at",
         "flow",
         "detoured",
     )
@@ -75,19 +68,14 @@ class Packet:
         src_user: int,
         dst_user: int,
         created_at: float,
-        size_bits: int = DEFAULT_PACKET_SIZE_BITS,
         flow: Optional[int] = None,
     ):
         self.id = pkt_id
         self.tos = tos
         self.src_user = src_user
         self.dst_user = dst_user
-        self.dst_sat: Optional[SatelliteId] = None
-        self.next: Optional[SatelliteId] = None
         self.hop = 0
-        self.size_bits = size_bits
         self.created_at = created_at
-        self.delivered_at: Optional[float] = None
         self.flow = flow
         self.detoured = False  # set once the packet leaves the shortest path
 
@@ -318,15 +306,3 @@ class ArrivalGenerator:
             nt = t + rng.expovariate(rates[s])
             if nt <= horizon:
                 heapq.heappush(heap, (nt, s))
-
-
-def resolve_endpoints(
-    pkt: Packet,
-    terminals: Sequence[Terminal],
-    params: ConstellationParams,
-    t: float,
-) -> tuple[Optional[SatelliteId], Optional[SatelliteId]]:
-    """Current access satellites of the packet's two terminals (exact geometry)."""
-    src = access_satellite(terminals[pkt.src_user].position, params, t)
-    dst = access_satellite(terminals[pkt.dst_user].position, params, t)
-    return src, dst

@@ -1,0 +1,108 @@
+"""Reference implementations that tests compare the package against.
+
+They favour directness over speed: exact per-call geometry for access, and a
+plain single-server loop for PQWRR service.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Iterable, Optional
+
+import numpy as np
+
+from leoqsim.constellation import (
+    EARTH_RADIUS_KM,
+    EARTH_ROTATION_RAD_S,
+    ConstellationParams,
+    GeoPosition,
+    SatelliteId,
+    satellite_positions,
+)
+from leoqsim.scheduling import DropRecord, PqwrrScheduler
+
+
+def ground_position_eci(user: GeoPosition, t: float) -> np.ndarray:
+    """Inertial position of an Earth-fixed point at time t (Earth rotates beneath orbits)."""
+    lat = math.radians(user.lat_deg)
+    lon = math.radians(user.lon_deg) + EARTH_ROTATION_RAD_S * t
+    r = EARTH_RADIUS_KM + user.alt_km
+    cl = math.cos(lat)
+    return np.array([r * cl * math.cos(lon), r * cl * math.sin(lon), r * math.sin(lat)])
+
+
+def elevation_deg(user: GeoPosition, sat_xyz, t: float) -> float:
+    """Elevation angle of a satellite above the user's local horizon."""
+    u = ground_position_eci(user, t)
+    d = np.asarray(sat_xyz) - u
+    s = float(np.dot(d, u)) / (float(np.linalg.norm(d)) * float(np.linalg.norm(u)))
+    return math.degrees(math.asin(max(-1.0, min(1.0, s))))
+
+
+def subsatellite_point(params: ConstellationParams, index: int, t: float) -> GeoPosition:
+    """Ground point directly beneath satellite `index` at time t."""
+    x, y, z = satellite_positions(params, t)[index]
+    lat = math.degrees(math.asin(z / params.orbit_radius_km))
+    lon = math.degrees(math.atan2(y, x) - EARTH_ROTATION_RAD_S * t)
+    return GeoPosition(lat, (lon + 180.0) % 360.0 - 180.0)
+
+
+def access_satellite(
+    user: GeoPosition, params: ConstellationParams, t: float
+) -> Optional[SatelliteId]:
+    """Visible satellite with maximum elevation, or None if none clears the mask.
+
+    Ties break toward the smallest (plane, slot), which argmax's first-match
+    rule delivers because satellites are indexed in that order.
+    """
+    pos = satellite_positions(params, t)
+    u = ground_position_eci(user, t)
+    d = pos - u
+    dn = np.linalg.norm(d, axis=1)
+    un = float(np.linalg.norm(u))
+    sin_e = (d @ u) / (dn * un)
+    best = int(np.argmax(sin_e))
+    if sin_e[best] < math.sin(math.radians(params.min_elevation_deg)):
+        return None
+    return params.sid_of(best)
+
+
+def service_process(
+    sched: PqwrrScheduler,
+    rate: float,
+    arrivals: Iterable[tuple[float, object]],
+    horizon: float = math.inf,
+) -> tuple[list[tuple[float, object]], list[DropRecord]]:
+    """Single-server reference loop: one dequeue per 1/rate while backlogged.
+
+    `arrivals` must be time-ordered. Selection happens at service start and is
+    non-preemptive. Returns (completions, drops); completions later than
+    `horizon` are discarded.
+    """
+    if rate <= 0:
+        raise ValueError("rate must be > 0")
+    period = 1.0 / rate
+    completions: list[tuple[float, object]] = []
+    drops: list[DropRecord] = []
+    in_service = None
+    busy_until = 0.0
+
+    def drain(upto: float) -> None:
+        nonlocal in_service, busy_until
+        while in_service is not None and busy_until <= upto:
+            completions.append((busy_until, in_service))
+            nxt = sched.dequeue()
+            in_service = nxt
+            if nxt is not None:
+                busy_until += period
+
+    for ta, pkt in arrivals:
+        drain(ta)
+        drop = sched.enqueue(pkt, ta)
+        if drop is not None:
+            drops.append(drop)
+        elif in_service is None:
+            in_service = sched.dequeue()
+            busy_until = ta + period
+    drain(horizon)
+    return completions, drops

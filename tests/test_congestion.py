@@ -2,15 +2,37 @@ import random
 
 import pytest
 
-from leoqsim.congestion import (
-    CongestionConfig,
-    CongestionLabel,
-    NodeCongestionState,
-    classify,
-    maybe_notify,
-)
+from leoqsim.congestion import CongestionConfig, CongestionLabel, NodeCongestionState
 
 CFG = CongestionConfig(alpha=250.0, beta=450.0, window_s=1.0)
+
+
+def loaded_state(rate, cfg=CFG):
+    """A state whose window, ending at t = window_s, holds `rate` arrivals/s."""
+    st = NodeCongestionState()
+    n = round(rate * cfg.window_s)
+    for k in range(n):
+        st.record_arrival(cfg.window_s * (k + 1) / n, cfg)
+    return st
+
+
+def classify(rate):
+    """The label a satellite gets at `rate` arrivals/s, measured over a 10 s
+    window so that rates with one decimal are whole arrival counts."""
+    cfg = CongestionConfig(alpha=CFG.alpha, beta=CFG.beta, window_s=10.0)
+    st = loaded_state(rate, cfg)
+    st.evaluate(cfg.window_s, cfg)
+    assert st.rate == rate
+    return st.label
+
+
+def notification(last_notified, rate):
+    """Label broadcast by a satellite whose last broadcast was `last_notified`
+    when it is evaluated at `rate`, or None."""
+    st = loaded_state(rate)
+    st.last_notified = last_notified
+    n = st.evaluate(CFG.window_s, CFG)
+    return None if n is None else n.label
 
 
 def test_config_validation():
@@ -24,23 +46,23 @@ def test_config_validation():
 
 class TestClassify:
     def test_below_alpha_is_idle(self):
-        assert classify(100.0, CFG) is CongestionLabel.IDLE
+        assert classify(100.0) is CongestionLabel.IDLE
 
     def test_above_beta_is_busy(self):
-        assert classify(500.0, CFG) is CongestionLabel.BUSY
+        assert classify(500.0) is CongestionLabel.BUSY
 
     def test_between_is_transition(self):
-        assert classify(300.0, CFG) is CongestionLabel.TRANSITION
+        assert classify(300.0) is CongestionLabel.TRANSITION
 
     def test_boundaries_are_transition(self):
-        assert classify(250.0, CFG) is CongestionLabel.TRANSITION
-        assert classify(450.0, CFG) is CongestionLabel.TRANSITION
+        assert classify(250.0) is CongestionLabel.TRANSITION
+        assert classify(450.0) is CongestionLabel.TRANSITION
 
     def test_monotone_in_rate(self):
         order = {CongestionLabel.IDLE: 0, CongestionLabel.TRANSITION: 1, CongestionLabel.BUSY: 2}
         prev = -1
         for rate in [0, 50, 249.9, 250, 350, 450, 450.1, 800, 10_000]:
-            cur = order[classify(float(rate), CFG)]
+            cur = order[classify(float(rate))]
             assert cur >= prev
             prev = cur
 
@@ -146,10 +168,11 @@ class TestNotifications:
             assert a is not b
 
     def test_maybe_notify_matrix(self):
-        B, I, T = CongestionLabel.BUSY, CongestionLabel.IDLE, CongestionLabel.TRANSITION
-        assert maybe_notify(I, B) is B
-        assert maybe_notify(B, I) is I
-        assert maybe_notify(B, B) is None
-        assert maybe_notify(I, I) is None
-        assert maybe_notify(I, T) is None
-        assert maybe_notify(B, T) is None
+        B, I = CongestionLabel.BUSY, CongestionLabel.IDLE
+        busy, idle, transition = 500.0, 100.0, 300.0
+        assert notification(I, busy) is B
+        assert notification(B, idle) is I
+        assert notification(B, busy) is None
+        assert notification(I, idle) is None
+        assert notification(I, transition) is None
+        assert notification(B, transition) is None

@@ -7,23 +7,38 @@ import pytest
 from leoqsim.constellation import (
     EARTH_RADIUS_KM,
     MU_EARTH_KM3_S2,
+    PICOSECONDS_PER_SECOND,
     SPEED_OF_LIGHT_KM_S,
     AccessResolver,
     ConstellationParams,
     GeoPosition,
-    LinkKind,
+    OrbitGeometry,
     SatelliteId,
-    access_satellite,
     build_topology_snapshot,
-    elevation_deg,
-    ground_slant_delay_s,
-    pair_delay_s,
-    satellite_position,
     satellite_positions,
-    time_slot_index,
 )
+from oracles import access_satellite, elevation_deg, subsatellite_point
 
 PARAMS = ConstellationParams()
+GEOMETRY = OrbitGeometry(PARAMS, [])
+LARGE_SHELL = ConstellationParams(planes=24, sats_per_plane=40, phase_offset_deg=4.5)
+
+
+def sat_xyz(sid, t, geometry=GEOMETRY, params=PARAMS):
+    return np.array(geometry.sat_xyz(params.index_of(sid), t))
+
+
+def links(snap, i):
+    """(neighbour SatelliteId, delay_ps) for every link of satellite index i."""
+    return [(snap.params.sid_of(j), ps) for j, ps in snap.neighbor_table[i]]
+
+
+def intra_plane(snap, sid):
+    return [n for n, _ in links(snap, snap.params.index_of(sid)) if n.plane == sid.plane]
+
+
+def inter_plane(snap, sid):
+    return [n for n, _ in links(snap, snap.params.index_of(sid)) if n.plane != sid.plane]
 
 
 def test_default_shape():
@@ -41,8 +56,8 @@ def test_orbital_period_matches_kepler():
 
 def test_initial_phase_convention():
     # Satellite (0, 0) starts at its ascending node: latitude 0, phase 0.
-    xyz, geo = satellite_position(SatelliteId(0, 0), PARAMS, 0.0)
-    assert geo.lat_deg == pytest.approx(0.0, abs=1e-9)
+    xyz = sat_xyz(SatelliteId(0, 0), 0.0)
+    assert subsatellite_point(PARAMS, 0, 0.0).lat_deg == pytest.approx(0.0, abs=1e-9)
     assert xyz[0] == pytest.approx(PARAMS.orbit_radius_km)
     assert xyz[1] == pytest.approx(0.0, abs=1e-9)
     assert xyz[2] == pytest.approx(0.0, abs=1e-9)
@@ -53,12 +68,12 @@ def test_position_on_sphere_and_phase_spacing():
     for _ in range(20):
         sid = SatelliteId(rng.randrange(6), rng.randrange(11))
         t = rng.uniform(0, 20000)
-        xyz, _ = satellite_position(sid, PARAMS, t)
+        xyz = sat_xyz(sid, t)
         assert np.linalg.norm(xyz) == pytest.approx(PARAMS.orbit_radius_km, abs=1e-9)
     # Consecutive satellites of a plane are separated by 360/S degrees of phase:
     # their chord equals 2 r sin(pi/S).
-    a, _ = satellite_position(SatelliteId(2, 3), PARAMS, 500.0)
-    b, _ = satellite_position(SatelliteId(2, 4), PARAMS, 500.0)
+    a = sat_xyz(SatelliteId(2, 3), 500.0)
+    b = sat_xyz(SatelliteId(2, 4), 500.0)
     chord = 2.0 * PARAMS.orbit_radius_km * math.sin(math.pi / 11)
     assert np.linalg.norm(a - b) == pytest.approx(chord, abs=1e-9)
 
@@ -72,17 +87,22 @@ def test_raan_spread_even():
 def test_periodicity():
     T = PARAMS.period_s
     for sid in (SatelliteId(0, 0), SatelliteId(3, 7), SatelliteId(5, 10)):
-        p0, _ = satellite_position(sid, PARAMS, 123.0)
-        p1, _ = satellite_position(sid, PARAMS, 123.0 + T)
+        p0 = sat_xyz(sid, 123.0)
+        p1 = sat_xyz(sid, 123.0 + T)
         assert np.linalg.norm(p0 - p1) < 1e-6
 
 
 def test_vectorized_positions_match_scalar():
-    t = 777.7
-    pos = satellite_positions(PARAMS, t)
-    for sid in PARAMS.satellite_ids():
-        xyz, _ = satellite_position(sid, PARAMS, t)
-        assert np.allclose(pos[PARAMS.index_of(sid)], xyz, atol=1e-9)
+    # The event loop's scalar path and the vectorised whole-constellation path
+    # compute the same orbits in different operation orders.
+    rng = random.Random(19)
+    for params in (PARAMS, LARGE_SHELL):
+        geometry = OrbitGeometry(params, [])
+        for _ in range(10):
+            t = rng.uniform(0, 3 * params.period_s)
+            pos = satellite_positions(params, t)
+            for i in range(params.num_sats):
+                assert np.allclose(pos[i], geometry.sat_xyz(i, t), rtol=0, atol=1e-9)
 
 
 class TestTopologySnapshot:
@@ -90,11 +110,7 @@ class TestTopologySnapshot:
         for t in (0.0, 900.0, 3333.3):
             snap = build_topology_snapshot(PARAMS, t)
             for sid in PARAMS.satellite_ids():
-                isl = [
-                    n
-                    for n in snap.neighbors(sid)
-                    if snap.adjacency[(sid, n)].kind == LinkKind.ISL
-                ]
+                isl = intra_plane(snap, sid)
                 assert len(isl) == 2
                 expect = {
                     SatelliteId(sid.plane, (sid.slot + 1) % 11),
@@ -108,24 +124,29 @@ class TestTopologySnapshot:
         assert chord == pytest.approx(4029.3, abs=0.5)
         expected_delay = chord / SPEED_OF_LIGHT_KM_S
         assert expected_delay == pytest.approx(13.44e-3, abs=0.01e-3)
-        d0 = build_topology_snapshot(PARAMS, 0.0).delay_s(SatelliteId(1, 2), SatelliteId(1, 3))
-        assert d0 == pytest.approx(expected_delay, rel=1e-9)
+        a, b = PARAMS.index_of(SatelliteId(1, 2)), PARAMS.index_of(SatelliteId(1, 3))
+
+        def delay_ps(snap):
+            return dict(snap.neighbor_table[a])[b]
+
+        d0 = delay_ps(build_topology_snapshot(PARAMS, 0.0))
+        assert abs(d0 - expected_delay * PICOSECONDS_PER_SECOND) <= 1
         for t in (250.0, 1234.5, 5000.0):
-            snap = build_topology_snapshot(PARAMS, t)
-            assert abs(snap.delay_s(SatelliteId(1, 2), SatelliteId(1, 3)) - d0) < 1e-9
+            assert abs(delay_ps(build_topology_snapshot(PARAMS, t)) - d0) <= 1
 
     def test_symmetry(self):
         snap = build_topology_snapshot(PARAMS, 432.1)
-        for (a, b), e in snap.adjacency.items():
-            assert snap.adjacency[(b, a)] == e
+        for i, row in enumerate(snap.neighbor_table):
+            for j, ps in row:
+                assert (i, ps) in snap.neighbor_table[j]
 
     def test_no_iol_across_seam(self):
         for t in np.linspace(0, PARAMS.period_s, 23):
             snap = build_topology_snapshot(PARAMS, float(t))
-            for (a, b), e in snap.adjacency.items():
-                if e.kind == LinkKind.IOL:
-                    assert abs(a.plane - b.plane) == 1
-                    assert a.slot == b.slot
+            for sid in PARAMS.satellite_ids():
+                for n in inter_plane(snap, sid):
+                    assert abs(sid.plane - n.plane) == 1
+                    assert sid.slot == n.slot
 
     def test_no_iol_above_latitude_threshold(self):
         # Scan for a satellite above 60 degrees and check it carries no IOL.
@@ -137,21 +158,14 @@ class TestTopologySnapshot:
             for i, lat in enumerate(lats):
                 if abs(lat) > PARAMS.lat_threshold_deg:
                     found_high = True
-                    sid = PARAMS.sid_of(i)
-                    kinds = [snap.adjacency[(sid, n)].kind for n in snap.neighbors(sid)]
-                    assert LinkKind.IOL not in kinds
+                    assert inter_plane(snap, PARAMS.sid_of(i)) == []
         assert found_high
 
     def test_iol_count_at_most_two(self):
         for t in (0.0, 700.0, 2900.0):
             snap = build_topology_snapshot(PARAMS, t)
             for sid in PARAMS.satellite_ids():
-                iol = [
-                    n
-                    for n in snap.neighbors(sid)
-                    if snap.adjacency[(sid, n)].kind == LinkKind.IOL
-                ]
-                assert len(iol) <= 2
+                assert len(inter_plane(snap, sid)) <= 2
 
     def test_connected_at_sampled_times(self):
         rng = random.Random(11)
@@ -162,7 +176,7 @@ class TestTopologySnapshot:
             stack = [0]
             while stack:
                 v = stack.pop()
-                for j, _, _ in snap.neighbor_table[v]:
+                for j, _ in snap.neighbor_table[v]:
                     if j not in seen:
                         seen.add(j)
                         stack.append(j)
@@ -173,21 +187,23 @@ class TestAccess:
     def test_user_beneath_satellite(self):
         sid = SatelliteId(2, 5)
         t = 321.0
-        _, geo = satellite_position(sid, PARAMS, t)
-        user = GeoPosition(geo.lat_deg, geo.lon_deg)
+        user = subsatellite_point(PARAMS, PARAMS.index_of(sid), t)
         assert access_satellite(user, PARAMS, t) == sid
-        xyz, _ = satellite_position(sid, PARAMS, t)
-        assert elevation_deg(user, xyz, t) == pytest.approx(90.0, abs=1e-6)
+        resolver = AccessResolver(PARAMS, quantum_s=1.0)
+        h = resolver.register(user)
+        assert resolver.access_index(h, t) == PARAMS.index_of(sid)
+        assert elevation_deg(user, sat_xyz(sid, t), t) == pytest.approx(90.0, abs=1e-6)
 
     def test_degenerate_threshold_returns_none(self):
         params = ConstellationParams(min_elevation_deg=90.0)
         rng = random.Random(3)
-        hits = 0
-        for _ in range(50):
-            user = GeoPosition(rng.uniform(-80, 80), rng.uniform(-180, 180))
-            if access_satellite(user, params, rng.uniform(0, 6000)) is not None:
-                hits += 1
-        assert hits == 0
+        resolver = AccessResolver(params, quantum_s=1.0)
+        handles = [
+            resolver.register(GeoPosition(rng.uniform(-80, 80), rng.uniform(-180, 180)))
+            for _ in range(50)
+        ]
+        for h in handles:
+            assert resolver.access_index(h, rng.uniform(0, 6000)) == -1
 
     def test_global_coverage(self):
         # 1000 random (user, t) samples must all find an access satellite.
@@ -202,39 +218,41 @@ class TestAccess:
         resolver = AccessResolver(PARAMS, quantum_s=1.0)
         users = [GeoPosition(-56.0, 26.0), GeoPosition(65.2, -58.0), GeoPosition(0.0, 0.0)]
         handles = [resolver.register(u) for u in users]
-        for t in (0.0, 17.0, 600.0, 1799.0):
+        # Only the latest quantum is kept, so the last (earlier) time is solved again.
+        for t in (0.0, 17.0, 600.0, 1799.0, 17.0):
             for u, h in zip(users, handles):
-                assert resolver.access(h, t) == access_satellite(u, PARAMS, t)
+                assert PARAMS.sid_of(resolver.access_index(h, t)) == access_satellite(u, PARAMS, t)
 
     def test_resolver_quantizes_time(self):
         resolver = AccessResolver(PARAMS, quantum_s=1.0)
-        h = resolver.register(GeoPosition(10.0, 20.0))
-        assert resolver.access(h, 5.2) == resolver.access(h, 5.9)
-        assert resolver.access(h, 5.2) == access_satellite(GeoPosition(10.0, 20.0), PARAMS, 5.0)
-
-
-def test_time_slot_index():
-    assert time_slot_index(0.0, 60.0) == 0
-    assert time_slot_index(59.9, 60.0) == 0
-    assert time_slot_index(60.0, 60.0) == 1
-    with pytest.raises(ValueError):
-        time_slot_index(1.0, 0.0)
+        user = GeoPosition(10.0, 20.0)
+        h = resolver.register(user)
+        assert resolver.access_index(h, 5.2) == resolver.access_index(h, 5.9)
+        assert PARAMS.sid_of(resolver.access_index(h, 5.2)) == access_satellite(user, PARAMS, 5.0)
 
 
 def test_pair_delay_consistent_with_snapshot():
-    t = 90.0
-    snap = build_topology_snapshot(PARAMS, t)
-    a, b = SatelliteId(0, 0), SatelliteId(0, 1)
-    assert pair_delay_s(PARAMS, a, b, t) == pytest.approx(snap.delay_s(a, b), rel=1e-12)
+    # The per-hop link delay and the snapshot's route-table weight agree to
+    # within the picosecond rounding of the weight.
+    rng = random.Random(23)
+    for params in (PARAMS, LARGE_SHELL):
+        geometry = OrbitGeometry(params, [])
+        for _ in range(5):
+            t = rng.uniform(0, 2 * params.period_s)
+            snap = build_topology_snapshot(params, t)
+            for i, row in enumerate(snap.neighbor_table):
+                for j, ps in row:
+                    assert abs(geometry.link_delay(i, j, t) * PICOSECONDS_PER_SECOND - ps) <= 1
 
 
 def test_ground_slant_delay_bounds():
     # Slant range lies between the altitude (nadir) and the horizon distance.
     sid = SatelliteId(1, 4)
+    idx = PARAMS.index_of(sid)
     t = 250.0
-    _, geo = satellite_position(sid, PARAMS, t)
-    under = GeoPosition(geo.lat_deg, geo.lon_deg)
-    d_nadir = ground_slant_delay_s(under, sid, PARAMS, t)
+    under = subsatellite_point(PARAMS, idx, t)
+    far = GeoPosition(under.lat_deg + 15.0, under.lon_deg)
+    geometry = OrbitGeometry(PARAMS, [under, far])
+    d_nadir = geometry.slant_delay(0, idx, t)
     assert d_nadir == pytest.approx(780.0 / SPEED_OF_LIGHT_KM_S, rel=1e-6)
-    far = GeoPosition(geo.lat_deg + 15.0, geo.lon_deg)
-    assert ground_slant_delay_s(far, sid, PARAMS, t) > d_nadir
+    assert geometry.slant_delay(1, idx, t) > d_nadir

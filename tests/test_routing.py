@@ -1,24 +1,23 @@
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from leoqsim import engine
 from leoqsim.constellation import (
     ConstellationParams,
     GeoPosition,
     SatelliteId,
-    access_satellite,
     build_topology_snapshot,
 )
 from leoqsim.routing import (
-    Action,
-    Via,
     compute_backup_table,
     compute_shortest_path_table,
-    decide_forward,
+    decide_next_index,
 )
-from leoqsim.scheduling import TrafficClass
+from leoqsim.scenario import loads_scenario
+from leoqsim.scheduling import ALL_CLASSES, B_CLASSES, TrafficClass
+from oracles import access_satellite
 
 PARAMS = ConstellationParams()
 
@@ -36,11 +35,9 @@ def fw_oracle(snapshot, busy=frozenset()):
     busy_idx = {params.index_of(s) for s in busy}
     dist = np.full((n, n), INF, dtype=np.int64)
     np.fill_diagonal(dist, 0)
-    for a, b, e in snapshot.edges():
-        i, j = params.index_of(a), params.index_of(b)
+    for (i, j), w in link_ps(snapshot).items():
         if i in busy_idx or j in busy_idx:
             continue
-        w = round(e.delay_s * 1e12)
         dist[i, j] = min(dist[i, j], w)
         dist[j, i] = dist[i, j]
     for i in busy_idx:
@@ -53,11 +50,9 @@ def fw_oracle(snapshot, busy=frozenset()):
     # busy sources re-attach through their own edges
     out = dist.copy()
     for i in busy_idx:
-        for sid_j, e in _incident(snapshot, params.sid_of(i)):
-            j = params.index_of(sid_j)
+        for j, w in snapshot.neighbor_table[i]:
             if j in busy_idx:
                 continue
-            w = round(e.delay_s * 1e12)
             out[i, :] = np.minimum(out[i, :], w + dist[j, :])
         out[i, i] = INF  # deleted as a destination, even from itself
     for j in busy_idx:
@@ -65,22 +60,45 @@ def fw_oracle(snapshot, busy=frozenset()):
     return out
 
 
-def _incident(snapshot, sid):
-    for nb in snapshot.neighbors(sid):
-        yield nb, snapshot.adjacency[(sid, nb)]
+def link_ps(snapshot):
+    """(i, j) -> link delay in picoseconds, both orderings of every link."""
+    return {(i, j): ps for i, row in enumerate(snapshot.neighbor_table) for j, ps in row}
+
+
+def neighbors(snapshot, sid):
+    params = snapshot.params
+    return [params.sid_of(j) for j, _ in snapshot.neighbor_table[params.index_of(sid)]]
+
+
+def path(table, src, dst):
+    """Node sequence src..dst by next-hop iteration, or None if unreachable."""
+    if src == dst:
+        return [src]
+    here, out = src, [src]
+    for _ in range(table.params.num_sats):
+        nxt = table.next_hop(here, dst)
+        if nxt is None:
+            return None
+        out.append(nxt)
+        if nxt == dst:
+            return out
+        here = nxt
+    raise AssertionError("routing loop")
 
 
 def iterated_path_cost_ps(table, snapshot, src, dst):
     """Cost of the table's realized path, summed edge by edge; None if no route."""
     if src == dst:
         return 0
+    params = snapshot.params
+    weights = link_ps(snapshot)
     total = 0
     here = src
-    for _ in range(snapshot.params.num_sats):
+    for _ in range(params.num_sats):
         nxt = table.next_hop(here, dst)
         if nxt is None:
             return None
-        total += round(snapshot.adjacency[(here, nxt)].delay_s * 1e12)
+        total += weights[(params.index_of(here), params.index_of(nxt))]
         if nxt == dst:
             return total
         here = nxt
@@ -95,7 +113,7 @@ def test_one_hop_next_is_destination():
     snap = build_topology_snapshot(PARAMS, 0.0)
     table = compute_shortest_path_table(snap)
     a = SatelliteId(0, 0)
-    for b in snap.neighbors(a):
+    for b in neighbors(snap, a):
         assert table.next_hop(a, b) == b
 
 
@@ -152,7 +170,7 @@ def test_backup_with_empty_busy_equals_primary():
 def test_all_neighbors_busy_isolates_source():
     snap = build_topology_snapshot(PARAMS, 0.0)
     x = SatelliteId(2, 4)
-    busy = set(snap.neighbors(x))
+    busy = set(neighbors(snap, x))
     table = compute_backup_table(snap, busy)
     for j in range(PARAMS.num_sats):
         dst = PARAMS.sid_of(j)
@@ -180,7 +198,7 @@ def test_loop_freedom_both_tables():
             for i in range(PARAMS.num_sats):
                 for j in range(PARAMS.num_sats):
                     if i != j:
-                        p = table.path(PARAMS.sid_of(i), PARAMS.sid_of(j))  # raises on loop
+                        p = path(table, PARAMS.sid_of(i), PARAMS.sid_of(j))  # raises on loop
                         if p is not None:
                             assert len(set(p)) == len(p)
                             assert len(p) - 1 <= PARAMS.num_sats - 1
@@ -215,89 +233,124 @@ def test_paper_region_hop_counts_across_slots():
         s = access_satellite(src_u, PARAMS, t)
         d = access_satellite(dst_u, PARAMS, t)
         assert s is not None and d is not None
-        path = table.path(s, d)
-        assert path is not None
-        assert 5 <= len(path) - 1 <= 9
+        p = path(table, s, d)
+        assert p is not None
+        assert 5 <= len(p) - 1 <= 9
 
 
 class TestDecideForward:
+    SRC = PARAMS.index_of(SatelliteId(0, 0))
+    DST = PARAMS.index_of(SatelliteId(3, 5))
+
     @pytest.fixture()
     def setup(self):
         snap = build_topology_snapshot(PARAMS, 0.0)
         primary = compute_shortest_path_table(snap)
-        src = SatelliteId(0, 0)
-        dst = SatelliteId(3, 5)
-        hop = primary.next_hop(src, dst)
-        return snap, primary, src, dst, hop
+        hop = primary.next_idx[self.SRC][self.DST]
+        return snap, primary, hop
 
     @staticmethod
-    def states(busy=frozenset()):
-        return {
-            sid: SimpleNamespace(is_busy=(sid in busy)) for sid in PARAMS.satellite_ids()
-        }
+    def flags(busy=()):
+        return [i in busy for i in range(PARAMS.num_sats)]
 
     @staticmethod
-    def packet(tos, dst):
-        return SimpleNamespace(tos=tos, dst_sat=dst)
+    def backup_table(snap, busy):
+        return compute_backup_table(snap, {PARAMS.sid_of(i) for i in busy})
 
-    def test_deliver_at_destination(self, setup):
-        snap, primary, src, dst, hop = setup
-        backup = compute_backup_table(snap, set())
-        d = decide_forward(self.packet(TrafficClass.A, dst), dst, primary, backup, self.states())
-        assert d.action is Action.DELIVER
+    def decide(self, tos, primary, backup, busy=(), detoured=False):
+        return decide_next_index(
+            tos, self.SRC, self.DST, primary, backup, self.flags(busy), detoured
+        )
+
+    def test_deliver_at_destination(self, monkeypatch):
+        # A packet at its destination's access satellite leaves by the downlink
+        # without consulting the forwarding rule: a flow whose two endpoints
+        # share a position is delivered with zero hops.
+        def no_route(*args):
+            raise AssertionError("forwarding rule consulted")
+
+        monkeypatch.setattr(engine, "decide_next_index", no_route)
+        cfg = loads_scenario(
+            "[traffic]\nbackground_rate = 0\nflows = 10,20 -> 10,20 @ 200\n"
+            "[run]\nduration_s = 2\n"
+        )
+        report = engine.Simulation(cfg).run()
+        assert report.delivered_total() > 0
+        assert report.delivered_total() + report.residual == report.generated_total()
+        assert report.wait_enqueues == 0
+        for cls in ALL_CLASSES:
+            assert report.mean_hops(cls) in (None, 0.0)
 
     def test_idle_hop_forwards_primary(self, setup):
-        snap, primary, src, dst, hop = setup
+        snap, primary, hop = setup
         backup = compute_backup_table(snap, set())
-        d = decide_forward(self.packet(TrafficClass.B1, dst), src, primary, backup, self.states())
-        assert (d.action, d.next, d.via) == (Action.FORWARD, hop, Via.PRIMARY)
+        assert self.decide(TrafficClass.B1, primary, backup) == (hop, False)
 
     def test_class_a_ignores_busy_hop(self, setup):
-        snap, primary, src, dst, hop = setup
-        busy = {hop}
-        backup = compute_backup_table(snap, busy)
-        d = decide_forward(
-            self.packet(TrafficClass.A, dst), src, primary, backup, self.states(busy)
-        )
-        assert (d.action, d.next, d.via) == (Action.FORWARD, hop, Via.PRIMARY)
+        snap, primary, hop = setup
+        backup = self.backup_table(snap, {hop})
+        assert self.decide(TrafficClass.A, primary, backup, {hop}) == (hop, False)
+
+    def test_no_backup_table_forwards_into_busy_hop(self, setup):
+        # Strategy pqwrr_only keeps no backup table: every class stays on the
+        # shortest path.
+        snap, primary, hop = setup
+        for tos in TrafficClass:
+            assert self.decide(tos, primary, None, {hop}) == (hop, False)
 
     def test_class_b_detours_via_backup(self, setup):
-        snap, primary, src, dst, hop = setup
-        busy = {hop}
-        backup = compute_backup_table(snap, busy)
-        alt = backup.next_hop(src, dst)
-        assert alt is not None and alt != hop
-        d = decide_forward(
-            self.packet(TrafficClass.B1, dst), src, primary, backup, self.states(busy)
-        )
-        assert (d.action, d.next, d.via) == (Action.FORWARD, alt, Via.BACKUP)
+        snap, primary, hop = setup
+        backup = self.backup_table(snap, {hop})
+        alt = backup.next_idx[self.SRC][self.DST]
+        assert alt >= 0 and alt != hop
+        assert self.decide(TrafficClass.B1, primary, backup, {hop}) == (alt, True)
 
     def test_class_b_waits_when_no_backup(self, setup):
-        snap, primary, src, dst, hop = setup
-        busy = set(snap.neighbors(src))  # source fully surrounded
-        backup = compute_backup_table(snap, busy)
-        d = decide_forward(
-            self.packet(TrafficClass.B0, dst), src, primary, backup, self.states(busy)
-        )
-        assert d.action is Action.WAIT
+        snap, primary, hop = setup
+        busy = {j for j, _ in snap.neighbor_table[self.SRC]}  # source fully surrounded
+        backup = self.backup_table(snap, busy)
+        assert self.decide(TrafficClass.B0, primary, backup, busy) == (-1, False)
 
     def test_class_b_waits_when_backup_hop_busy(self, setup):
-        snap, primary, src, dst, hop = setup
+        snap, primary, hop = setup
         # Stale-table situation: backup built for {hop} but its suggested hop
         # has since gone busy as well; the state check at forwarding time wins.
-        backup = compute_backup_table(snap, {hop})
-        alt = backup.next_hop(src, dst)
-        d = decide_forward(
-            self.packet(TrafficClass.B2, dst), src, primary, backup, self.states({hop, alt})
-        )
-        assert d.action is Action.WAIT
+        backup = self.backup_table(snap, {hop})
+        alt = backup.next_idx[self.SRC][self.DST]
+        assert self.decide(TrafficClass.B2, primary, backup, {hop, alt}) == (-1, False)
+
+    def test_detoured_packet_stays_on_backup(self, setup):
+        # Once detoured, a packet follows the backup table even where the
+        # primary hop is idle again.
+        snap, primary, hop = setup
+        backup = self.backup_table(snap, {hop})
+        alt = backup.next_idx[self.SRC][self.DST]
+        for tos in B_CLASSES:
+            assert self.decide(tos, primary, backup) == (hop, False)
+            assert self.decide(tos, primary, backup, detoured=True) == (alt, True)
+
+    def test_detoured_packet_waits_when_backup_hop_missing(self, setup):
+        snap, primary, hop = setup
+        surrounded = {j for j, _ in snap.neighbor_table[self.SRC]}
+        backup = self.backup_table(snap, surrounded)
+        assert backup.next_idx[self.SRC][self.DST] == -1
+        # The primary hop is idle, yet the detoured packet does not return to it.
+        decision = self.decide(TrafficClass.B1, primary, backup, detoured=True)
+        assert decision == (-1, False)
+
+    def test_detoured_packet_waits_when_backup_hop_busy(self, setup):
+        snap, primary, hop = setup
+        backup = self.backup_table(snap, {hop})
+        alt = backup.next_idx[self.SRC][self.DST]
+        decision = self.decide(TrafficClass.B0, primary, backup, {alt}, detoured=True)
+        assert decision == (-1, False)
 
     def test_forwarded_hop_is_adjacent(self, setup):
-        snap, primary, src, dst, hop = setup
-        backup = compute_backup_table(snap, {hop})
+        snap, primary, hop = setup
+        backup = self.backup_table(snap, {hop})
+        adjacent = {j for j, _ in snap.neighbor_table[self.SRC]}
         for tos in TrafficClass:
-            d = decide_forward(
-                self.packet(tos, dst), src, primary, backup, self.states({hop})
-            )
-            if d.action is Action.FORWARD:
-                assert snap.has_edge(src, d.next)
+            for detoured in (False, True):
+                nxt, _ = self.decide(tos, primary, backup, {hop}, detoured)
+                if nxt >= 0:
+                    assert nxt in adjacent

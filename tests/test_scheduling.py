@@ -10,8 +10,8 @@ from leoqsim.scheduling import (
     DropReason,
     PqwrrScheduler,
     TrafficClass,
-    service_process,
 )
+from oracles import service_process
 
 
 def pkt(tos, tag=None):

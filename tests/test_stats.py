@@ -1,10 +1,13 @@
+import csv
 import random
-from pathlib import Path
+from collections import Counter
 
 import pytest
 
+from leoqsim import engine
 from leoqsim.congestion import CongestionLabel, Notification
 from leoqsim.constellation import SatelliteId
+from leoqsim.scenario import loads_scenario
 from leoqsim.scheduling import ALL_CLASSES, DropReason, DropRecord, TrafficClass
 from leoqsim.stats import DelayCdf, StatsCollector, export
 from leoqsim.traffic import Packet
@@ -65,9 +68,9 @@ class TestCollector:
     def test_drop_bucket_placement(self):
         c = make_collector()
         rec = DropRecord(250.0, SatelliteId(0, 0), TrafficClass.B0, DropReason.BUFFER_OVERFLOW)
-        c.record_drop(rec, 0)
+        c.record_drop(rec)
         r = c.finalize(residual=0)
-        assert r.drops_detail[(4, 0, TrafficClass.B0, "buffer_overflow")] == 1
+        assert r.drops_detail[(4, SatelliteId(0, 0), TrafficClass.B0, "buffer_overflow")] == 1
 
     def test_throughput_is_count_over_bucket(self):
         c = make_collector()
@@ -99,7 +102,7 @@ class TestCollector:
             sat = rng.randrange(66)
             t = rng.uniform(0, 300)
             c.record_drop(DropRecord(t, SatelliteId(sat // 11, sat % 11), cls,
-                                     DropReason.BUFFER_OVERFLOW), sat)
+                                     DropReason.BUFFER_OVERFLOW))
             totals[cls] += 1
         r = c.finalize(residual=0)
         for cls in ALL_CLASSES:
@@ -149,8 +152,7 @@ class TestExport:
                     c.record_delivery(p, t0 + rng.expovariate(10.0))
                 else:
                     c.record_drop(
-                        DropRecord(t0, SatelliteId(0, i % 11), cls, DropReason.BUFFER_OVERFLOW),
-                        i % 11,
+                        DropRecord(t0, SatelliteId(0, i % 11), cls, DropReason.BUFFER_OVERFLOW)
                     )
             c.note_state_change(
                 Notification(5.0, SatelliteId(1, 2), CongestionLabel.BUSY, 470.0)
@@ -200,3 +202,29 @@ class TestExport:
         export(report, b)
         for f in sorted(a.iterdir()):
             assert (b / f.name).read_bytes() == f.read_bytes()
+
+    def test_drop_rows_sort_and_name_satellites(self, tmp_path):
+        c = make_collector()
+        for sid in (SatelliteId(1, 0), None, SatelliteId(0, 10)):
+            c.record_drop(DropRecord(1.0, sid, TrafficClass.A, DropReason.BUFFER_OVERFLOW))
+        export(c.finalize(residual=0), tmp_path)
+        rows = (tmp_path / "drops_per_sat.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["-", "S-0-10", "S-1-0"]
+
+    def test_drop_names_on_a_non_default_shell(self, tmp_path):
+        # 12 satellites per plane: per-satellite drop counts must carry the
+        # same names as the packet trace's drop events.
+        cfg = loads_scenario(
+            "[constellation]\nplanes = 8\nsats_per_plane = 12\n"
+            "[traffic]\nbackground_rate = 800\nflows = 40,-100 -> 50,10 @ 600\n"
+            "[run]\nduration_s = 3\ntrace = true\n"
+        )
+        export(engine.Simulation(cfg).run(), tmp_path)
+        with open(tmp_path / "drops_per_sat.csv", newline="") as f:
+            exported = Counter()
+            for row in csv.DictReader(f):
+                exported[row["satellite"]] += int(row["count"])
+        with open(tmp_path / "packet_trace.csv", newline="") as f:
+            traced = Counter(row["satellite"] for row in csv.DictReader(f) if row["event"] == "drop")
+        assert any(not name.startswith("S-0-") for name in traced)  # beyond index 11
+        assert exported == traced

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from leoqsim.constellation import ConstellationParams, GeoPosition, SatelliteId, satellite_position
+from leoqsim.constellation import AccessResolver, ConstellationParams, GeoPosition, SatelliteId
 from leoqsim.scheduling import ALL_CLASSES, TrafficClass
 from leoqsim.traffic import (
     DEFAULT_CONTINENT_RATIOS,
@@ -15,8 +15,8 @@ from leoqsim.traffic import (
     DemandGrid,
     FlowSpec,
     Packet,
-    resolve_endpoints,
 )
+from oracles import subsatellite_point
 
 from pathlib import Path
 
@@ -184,33 +184,39 @@ class TestArrivalGenerator:
             self.make(grid, ratios, background=-1.0)
 
 
+def resolver_for(gen, extra=()):
+    """An access resolver with the generator's terminals registered in
+    handle order, as the engine registers them, then `extra` positions."""
+    resolver = AccessResolver(PARAMS, quantum_s=1.0)
+    for term in gen.terminals:
+        assert resolver.register(term.position) == term.handle
+    for pos in extra:
+        resolver.register(pos)
+    return resolver
+
+
 class TestResolveEndpoints:
     def test_user_under_satellite(self, grid, ratios):
         gen = ArrivalGenerator([], grid, 1.0, ratios, (0.25, 0.25, 0.25, 0.25), 1)
         t = 600.0
-        _, geo = satellite_position(SatelliteId(2, 5), PARAMS, t)
-        terminals = list(gen.terminals)
-        from leoqsim.traffic import Terminal
-
-        terminals.append(Terminal(len(terminals), GeoPosition(geo.lat_deg, geo.lon_deg)))
-        pkt = Packet(0, TrafficClass.A, len(terminals) - 1, 0, t)
-        src, _ = resolve_endpoints(pkt, terminals, PARAMS, t)
-        assert src == SatelliteId(2, 5)
+        sat = PARAMS.index_of(SatelliteId(2, 5))
+        resolver = resolver_for(gen, [subsatellite_point(PARAMS, sat, t)])
+        pkt = Packet(0, TrafficClass.A, len(gen.terminals), 0, t)
+        assert resolver.access_index(pkt.src_user, t) == sat
 
     def test_paper_endpoints_always_resolvable(self, grid, ratios):
         flow = FlowSpec(GeoPosition(-56.0, 26.0), GeoPosition(65.2, -58.0), 1.0)
         gen = ArrivalGenerator([flow], grid, 0.0, ratios, (0.25, 0.25, 0.25, 0.25), 1)
+        resolver = resolver_for(gen)
         pkt = Packet(0, TrafficClass.A, 288, 289, 0.0)
         period = PARAMS.period_s
         for t in np.linspace(0.0, period, 121):
-            src, dst = resolve_endpoints(pkt, gen.terminals, PARAMS, float(t))
-            assert src is not None
-            assert dst is not None
+            assert resolver.access_index(pkt.src_user, float(t)) >= 0
+            assert resolver.access_index(pkt.dst_user, float(t)) >= 0
 
 
 def test_packet_defaults():
     p = Packet(5, TrafficClass.B1, 1, 2, 10.0)
-    assert p.size_bits == 1000
     assert p.hop == 0
-    assert p.delivered_at is None
-    assert p.dst_sat is None
+    assert p.flow is None
+    assert not p.detoured
