@@ -47,7 +47,6 @@ class SatelliteId(NamedTuple):
 class GeoPosition(NamedTuple):
     lat_deg: float
     lon_deg: float
-    alt_km: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ class OrbitGeometry:
         for pos in ground:
             lat = math.radians(pos.lat_deg)
             lon = math.radians(pos.lon_deg)
-            r = EARTH_RADIUS_KM + pos.alt_km
+            r = EARTH_RADIUS_KM
             cl = math.cos(lat)
             self._ground_xyz.append(
                 (r * cl * math.cos(lon), r * cl * math.sin(lon), r * math.sin(lat))

@@ -95,13 +95,10 @@ class FlowSpec:
     src: GeoPosition
     dst: GeoPosition
     rate: float  # packets/s
-    class_mix: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
 
     def __post_init__(self) -> None:
         if self.rate < 0:
             raise ValueError("flow rate must be >= 0")
-        if abs(sum(self.class_mix) - 1.0) > 1e-9:
-            raise ValueError("class_mix must sum to 1")
 
 
 class ContinentRatioTable:
@@ -225,7 +222,8 @@ class ArrivalGenerator:
     """Merged, time-ordered packet arrival stream.
 
     Terminal handles 0..287 are the grid cell centers; foreground flow
-    endpoints are appended after them. Every stream owns a derived RNG, so the
+    endpoints are appended after them. Background and flow packets alike draw
+    their class from `class_mix`. Every stream owns a derived RNG, so the
     generated sequence is independent of consumption interleaving.
     """
 
@@ -252,14 +250,12 @@ class ArrivalGenerator:
             for c in range(GRID_COLS)
         ]
         self._flow_terminals: list[tuple[int, int]] = []
-        self._flow_mix_cum: list[tuple[float, ...]] = []
         for spec in self.flows:
             s = Terminal(len(self.terminals), spec.src)
             self.terminals.append(s)
             d = Terminal(len(self.terminals), spec.dst)
             self.terminals.append(d)
             self._flow_terminals.append((s.handle, d.handle))
-            self._flow_mix_cum.append(tuple(np.cumsum(spec.class_mix)))
 
     def _rng(self, stream: int) -> random.Random:
         return random.Random((self.seed * 1_000_003 + stream) & 0xFFFFFFFF)
@@ -299,7 +295,7 @@ class ArrivalGenerator:
                 pkt = self._make_background(pkt_id, t, rng)
             else:
                 src_h, dst_h = self._flow_terminals[kinds[s]]
-                tos = _sample_class(self._flow_mix_cum[kinds[s]], rng)
+                tos = _sample_class(self.class_mix_cum, rng)
                 pkt = Packet(pkt_id, tos, src_h, dst_h, t, flow=kinds[s])
             pkt_id += 1
             yield t, pkt

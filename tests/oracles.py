@@ -26,7 +26,7 @@ def ground_position_eci(user: GeoPosition, t: float) -> np.ndarray:
     """Inertial position of an Earth-fixed point at time t (Earth rotates beneath orbits)."""
     lat = math.radians(user.lat_deg)
     lon = math.radians(user.lon_deg) + EARTH_ROTATION_RAD_S * t
-    r = EARTH_RADIUS_KM + user.alt_km
+    r = EARTH_RADIUS_KM
     cl = math.cos(lat)
     return np.array([r * cl * math.cos(lon), r * cl * math.sin(lon), r * math.sin(lat)])
 

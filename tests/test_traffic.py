@@ -179,6 +179,11 @@ class TestArrivalGenerator:
         kinds = {p.flow for _, p in gen.stream(5.0)}
         assert kinds == {None, 0}
 
+    def test_flow_packets_draw_from_the_class_mix(self, grid, ratios):
+        flow = FlowSpec(GeoPosition(-56.0, 26.0), GeoPosition(65.2, -58.0), 50.0)
+        gen = ArrivalGenerator([flow], grid, 0.0, ratios, (0.0, 0.0, 1.0, 0.0), 3)
+        assert {p.tos for _, p in gen.stream(5.0)} == {TrafficClass.B1}
+
     def test_rejects_negative_background(self, grid, ratios):
         with pytest.raises(ValueError):
             self.make(grid, ratios, background=-1.0)
