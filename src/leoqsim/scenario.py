@@ -1,15 +1,21 @@
 """Scenario configuration: typed sections, INI-style files, strict validation.
 
-Every key is validated before a run starts; unknown sections or keys are
-rejected so typos cannot silently fall back to defaults. `serialize` emits a
-file that parses back to an equal config.
+The section dataclasses are the schema. Each field of `ScenarioConfig` built
+by a default factory is one INI section, and each field of a section is one
+key; its default is the value an absent key takes, and the type of that
+default is how a present key is read (bool, int, finite float, a tuple of
+them of the default's length, or str; `flows` is the one special case).
+Unknown sections or keys are rejected so typos cannot silently fall back to
+defaults, and each section's `__post_init__` checks its values.
+`serialize_scenario` walks the same fields and emits a file that parses back
+to an equal config.
 """
 
 from __future__ import annotations
 
 import configparser
-import re
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -121,100 +127,90 @@ class ScenarioConfig:
         return DemandGrid.load(path)
 
 
-_FLOW_RE = re.compile(
-    r"^\s*(?P<slat>-?[\d.]+)\s*,\s*(?P<slon>-?[\d.]+)\s*->\s*"
-    r"(?P<dlat>-?[\d.]+)\s*,\s*(?P<dlon>-?[\d.]+)\s*@\s*(?P<rate>[\d.]+)\s*$"
-)
+# The sections of a scenario file, in file order: the fields of ScenarioConfig
+# built by a default factory (base_dir is set by the caller, not the file).
+_SECTIONS = {
+    f.name: f.default_factory for f in fields(ScenarioConfig) if is_dataclass(f.default_factory)
+}
+_TRUE = ("true", "yes", "1", "on")
+_FALSE = ("false", "no", "0", "off")
 
 
-def _parse_flow(text: str) -> FlowSpec:
-    m = _FLOW_RE.match(text)
-    if not m:
-        raise ScenarioError(
-            f"[traffic] flows: bad flow {text!r}, expected 'lat,lon -> lat,lon @ rate'"
-        )
-    return FlowSpec(
-        src=GeoPosition(float(m["slat"]), float(m["slon"])),
-        dst=GeoPosition(float(m["dlat"]), float(m["dlon"])),
-        rate=float(m["rate"]),
-    )
+def _finite(raw: str) -> float:
+    try:
+        x = float(raw)
+    except ValueError:
+        raise ValueError(f"not a number: {raw!r}") from None
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return x
 
 
-def _flow_to_text(f: FlowSpec) -> str:
-    return (
-        f"{f.src.lat_deg:g},{f.src.lon_deg:g} -> "
-        f"{f.dst.lat_deg:g},{f.dst.lon_deg:g} @ {f.rate:g}"
-    )
-
-
-class _Section:
-    """One INI section with typed getters that consume keys."""
-
-    def __init__(self, name: str, items: dict[str, str]):
-        self.name = name
-        self.items = dict(items)
-
-    def _take(self, key: str) -> Optional[str]:
-        return self.items.pop(key, None)
-
-    def get_float(self, key: str, default: float) -> float:
-        raw = self._take(key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ScenarioError(f"[{self.name}] {key}: not a number: {raw!r}") from None
-
-    def get_int(self, key: str, default: int) -> int:
-        raw = self._take(key)
-        if raw is None:
-            return default
+def _parse_value(raw: str, default):
+    """`raw` read as a value of the type of `default`; a tuple keeps its length."""
+    if isinstance(default, bool):
+        low = raw.strip().lower()
+        if low not in _TRUE + _FALSE:
+            raise ValueError(f"not a boolean: {raw!r}")
+        return low in _TRUE
+    if isinstance(default, tuple):
+        parts = raw.split()
+        if len(parts) != len(default):
+            raise ValueError(f"needs {len(default)} values, got {raw!r}")
+        return tuple(_parse_value(x, default[0]) for x in parts)
+    if isinstance(default, int):
         try:
             return int(raw)
         except ValueError:
-            raise ScenarioError(f"[{self.name}] {key}: not an integer: {raw!r}") from None
+            raise ValueError(f"not an integer: {raw!r}") from None
+    if isinstance(default, float):
+        return _finite(raw)
+    return raw.strip()
 
-    def get_bool(self, key: str, default: bool) -> bool:
-        raw = self._take(key)
-        if raw is None:
-            return default
-        low = raw.strip().lower()
-        if low in ("true", "yes", "1", "on"):
-            return True
-        if low in ("false", "no", "0", "off"):
-            return False
-        raise ScenarioError(f"[{self.name}] {key}: not a boolean: {raw!r}")
 
-    def get_str(self, key: str, default: str) -> str:
-        raw = self._take(key)
-        return default if raw is None else raw.strip()
+def _parse_flows(raw: str) -> tuple[FlowSpec, ...]:
+    """Flows written 'lat,lon -> lat,lon @ rate' and separated by ';'."""
+    flows = []
+    for text in filter(str.strip, raw.split(";")):
+        src, arrow, rest = text.partition("->")
+        dst, at, rate = rest.partition("@")
+        src, dst = src.split(","), dst.split(",")
+        if not (arrow and at) or len(src) != 2 or len(dst) != 2:
+            raise ValueError(f"bad flow {text!r}, expected 'lat,lon -> lat,lon @ rate'")
+        src, dst = GeoPosition(*map(_finite, src)), GeoPosition(*map(_finite, dst))
+        flows.append(FlowSpec(src, dst, _finite(rate)))
+    return tuple(flows)
 
-    def get_floats(self, key: str, default: tuple) -> tuple:
-        raw = self._take(key)
-        if raw is None:
-            return default
+
+def _value_to_text(value) -> str:
+    """`value` as `_parse_value` reads it back (str of a float round-trips exactly)."""
+    if isinstance(value, tuple):
+        return " ".join(map(_value_to_text, value))
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def _flow_to_text(f: FlowSpec) -> str:
+    (slat, slon), (dlat, dlon) = f.src, f.dst
+    return f"{slat},{slon} -> {dlat},{dlon} @ {f.rate}"
+
+
+def _load_section(name: str, cls, items: dict[str, str]):
+    """Section `name` built from its INI items; absent keys keep their defaults."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    values = {}
+    for key, raw in items.items():
+        if key not in defaults:
+            raise ScenarioError(f"[{name}] {key}: unknown key")
         try:
-            return tuple(float(x) for x in raw.split())
-        except ValueError:
-            raise ScenarioError(f"[{self.name}] {key}: not a list of numbers: {raw!r}") from None
-
-    def get_ints(self, key: str, default: tuple) -> tuple:
-        raw = self._take(key)
-        if raw is None:
-            return default
-        try:
-            return tuple(int(x) for x in raw.split())
-        except ValueError:
-            raise ScenarioError(f"[{self.name}] {key}: not a list of integers: {raw!r}") from None
-
-    def reject_leftovers(self) -> None:
-        if self.items:
-            key = sorted(self.items)[0]
-            raise ScenarioError(f"[{self.name}] {key}: unknown key")
-
-
-_KNOWN_SECTIONS = ("constellation", "traffic", "scheduler", "congestion", "routing", "run")
+            values[key] = _parse_flows(raw) if key == "flows" else _parse_value(raw, defaults[key])
+        except ValueError as e:
+            raise ScenarioError(f"[{name}] {key}: {e}") from None
+    try:
+        return cls(**values)
+    except ScenarioError:
+        raise
+    except ValueError as e:
+        raise ScenarioError(f"[{name}] {e}") from None
 
 
 def loads_scenario(text: str, base_dir: Optional[str] = None) -> ScenarioConfig:
@@ -224,96 +220,13 @@ def loads_scenario(text: str, base_dir: Optional[str] = None) -> ScenarioConfig:
     except configparser.Error as e:
         raise ScenarioError(f"unparseable scenario file: {e}") from None
     for section in parser.sections():
-        if section not in _KNOWN_SECTIONS:
+        if section not in _SECTIONS:
             raise ScenarioError(f"[{section}]: unknown section")
-
-    def sec(name: str) -> _Section:
-        return _Section(name, dict(parser[name]) if parser.has_section(name) else {})
-
-    s = sec("constellation")
-    try:
-        constellation = ConstellationParams(
-            planes=s.get_int("planes", 6),
-            sats_per_plane=s.get_int("sats_per_plane", 11),
-            altitude_km=s.get_float("altitude_km", 780.0),
-            inclination_deg=s.get_float("inclination_deg", 86.4),
-            lat_threshold_deg=s.get_float("lat_threshold_deg", 60.0),
-            min_elevation_deg=s.get_float("min_elevation_deg", 8.2),
-            raan_spread_deg=s.get_float("raan_spread_deg", 180.0),
-            phase_offset_deg=s.get_float("phase_offset_deg", 360.0 / 22),
-        )
-    except ValueError as e:
-        raise ScenarioError(f"[constellation] {e}") from None
-    s.reject_leftovers()
-
-    s = sec("traffic")
-    flows_raw = s.get_str("flows", "")
-    flows = tuple(_parse_flow(part) for part in flows_raw.split(";") if part.strip())
-    mix = s.get_floats("class_mix", (0.25, 0.25, 0.25, 0.25))
-    if len(mix) != 4:
-        raise ScenarioError("[traffic] class_mix: needs 4 fractions (A B2 B1 B0)")
-    traffic = TrafficSection(
-        background_rate=s.get_float("background_rate", 800.0),
-        grid_file=s.get_str("grid_file", "default"),
-        class_mix=mix,
-        flows=flows,
-        count_uplink_in_rate=s.get_bool("count_uplink_in_rate", True),
-    )
-    s.reject_leftovers()
-
-    s = sec("scheduler")
-    weights = s.get_ints("weights", (4, 2, 1))
-    if len(weights) != 3:
-        raise ScenarioError("[scheduler] weights: needs 3 integers (B2 B1 B0)")
-    scheduler = SchedulerConfig(
-        service_rate=s.get_float("service_rate", 500.0),
-        weights=weights,
-        buffer_capacity=s.get_int("buffer_capacity", 50),
-        buffer_scope=s.get_str("buffer_scope", "per_queue"),
-        channel_rate=s.get_float("channel_rate", 10_000.0),
-    )
-    s.reject_leftovers()
-
-    s = sec("congestion")
-    try:
-        congestion = CongestionConfig(
-            alpha=s.get_float("alpha", 250.0),
-            beta=s.get_float("beta", 450.0),
-            window_s=s.get_float("window_s", 1.0),
-        )
-    except ValueError as e:
-        raise ScenarioError(f"[congestion] {e}") from None
-    s.reject_leftovers()
-
-    s = sec("routing")
-    routing = RoutingConfig(
-        slot_length_s=s.get_float("slot_length_s", 60.0),
-        strategy=s.get_str("strategy", "composite"),
-        wait_queue_capacity=s.get_int("wait_queue_capacity", 1000),
-        dump_routes=s.get_bool("dump_routes", False),
-    )
-    s.reject_leftovers()
-
-    s = sec("run")
-    run = RunConfig(
-        duration_s=s.get_float("duration_s", 1800.0),
-        seed=s.get_int("seed", 42),
-        stats_interval_s=s.get_float("stats_interval_s", 60.0),
-        access_refresh_s=s.get_float("access_refresh_s", 1.0),
-        state_check_interval_s=s.get_float("state_check_interval_s", 0.5),
-        trace=s.get_bool("trace", False),
-    )
-    s.reject_leftovers()
-
-    return ScenarioConfig(
-        constellation=constellation,
-        traffic=traffic,
-        scheduler=scheduler,
-        congestion=congestion,
-        routing=routing,
-        run=run,
-        base_dir=base_dir,
-    )
+    sections = {
+        name: _load_section(name, cls, dict(parser[name]) if parser.has_section(name) else {})
+        for name, cls in _SECTIONS.items()
+    }
+    return ScenarioConfig(**sections, base_dir=base_dir)
 
 
 def bundled_scenario_path(name: str):
@@ -322,56 +235,21 @@ def bundled_scenario_path(name: str):
 
 
 def serialize_scenario(cfg: ScenarioConfig) -> str:
-    """Emit INI text that loads back to an equal config (base_dir excepted)."""
-    c = cfg.constellation
-    lines = [
-        "[constellation]",
-        f"planes = {c.planes}",
-        f"sats_per_plane = {c.sats_per_plane}",
-        f"altitude_km = {c.altitude_km!r}",
-        f"inclination_deg = {c.inclination_deg!r}",
-        f"lat_threshold_deg = {c.lat_threshold_deg!r}",
-        f"min_elevation_deg = {c.min_elevation_deg!r}",
-        f"raan_spread_deg = {c.raan_spread_deg!r}",
-        f"phase_offset_deg = {c.phase_offset_deg!r}",
-        "",
-        "[traffic]",
-        f"background_rate = {cfg.traffic.background_rate!r}",
-        f"grid_file = {cfg.traffic.grid_file}",
-        "class_mix = " + " ".join(repr(x) for x in cfg.traffic.class_mix),
-        f"count_uplink_in_rate = {str(cfg.traffic.count_uplink_in_rate).lower()}",
-    ]
-    if cfg.traffic.flows:
-        lines.append("flows = " + " ; ".join(_flow_to_text(f) for f in cfg.traffic.flows))
-    lines += [
-        "",
-        "[scheduler]",
-        f"service_rate = {cfg.scheduler.service_rate!r}",
-        "weights = " + " ".join(str(w) for w in cfg.scheduler.weights),
-        f"buffer_capacity = {cfg.scheduler.buffer_capacity}",
-        f"buffer_scope = {cfg.scheduler.buffer_scope}",
-        f"channel_rate = {cfg.scheduler.channel_rate!r}",
-        "",
-        "[congestion]",
-        f"alpha = {cfg.congestion.alpha!r}",
-        f"beta = {cfg.congestion.beta!r}",
-        f"window_s = {cfg.congestion.window_s!r}",
-        "",
-        "[routing]",
-        f"slot_length_s = {cfg.routing.slot_length_s!r}",
-        f"strategy = {cfg.routing.strategy}",
-        f"wait_queue_capacity = {cfg.routing.wait_queue_capacity}",
-        f"dump_routes = {str(cfg.routing.dump_routes).lower()}",
-        "",
-        "[run]",
-        f"duration_s = {cfg.run.duration_s!r}",
-        f"seed = {cfg.run.seed}",
-        f"stats_interval_s = {cfg.run.stats_interval_s!r}",
-        f"access_refresh_s = {cfg.run.access_refresh_s!r}",
-        f"state_check_interval_s = {cfg.run.state_check_interval_s!r}",
-        f"trace = {str(cfg.run.trace).lower()}",
-    ]
-    return "\n".join(lines) + "\n"
+    """Emit INI text, every key of every section, that loads back to an equal
+    config (base_dir excepted)."""
+    blocks = []
+    for name in _SECTIONS:
+        section = getattr(cfg, name)
+        lines = [f"[{name}]"]
+        for f in fields(section):
+            value = getattr(section, f.name)
+            if f.name == "flows":
+                text = " ; ".join(map(_flow_to_text, value))
+            else:
+                text = _value_to_text(value)
+            lines.append(f"{f.name} = {text}")
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)
 
 
 def apply_overrides(cfg_text: str, overrides: list[str]) -> str:

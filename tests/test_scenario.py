@@ -1,19 +1,27 @@
-"""Scenario files: what the bundled and test texts parse to, and which bad
-inputs are rejected with a message naming the section and the key."""
+"""Scenario files: what the bundled and test texts parse to, which bad
+inputs are rejected with a message naming the section and the key, and the
+serialize/parse round trip."""
 
+import configparser
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leoqsim.congestion import CongestionConfig
 from leoqsim.constellation import ConstellationParams, GeoPosition
 from leoqsim.scenario import (
+    STRATEGIES,
     RoutingConfig,
     RunConfig,
     ScenarioConfig,
     ScenarioError,
+    SchedulerConfig,
     TrafficSection,
     loads_scenario,
+    serialize_scenario,
 )
 from leoqsim.traffic import FlowSpec
 from test_engine import SCENARIOS, scenario_text
@@ -100,6 +108,10 @@ BAD_INPUTS = {
     "alpha above beta": ("[congestion]\nalpha = 500\n", "congestion", "alpha"),
     "unknown strategy": ("[routing]\nstrategy = x\n", "routing", "strategy"),
     "malformed flow": ("[traffic]\nflows = 40,-100 50,10 @ 600\n", "traffic", "flows"),
+    "duration inf": ("[run]\nduration_s = inf\n", "run", "duration_s"),
+    "duration nan": ("[run]\nduration_s = nan\n", "run", "duration_s"),
+    "service_rate nan": ("[scheduler]\nservice_rate = nan\n", "scheduler", "service_rate"),
+    "flow not finite": ("[traffic]\nflows = 40,-100 -> 50,inf @ 600\n", "traffic", "flows"),
 }
 
 
@@ -111,3 +123,102 @@ def test_bad_input_is_rejected_naming_section_and_key(case):
     message = str(err.value)
     assert message.startswith(f"[{section}]")
     assert needle in message
+
+
+SECTIONS = {f.name: f.default_factory for f in fields(ScenarioConfig) if f.name != "base_dir"}
+
+
+def annotation_of(value) -> str:
+    if isinstance(value, tuple):
+        return f"tuple[{', '.join(map(annotation_of, value))}]"
+    return type(value).__name__
+
+
+@pytest.mark.parametrize("name", sorted(SECTIONS))
+def test_each_default_has_the_annotated_type(name):
+    """A key is read as the type of its default, so that type must be the
+    annotated one: `float = 500` would make a float key reject '500.5'."""
+    for f in fields(SECTIONS[name]):
+        if f.name != "flows":
+            assert f.type == annotation_of(f.default), f.name
+
+
+def test_serialize_names_every_field_of_every_section():
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(serialize_scenario(ScenarioConfig()))
+    written = {name: list(parser[name]) for name in parser.sections()}
+    assert written == {name: [f.name for f in fields(cls)] for name, cls in SECTIONS.items()}
+
+
+FINITE = {"allow_nan": False, "allow_infinity": False}
+ANY = st.floats(**FINITE)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, **FINITE)
+NONNEGATIVE = st.floats(min_value=0.0, **FINITE)
+FLAGS = st.booleans()
+GEO = st.builds(GeoPosition, ANY, ANY)
+
+CONFIGS = st.builds(
+    ScenarioConfig,
+    constellation=st.builds(
+        ConstellationParams,
+        planes=st.integers(1, 50),
+        sats_per_plane=st.integers(3, 60),
+        altitude_km=POSITIVE,
+        inclination_deg=st.floats(0.0, 90.0, exclude_min=True),
+        lat_threshold_deg=st.floats(0.0, 90.0),
+        min_elevation_deg=ANY,
+        raan_spread_deg=ANY,
+        phase_offset_deg=ANY,
+    ),
+    traffic=st.builds(
+        TrafficSection,
+        background_rate=NONNEGATIVE,
+        grid_file=st.text("abcxyz_./-0123456789", min_size=1),
+        class_mix=st.lists(st.integers(0, 9), min_size=4, max_size=4)
+        .filter(any)
+        .map(lambda w: tuple(x / sum(w) for x in w)),
+        flows=st.lists(st.builds(FlowSpec, GEO, GEO, NONNEGATIVE), max_size=3).map(tuple),
+        count_uplink_in_rate=FLAGS,
+    ),
+    scheduler=st.builds(
+        SchedulerConfig,
+        service_rate=POSITIVE,
+        weights=st.lists(st.integers(1, 99), min_size=3, max_size=3, unique=True)
+        .map(lambda w: tuple(sorted(w, reverse=True))),
+        buffer_capacity=st.integers(0, 10**6),
+        buffer_scope=st.sampled_from(["per_queue", "per_node"]),
+        channel_rate=POSITIVE,
+    ),
+    congestion=st.tuples(
+        st.lists(POSITIVE, min_size=2, max_size=2, unique=True).map(sorted), POSITIVE
+    ).map(lambda t: CongestionConfig(*t[0], window_s=t[1])),
+    routing=st.builds(
+        RoutingConfig,
+        slot_length_s=POSITIVE,
+        strategy=st.sampled_from(STRATEGIES),
+        wait_queue_capacity=st.integers(0, 10**6),
+        dump_routes=FLAGS,
+    ),
+    run=st.builds(
+        RunConfig,
+        duration_s=POSITIVE,
+        seed=st.integers(-(2**63), 2**63),
+        stats_interval_s=POSITIVE,
+        access_refresh_s=POSITIVE,
+        state_check_interval_s=POSITIVE,
+        trace=FLAGS,
+    ),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(CONFIGS)
+@example(
+    ScenarioConfig(
+        traffic=TrafficSection(
+            flows=(FlowSpec(GeoPosition(40.123456789, -100.0), GeoPosition(1e-05, 10.0), 600.0),)
+        )
+    )
+)
+def test_serialized_config_loads_back_equal(cfg):
+    assert loads_scenario(serialize_scenario(cfg)) == cfg
