@@ -26,7 +26,7 @@ from .constellation import AccessResolver, OrbitGeometry, build_topology_snapsho
 from .routing import compute_backup_table, compute_shortest_path_table, decide_next_index
 from .scenario import ScenarioConfig
 from .scheduling import DropReason, DropRecord, PqwrrScheduler
-from .stats import SimulationReport, StatsCollector
+from .stats import StatsCollector
 from .traffic import ArrivalGenerator, ContinentRatioTable, Packet
 
 # Event kinds, dispatched positionally: (time, seq, kind, a, b)
@@ -227,7 +227,7 @@ class Simulation:
 
     # -- main loop -----------------------------------------------------------
 
-    def run(self) -> SimulationReport:
+    def run(self) -> StatsCollector:
         cfg = self.cfg
         end = cfg.run.duration_s
         self._rebuild_for_slot(0.0, 0)
@@ -316,17 +316,16 @@ class Simulation:
             residual += len(node.scheduler) + len(node.wait_queue)
             if node.in_service is not None:
                 residual += 1
-        report = stats.finalize(residual)
-        report.route_dump = self.route_dump
-        report.trace_rows = self.trace
-        return report
+        stats.route_dump = self.route_dump
+        stats.trace_rows = self.trace
+        return stats.finalize(residual)
 
 
-def run(cfg: ScenarioConfig) -> SimulationReport:
+def run(cfg: ScenarioConfig) -> StatsCollector:
     return Simulation(cfg).run()
 
 
-def conservation_audit(report: SimulationReport) -> bool:
+def conservation_audit(report: StatsCollector) -> bool:
     """Exact accounting: generated = delivered + dropped + residual."""
     return report.generated_total() == (
         report.delivered_total() + report.dropped_total() + report.residual

@@ -1,7 +1,11 @@
 """Metric collection and CSV export: per-satellite loss series, per-class
 delay series and CDFs, throughput ratios, and hop counts, all on a fixed
 time-bucket grid. Foreground (tagged-flow) deliveries are tracked separately
-so endpoint-to-endpoint behavior can be read off directly."""
+so endpoint-to-endpoint behavior can be read off directly.
+
+One `StatsCollector` holds a run's statistics: the event loop records into
+it, `finalize` adds the residual, and the same object is the report that the
+queries, `export` and `engine.conservation_audit` read."""
 
 from __future__ import annotations
 
@@ -9,7 +13,6 @@ import json
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -44,35 +47,84 @@ class DelayCdf:
         return bisect_right(self.samples, x) / len(self.samples)
 
 
-@dataclass
-class SimulationReport:
-    """Everything a finished run produced, ready for export or comparison."""
+class StatsCollector:
+    """One run's statistics; after `finalize` it is the run's report."""
 
-    horizon_s: float
-    bucket_s: float
-    seed: int
-    strategy: str
-    n_buckets: int
-    generated: dict[TrafficClass, int]
-    delivered: dict[TrafficClass, int]
-    dropped: dict[TrafficClass, int]
-    dropped_by_reason: dict[tuple[TrafficClass, str], int]
-    generated_bucket: dict[TrafficClass, list[int]]
-    delivered_bucket: dict[TrafficClass, list[int]]
-    delay_sum_bucket: dict[TrafficClass, list[float]]
-    hop_sum_bucket: dict[TrafficClass, list[int]]
-    fg_delivered_bucket: dict[TrafficClass, list[int]]
-    fg_delay_sum_bucket: dict[TrafficClass, list[float]]
-    fg_hop_sum_bucket: dict[TrafficClass, list[int]]
-    delay_samples: dict[TrafficClass, array]
-    drops_detail: dict[tuple[int, Optional[SatelliteId], TrafficClass, str], int]
-    busy_buckets: set[int]
-    state_log: list[Notification]
-    residual: int = 0
-    backup_forwards: int = 0
-    wait_enqueues: int = 0
-    route_dump: Optional[list] = None  # (slot, src, dst, next_hop, cost_s) rows
-    trace_rows: Optional[list] = None  # (time, event, pkt_id, class, satellite, hop)
+    def __init__(self, horizon_s: float, bucket_s: float, seed: int, strategy: str):
+        self.horizon_s = horizon_s
+        self.bucket_s = bucket_s
+        self.seed = seed
+        self.strategy = strategy
+        self.n_buckets = max(1, math.ceil(horizon_s / bucket_s))
+        n = self.n_buckets
+        self.generated = {c: 0 for c in ALL_CLASSES}
+        self.delivered = {c: 0 for c in ALL_CLASSES}
+        self.dropped = {c: 0 for c in ALL_CLASSES}
+        self.dropped_by_reason: dict[tuple[TrafficClass, str], int] = {}
+        self.generated_bucket = {c: [0] * n for c in ALL_CLASSES}
+        self.delivered_bucket = {c: [0] * n for c in ALL_CLASSES}
+        self.delay_sum_bucket = {c: [0.0] * n for c in ALL_CLASSES}
+        self.hop_sum_bucket = {c: [0] * n for c in ALL_CLASSES}
+        self.fg_delivered_bucket = {c: [0] * n for c in ALL_CLASSES}
+        self.fg_delay_sum_bucket = {c: [0.0] * n for c in ALL_CLASSES}
+        self.fg_hop_sum_bucket = {c: [0] * n for c in ALL_CLASSES}
+        self.delay_samples = {c: array("d") for c in ALL_CLASSES}
+        self.drops_detail: dict[tuple[int, Optional[SatelliteId], TrafficClass, str], int] = {}
+        self.busy_buckets: set[int] = set()
+        self.state_log: list[Notification] = []
+        self.backup_forwards = 0
+        self.wait_enqueues = 0
+        self.residual = 0  # packets still in the network at the horizon
+        self.route_dump: Optional[list] = None  # (slot, src, dst, next_hop, cost_s) rows
+        self.trace_rows: Optional[list] = None  # (time, event, pkt_id, class, satellite, hop)
+
+    # -- recording, called by the event loop ---------------------------------
+
+    def bucket_of(self, t: float) -> int:
+        b = int(t / self.bucket_s)
+        return b if b < self.n_buckets else self.n_buckets - 1
+
+    def record_generated(self, pkt) -> None:
+        self.generated[pkt.tos] += 1
+        self.generated_bucket[pkt.tos][self.bucket_of(pkt.created_at)] += 1
+
+    def record_delivery(self, pkt, t: float) -> None:
+        cls = pkt.tos
+        b = self.bucket_of(t)
+        delay = t - pkt.created_at
+        self.delivered[cls] += 1
+        self.delivered_bucket[cls][b] += 1
+        self.delay_sum_bucket[cls][b] += delay
+        self.hop_sum_bucket[cls][b] += pkt.hop
+        self.delay_samples[cls].append(delay)
+        if pkt.flow is not None:
+            self.fg_delivered_bucket[cls][b] += 1
+            self.fg_delay_sum_bucket[cls][b] += delay
+            self.fg_hop_sum_bucket[cls][b] += pkt.hop
+
+    def record_drop(self, rec: DropRecord) -> None:
+        """Count one drop under its bucket, satellite, class and reason; a
+        satellite of None marks a source-side (no satellite) drop."""
+        cls = rec.tos
+        self.dropped[cls] += 1
+        reason = rec.reason.value
+        key = (cls, reason)
+        self.dropped_by_reason[key] = self.dropped_by_reason.get(key, 0) + 1
+        dkey = (self.bucket_of(rec.time), rec.satellite, cls, reason)
+        self.drops_detail[dkey] = self.drops_detail.get(dkey, 0) + 1
+
+    def note_busy(self, t: float) -> None:
+        self.busy_buckets.add(self.bucket_of(t))
+
+    def note_state_change(self, n: Notification) -> None:
+        self.state_log.append(n)
+
+    def finalize(self, residual: int) -> StatsCollector:
+        """Record the packets left in the network at the horizon; returns self."""
+        self.residual = residual
+        return self
+
+    # -- queries on the finished run -----------------------------------------
 
     def generated_total(self) -> int:
         return sum(self.generated.values())
@@ -121,101 +173,6 @@ class SimulationReport:
         return s / n if n else None
 
 
-class StatsCollector:
-    """Event-loop-facing accumulator; `finalize` freezes a SimulationReport."""
-
-    def __init__(self, horizon_s: float, bucket_s: float, seed: int, strategy: str):
-        self.horizon_s = horizon_s
-        self.bucket_s = bucket_s
-        self.seed = seed
-        self.strategy = strategy
-        self.n_buckets = max(1, math.ceil(horizon_s / bucket_s))
-        n = self.n_buckets
-        self.generated = {c: 0 for c in ALL_CLASSES}
-        self.delivered = {c: 0 for c in ALL_CLASSES}
-        self.dropped = {c: 0 for c in ALL_CLASSES}
-        self.dropped_by_reason: dict[tuple[TrafficClass, str], int] = {}
-        self.generated_bucket = {c: [0] * n for c in ALL_CLASSES}
-        self.delivered_bucket = {c: [0] * n for c in ALL_CLASSES}
-        self.delay_sum_bucket = {c: [0.0] * n for c in ALL_CLASSES}
-        self.hop_sum_bucket = {c: [0] * n for c in ALL_CLASSES}
-        self.fg_delivered_bucket = {c: [0] * n for c in ALL_CLASSES}
-        self.fg_delay_sum_bucket = {c: [0.0] * n for c in ALL_CLASSES}
-        self.fg_hop_sum_bucket = {c: [0] * n for c in ALL_CLASSES}
-        self.delay_samples = {c: array("d") for c in ALL_CLASSES}
-        self.drops_detail: dict[tuple[int, Optional[SatelliteId], TrafficClass, str], int] = {}
-        self.busy_buckets: set[int] = set()
-        self.state_log: list[Notification] = []
-        self.backup_forwards = 0
-        self.wait_enqueues = 0
-
-    def bucket_of(self, t: float) -> int:
-        b = int(t / self.bucket_s)
-        return b if b < self.n_buckets else self.n_buckets - 1
-
-    def record_generated(self, pkt) -> None:
-        self.generated[pkt.tos] += 1
-        self.generated_bucket[pkt.tos][self.bucket_of(pkt.created_at)] += 1
-
-    def record_delivery(self, pkt, t: float) -> None:
-        cls = pkt.tos
-        b = self.bucket_of(t)
-        delay = t - pkt.created_at
-        self.delivered[cls] += 1
-        self.delivered_bucket[cls][b] += 1
-        self.delay_sum_bucket[cls][b] += delay
-        self.hop_sum_bucket[cls][b] += pkt.hop
-        self.delay_samples[cls].append(delay)
-        if pkt.flow is not None:
-            self.fg_delivered_bucket[cls][b] += 1
-            self.fg_delay_sum_bucket[cls][b] += delay
-            self.fg_hop_sum_bucket[cls][b] += pkt.hop
-
-    def record_drop(self, rec: DropRecord) -> None:
-        """Count one drop under its bucket, satellite, class and reason; a
-        satellite of None marks a source-side (no satellite) drop."""
-        cls = rec.tos
-        self.dropped[cls] += 1
-        reason = rec.reason.value
-        key = (cls, reason)
-        self.dropped_by_reason[key] = self.dropped_by_reason.get(key, 0) + 1
-        dkey = (self.bucket_of(rec.time), rec.satellite, cls, reason)
-        self.drops_detail[dkey] = self.drops_detail.get(dkey, 0) + 1
-
-    def note_busy(self, t: float) -> None:
-        self.busy_buckets.add(self.bucket_of(t))
-
-    def note_state_change(self, n: Notification) -> None:
-        self.state_log.append(n)
-
-    def finalize(self, residual: int) -> SimulationReport:
-        return SimulationReport(
-            horizon_s=self.horizon_s,
-            bucket_s=self.bucket_s,
-            seed=self.seed,
-            strategy=self.strategy,
-            n_buckets=self.n_buckets,
-            generated=self.generated,
-            delivered=self.delivered,
-            dropped=self.dropped,
-            dropped_by_reason=self.dropped_by_reason,
-            generated_bucket=self.generated_bucket,
-            delivered_bucket=self.delivered_bucket,
-            delay_sum_bucket=self.delay_sum_bucket,
-            hop_sum_bucket=self.hop_sum_bucket,
-            fg_delivered_bucket=self.fg_delivered_bucket,
-            fg_delay_sum_bucket=self.fg_delay_sum_bucket,
-            fg_hop_sum_bucket=self.fg_hop_sum_bucket,
-            delay_samples=self.delay_samples,
-            drops_detail=self.drops_detail,
-            busy_buckets=self.busy_buckets,
-            state_log=self.state_log,
-            residual=residual,
-            backup_forwards=self.backup_forwards,
-            wait_enqueues=self.wait_enqueues,
-        )
-
-
 def _fmt(x) -> str:
     """Full-precision, locale-free number formatting."""
     if isinstance(x, float):
@@ -223,7 +180,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def export(report: SimulationReport, out_dir) -> None:
+def export(report: StatsCollector, out_dir) -> None:
     """Write the report as a directory of CSVs plus run_meta.json.
 
     Exports are pure functions of the report: re-exporting the same report
