@@ -1,0 +1,73 @@
+"""Exit codes of the `leoqsim` command line: 0 success, 1 validation error,
+2 conservation-audit failure, 3 I/O error."""
+
+import pytest
+
+from leoqsim import cli, engine
+
+SHORT_RUN = "[run]\nduration_s = 1\nseed = 42\n"
+
+
+@pytest.fixture
+def scenario(tmp_path):
+    def write(text, name="s.ini"):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    return write
+
+
+@pytest.fixture
+def report_dir(tmp_path, scenario):
+    """A finished 1 s run's report directory."""
+    out = tmp_path / "report"
+    assert cli.main(["run", scenario(SHORT_RUN), "--out", str(out)]) == cli.EXIT_OK
+    return out
+
+
+def test_validate_accepts_a_good_scenario(scenario):
+    assert cli.main(["validate", scenario(SHORT_RUN)]) == cli.EXIT_OK
+
+
+def test_validate_rejects_a_bad_scenario(scenario):
+    assert cli.main(["validate", scenario("[run]\nseed = x\n")]) == cli.EXIT_VALIDATION
+
+
+def test_run_writes_the_report(report_dir):
+    assert (report_dir / "summary.csv").read_text(encoding="utf-8").startswith("class,")
+
+
+def test_run_rejects_an_infinite_horizon(scenario, tmp_path):
+    out = tmp_path / "out"
+    code = cli.main(["run", scenario("[run]\nduration_s = inf\n"), "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert not out.exists()
+
+
+def test_run_into_an_existing_file_is_an_io_error(scenario, tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    assert cli.main(["run", scenario(SHORT_RUN), "--out", str(out)]) == cli.EXIT_IO
+
+
+def test_run_reports_a_failed_audit(scenario, tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "conservation_audit", lambda report: False)
+    out = tmp_path / "out"
+    assert cli.main(["run", scenario(SHORT_RUN), "--out", str(out)]) == cli.EXIT_AUDIT
+
+
+def test_compare_a_report_with_itself(report_dir):
+    assert cli.main(["compare", str(report_dir), str(report_dir)]) == cli.EXIT_OK
+
+
+def test_compare_rejects_mismatched_horizons(report_dir, scenario, tmp_path):
+    other = tmp_path / "other"
+    half = scenario("[run]\nduration_s = 0.5\n", name="half.ini")
+    assert cli.main(["run", half, "--out", str(other)]) == cli.EXIT_OK
+    assert cli.main(["compare", str(report_dir), str(other)]) == cli.EXIT_VALIDATION
+
+
+def test_compare_a_missing_directory_is_an_io_error(report_dir, tmp_path):
+    missing = tmp_path / "missing"
+    assert cli.main(["compare", str(report_dir), str(missing)]) == cli.EXIT_IO
