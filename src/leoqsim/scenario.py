@@ -177,8 +177,9 @@ def _parse_flows(raw: str) -> tuple[FlowSpec, ...]:
         src, dst = src.split(","), dst.split(",")
         if not (arrow and at) or len(src) != 2 or len(dst) != 2:
             raise ValueError(f"bad flow {text!r}, expected 'lat,lon -> lat,lon @ rate'")
-        src, dst = GeoPosition(*map(_finite, src)), GeoPosition(*map(_finite, dst))
-        flows.append(FlowSpec(src, dst, _finite(rate)))
+        flows.append(FlowSpec(
+            GeoPosition(*map(_finite, src)), GeoPosition(*map(_finite, dst)), _finite(rate)
+        ))
     return tuple(flows)
 
 
