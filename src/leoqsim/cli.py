@@ -60,11 +60,10 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     try:
-        cfg = _load(args.scenario, args.set or [])
+        report = engine.run(_load(args.scenario, args.set or []))
     except ScenarioError as e:
         print(f"invalid: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    report = engine.run(cfg)
     out_dir = Path(args.out)
     try:
         stats.export(report, out_dir)

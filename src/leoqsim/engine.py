@@ -25,7 +25,7 @@ from .congestion import CongestionLabel, NodeCongestionState
 from .constellation import AccessResolver, OrbitGeometry, build_topology_snapshot
 from .routing import compute_backup_table, compute_shortest_path_table, decide_next_index
 from .scenario import ScenarioConfig
-from .scheduling import DropReason, DropRecord, PqwrrScheduler
+from .scheduling import DropReason, DropRecord, PqwrrScheduler, TrafficClass
 from .stats import StatsCollector
 from .traffic import ArrivalGenerator, ContinentRatioTable, Packet
 
@@ -146,13 +146,35 @@ class Simulation:
             self.stats.note_busy(notif.time)
 
     def _drain_wait_queues(self, t: float) -> None:
-        for i in range(self.n):
-            node = self.nodes[i]
-            if node.wait_queue:
-                pending = list(node.wait_queue)
-                node.wait_queue.clear()
-                for pkt in pending:
+        """Re-route every parked packet, in FIFO order per satellite.
+
+        Within one drain the tables, busy flags and access satellites are
+        fixed, so packets alike in what the forwarding rule reads (destination
+        user, whether the class is A, whether already detoured) get the same
+        answer, which is asked once per group. Packets that still have to wait
+        are parked again in their order; the others go through `_route` in
+        queue order. The queue was just emptied, so re-parking cannot overflow.
+        """
+        for i, node in enumerate(self.nodes):
+            queue = node.wait_queue
+            groups = [(pkt.dst_user, pkt.tos is TrafficClass.A, pkt.detoured) for pkt in queue]
+            leaves = {}
+            for pkt, group in zip(queue, groups):
+                if group not in leaves:
+                    leaves[group] = self._next_hop(t, pkt, i)[0] >= 0
+            if True not in leaves.values():  # nothing leaves: the queue stays as it is
+                self.stats.wait_enqueues += len(queue)
+                if self.trace is not None:
+                    for pkt in queue:
+                        self._trace(t, "wait", pkt, i)
+                continue
+            pending = list(queue)
+            queue.clear()
+            for pkt, group in zip(pending, groups):
+                if leaves[group]:
                     self._route(t, pkt, i)
+                else:
+                    self._wait(t, pkt, i)
 
     # -- packet pipeline -----------------------------------------------------
 
@@ -176,30 +198,33 @@ class Simulation:
         node.in_service = pkt
         self._schedule(t + self._service_period, _EV_SERVICE, sat, pkt)
 
+    def _next_hop(self, t: float, pkt: Packet, sat: int) -> tuple[int, bool]:
+        """Where a packet at satellite `sat` goes next, and whether the hop comes
+        from the backup table: `sat` itself means the downlink, -1 to wait."""
+        dst = self.resolver.access_index(pkt.dst_user, t)
+        if dst < 0 or dst == sat:
+            return dst, False
+        return decide_next_index(
+            pkt.tos, sat, dst, self.primary, self.backup, self.busy_flags, pkt.detoured
+        )
+
     def _route(self, t: float, pkt: Packet, sat: int) -> None:
         """Forwarding decision for a packet that finished service (or left the
         routing wait queue) at satellite `sat`."""
-        dst = self.resolver.access_index(pkt.dst_user, t)
-        if dst < 0:
+        nxt, via_backup = self._next_hop(t, pkt, sat)
+        if nxt < 0:
             self._wait(t, pkt, sat)
-            return
-        if dst == sat:
+        elif nxt == sat:
             delay = self.geometry.slant_delay(pkt.dst_user, sat, t)
             self._in_flight += 1
             self._schedule(t + delay, _EV_DELIVERY, pkt)
             if self.trace is not None:
                 self._trace(t, "downlink", pkt, sat)
-            return
-        nxt, via_backup = decide_next_index(
-            pkt.tos, sat, dst, self.primary, self.backup, self.busy_flags, pkt.detoured
-        )
-        if nxt < 0:
-            self._wait(t, pkt, sat)
-            return
-        if via_backup:
-            self.stats.backup_forwards += 1
-            pkt.detoured = True
-        self._transmit(t, pkt, sat, nxt)
+        else:
+            if via_backup:
+                self.stats.backup_forwards += 1
+                pkt.detoured = True
+            self._transmit(t, pkt, sat, nxt)
 
     def _transmit(self, t: float, pkt: Packet, sat: int, nxt: int) -> None:
         node = self.nodes[sat]

@@ -12,9 +12,10 @@ downlink, is the engine's, since it needs no route table.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
+
+import numpy as np
 
 from .constellation import (
     PICOSECONDS_PER_SECOND,
@@ -25,6 +26,8 @@ from .constellation import (
 from .scheduling import TrafficClass
 
 _UNREACHABLE = -1
+_INF = 1 << 60  # int64 'no path'; a sum of two still fits
+_BLOCK_ENTRIES = 1 << 16  # int64 distances per column block: 512 KiB, held in cache
 
 
 @dataclass
@@ -65,71 +68,68 @@ class RouteTable:
                 )
 
 
-def _dijkstra_to(dst: int, neighbor_table, excluded: list[bool]) -> list[int]:
-    """Distances (ps) from every node to dst over non-excluded nodes; -1 unreachable."""
-    n = len(neighbor_table)
-    dist = [-1] * n
-    if excluded[dst]:
-        return dist
-    dist[dst] = 0
-    heap = [(0, dst)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        for w, w_ps in neighbor_table[v]:
-            if excluded[w]:
-                continue
-            nd = d + w_ps
-            if dist[w] < 0 or nd < dist[w]:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w))
-    return dist
-
-
-def _next_hops_to(
-    dst: int, neighbor_table, excluded: list[bool], dist: list[int]
-) -> tuple[list[int], list[int]]:
-    """Per-source next hop and total cost toward dst.
-
-    The next hop from v is the lowest-index neighbor w with
-    w_ps(v, w) + dist(w) minimal; excluded nodes never appear as hops but are
-    still given a next hop as sources (they must drain their own queues).
-    """
-    n = len(neighbor_table)
-    nxt = [_UNREACHABLE] * n
-    cost = [-1] * n
-    cost[dst] = 0 if not excluded[dst] else -1
-    for v in range(n):
-        if v == dst:
-            continue
-        best_cost = -1
-        best_hop = _UNREACHABLE
-        for w, w_ps in neighbor_table[v]:  # sorted by index: first win = lexicographic
-            if excluded[w] or dist[w] < 0:
-                continue
-            c = w_ps + dist[w]
-            if best_cost < 0 or c < best_cost:
-                best_cost = c
-                best_hop = w
-        nxt[v] = best_hop
-        cost[v] = best_cost
-    return nxt, cost
-
-
 def _build_table(
     snapshot: TopologySnapshot, excluded: list[bool]
 ) -> tuple[list[list[int]], list[list[int]]]:
+    """(next_idx, cost_ps) over the subgraph without the excluded nodes.
+
+    Destinations are taken in column blocks. For each block, an int64
+    Bellman-Ford runs to a fixpoint: `dist[v, d]` is the least delay from v
+    to d through non-excluded nodes, `_INF` when there is none, and an
+    `_INF` pad row is what padded neighbour slots point at. The next hop from
+    v toward d is then the neighbour w with `w_ps(v, w) + dist[w, d]`
+    minimal; neighbours are sorted by index and only a strictly smaller cost
+    replaces the best, so ties go to the lowest index. Excluded nodes never
+    appear as hops or destinations but are still given next hops as sources
+    (they must drain their own queues).
+    """
     n = snapshot.params.num_sats
-    next_idx = [[_UNREACHABLE] * n for _ in range(n)]
-    cost_ps = [[-1] * n for _ in range(n)]
-    for dst in range(n):
-        dist = _dijkstra_to(dst, snapshot.neighbor_table, excluded)
-        nxt, cost = _next_hops_to(dst, snapshot.neighbor_table, excluded, dist)
-        for v in range(n):
-            next_idx[v][dst] = nxt[v]
-            cost_ps[v][dst] = cost[v]
-    return next_idx, cost_ps
+    table = snapshot.neighbor_table
+    degree = max(map(len, table), default=0)
+    nbr = np.full((n, degree), n, dtype=np.intp)
+    w_ps = np.full((n, degree), _INF, dtype=np.int64)
+    for v, row in enumerate(table):
+        for k, (w, ps) in enumerate(row):
+            nbr[v, k] = w
+            w_ps[v, k] = ps
+    cut = np.asarray(excluded, dtype=bool)
+    w_in = np.where(cut[:, None], _INF, w_ps)  # no path leaves an excluded node
+
+    nxt = np.full((n, n), _UNREACHABLE, dtype=np.intp)
+    cost = np.full((n, n), -1, dtype=np.int64)
+    width = max(1, _BLOCK_ENTRIES // (n + 1))
+    for lo in range(0, n, width):
+        dst = np.arange(lo, min(lo + width, n))
+        col = np.arange(len(dst))
+        dist = np.full((n + 1, len(dst)), _INF, dtype=np.int64)
+        dist[dst, col] = np.where(cut[dst], _INF, 0)
+        body = dist[:n]
+        step = np.empty_like(body)
+        before = np.empty_like(body)
+        while True:
+            np.copyto(before, body)
+            for k in range(degree):
+                np.take(dist, nbr[:, k], axis=0, out=step)
+                step += w_in[:, k, None]
+                np.minimum(body, step, out=body)
+            if np.array_equal(before, body):
+                break
+
+        best = np.full_like(body, _INF)
+        hop = nxt[:, lo : lo + len(dst)]
+        for k in range(degree):
+            np.take(dist, nbr[:, k], axis=0, out=step)
+            step += w_ps[:, k, None]
+            better = step < best
+            np.copyto(best, step, where=better)
+            np.copyto(hop, nbr[:, k, None], where=better)
+        hop[dst, col] = _UNREACHABLE
+        best[dst, col] = body[dst, col]
+        cost[:, lo : lo + len(dst)] = np.where(best < _INF, best, -1)
+    # Rows through an object array of the indices, so every list shares the
+    # same int objects instead of allocating one per entry.
+    ids = np.arange(-1, n).astype(object)
+    return ids[nxt + 1].tolist(), cost.tolist()
 
 
 def compute_shortest_path_table(snapshot: TopologySnapshot) -> RouteTable:

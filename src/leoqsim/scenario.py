@@ -124,7 +124,10 @@ class ScenarioConfig:
         path = Path(name)
         if not path.is_absolute() and self.base_dir:
             path = Path(self.base_dir) / path
-        return DemandGrid.load(path)
+        try:
+            return DemandGrid.load(path)
+        except (OSError, ValueError) as e:
+            raise ScenarioError(f"[traffic] grid_file: {e}") from None
 
 
 # The sections of a scenario file, in file order: the fields of ScenarioConfig
@@ -256,13 +259,18 @@ def serialize_scenario(cfg: ScenarioConfig) -> str:
 def apply_overrides(cfg_text: str, overrides: list[str]) -> str:
     """Apply 'section.key=value' overrides on top of scenario text."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(cfg_text)
+    try:
+        parser.read_string(cfg_text)
+    except configparser.Error as e:
+        raise ScenarioError(f"unparseable scenario file: {e}") from None
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ScenarioError(f"override {item!r}: expected section.key=value")
         target, value = item.split("=", 1)
         section, key = target.split(".", 1)
         section, key, value = section.strip(), key.strip(), value.strip()
+        if section not in _SECTIONS:
+            raise ScenarioError(f"override {item!r}: unknown section [{section}]")
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, value)

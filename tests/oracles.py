@@ -1,11 +1,13 @@
 """Reference implementations that tests compare the package against.
 
-They favour directness over speed: exact per-call geometry for access, and a
-plain single-server loop for PQWRR service.
+They favour directness over speed: exact per-call geometry for access, one
+heap Dijkstra per destination for route tables, and a plain single-server
+loop for PQWRR service.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Iterable, Optional
 
@@ -17,6 +19,7 @@ from leoqsim.constellation import (
     ConstellationParams,
     GeoPosition,
     SatelliteId,
+    TopologySnapshot,
     satellite_positions,
 )
 from leoqsim.scheduling import DropRecord, PqwrrScheduler
@@ -65,6 +68,57 @@ def access_satellite(
     if sin_e[best] < math.sin(math.radians(params.min_elevation_deg)):
         return None
     return params.sid_of(best)
+
+
+def _dijkstra_to(dst: int, neighbor_table, excluded: list[bool]) -> list[int]:
+    """Distances (ps) from every node to dst over non-excluded nodes; -1 unreachable."""
+    n = len(neighbor_table)
+    dist = [-1] * n
+    if excluded[dst]:
+        return dist
+    dist[dst] = 0
+    heap = [(0, dst)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        for w, w_ps in neighbor_table[v]:
+            if excluded[w]:
+                continue
+            nd = d + w_ps
+            if dist[w] < 0 or nd < dist[w]:
+                dist[w] = nd
+                heapq.heappush(heap, (nd, w))
+    return dist
+
+
+def route_table(
+    snapshot: TopologySnapshot, excluded: list[bool]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """(next_idx, cost_ps) as `RouteTable` holds them, -1 for unreachable.
+
+    The next hop from v toward dst is the lowest-index neighbor w with
+    w_ps(v, w) + dist(w) minimal; excluded nodes never appear as hops or
+    destinations but are still given a next hop as sources.
+    """
+    table = snapshot.neighbor_table
+    n = len(table)
+    next_idx = [[-1] * n for _ in range(n)]
+    cost_ps = [[-1] * n for _ in range(n)]
+    for dst in range(n):
+        dist = _dijkstra_to(dst, table, excluded)
+        cost_ps[dst][dst] = -1 if excluded[dst] else 0
+        for v in range(n):
+            if v == dst:
+                continue
+            for w, w_ps in table[v]:  # sorted by index: first win = lexicographic
+                if excluded[w] or dist[w] < 0:
+                    continue
+                c = w_ps + dist[w]
+                if cost_ps[v][dst] < 0 or c < cost_ps[v][dst]:
+                    cost_ps[v][dst] = c
+                    next_idx[v][dst] = w
+    return next_idx, cost_ps
 
 
 def service_process(

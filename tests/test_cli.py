@@ -34,6 +34,18 @@ def test_validate_rejects_a_bad_scenario(scenario):
     assert cli.main(["validate", scenario("[run]\nseed = x\n")]) == cli.EXIT_VALIDATION
 
 
+def test_validate_rejects_a_missing_grid_file(scenario, capsys):
+    code = cli.main(["validate", scenario("[traffic]\ngrid_file = nope.txt\n")])
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("invalid: [traffic] grid_file")
+
+
+def test_validate_rejects_an_override_on_a_file_without_sections(scenario, capsys):
+    code = cli.main(["validate", scenario("seed = 1\n"), "--set", "run.seed=2"])
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("invalid: unparseable scenario file")
+
+
 def test_run_writes_the_report(report_dir):
     assert (report_dir / "summary.csv").read_text(encoding="utf-8").startswith("class,")
 
@@ -42,6 +54,14 @@ def test_run_rejects_an_infinite_horizon(scenario, tmp_path):
     out = tmp_path / "out"
     code = cli.main(["run", scenario("[run]\nduration_s = inf\n"), "--out", str(out)])
     assert code == cli.EXIT_VALIDATION
+    assert not out.exists()
+
+
+def test_run_rejects_a_missing_grid_file(scenario, tmp_path, capsys):
+    out = tmp_path / "out"
+    text = SHORT_RUN + "[traffic]\ngrid_file = nope.txt\n"
+    assert cli.main(["run", scenario(text), "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("invalid: [traffic] grid_file")
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
-"""Every public top-level function and class of `leoqsim` has a caller.
+"""Every public top-level function and class of `leoqsim` has a caller, and
+importing the command line does not pull in scipy.
 
 A name counts as used when the package itself or the benchmark harness in
 `perfbench/` (its tests excluded) refers to it anywhere other than its own
@@ -8,6 +9,9 @@ harness patches functions by name). Code that only tests call belongs in
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,3 +58,14 @@ def test_every_public_definition_is_used():
     unused = [f"{module}:{name}" for module, name in defined
               if name not in used and name not in DOCUMENTED]
     assert unused == []
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # Importing scipy's graph routines adds about 33 MB of resident memory, so
+    # route tables are built with numpy alone.
+    probe = "import sys, leoqsim.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

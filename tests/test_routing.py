@@ -17,7 +17,7 @@ from leoqsim.routing import (
 )
 from leoqsim.scenario import loads_scenario
 from leoqsim.scheduling import ALL_CLASSES, B_CLASSES, TrafficClass
-from oracles import access_satellite
+from oracles import access_satellite, route_table
 
 PARAMS = ConstellationParams()
 
@@ -107,6 +107,28 @@ def iterated_path_cost_ps(table, snapshot, src, dst):
 
 def random_busy(rng, size):
     return {SatelliteId(rng.randrange(6), rng.randrange(11)) for _ in range(size)}
+
+
+@pytest.mark.parametrize("planes, sats_per_plane", [(6, 11), (12, 22), (24, 40)])
+def test_tables_equal_the_python_oracle(planes, sats_per_plane):
+    # Every (source, destination) entry of next_idx and cost_ps, ties included,
+    # with no busy node and with a random busy set that also surrounds one
+    # source completely.
+    params = ConstellationParams(planes=planes, sats_per_plane=sats_per_plane)
+    n = params.num_sats
+    rng = random.Random(n)
+    snap = build_topology_snapshot(params, rng.uniform(0, params.period_s))
+    src = rng.randrange(n)
+    busy = set(rng.sample(range(n), n // 10)) | {j for j, _ in snap.neighbor_table[src]}
+    busy.discard(src)
+    for excluded in (set(), busy):
+        table = compute_backup_table(snap, {params.sid_of(i) for i in excluded})
+        next_idx, cost_ps = route_table(snap, [i in excluded for i in range(n)])
+        assert table.next_idx == next_idx
+        assert table.cost_ps == cost_ps
+    assert table.next_idx[src] == [-1] * n  # the surrounded source has no hop
+    dst = min(busy)
+    assert [row[dst] for row in table.next_idx] == [-1] * n  # nor has a busy destination
 
 
 def test_one_hop_next_is_destination():

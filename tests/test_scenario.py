@@ -20,6 +20,7 @@ from leoqsim.scenario import (
     ScenarioError,
     SchedulerConfig,
     TrafficSection,
+    apply_overrides,
     loads_scenario,
     serialize_scenario,
 )
@@ -222,3 +223,32 @@ CONFIGS = st.builds(
 )
 def test_serialized_config_loads_back_equal(cfg):
     assert loads_scenario(serialize_scenario(cfg)) == cfg
+
+
+@pytest.mark.parametrize(
+    "text, override, needle",
+    [
+        ("x = 1\n", "run.seed=1", "unparseable"),
+        ("[run]\nseed = 1\n", "DEFAULT.seed=2", "DEFAULT"),
+        ("[run]\nseed = 1\n", "seed=2", "section.key=value"),
+    ],
+)
+def test_bad_override_input_is_a_scenario_error(text, override, needle):
+    with pytest.raises(ScenarioError, match=needle):
+        apply_overrides(text, [override])
+
+
+def test_override_replaces_a_key():
+    text = apply_overrides("[run]\nseed = 1\n", ["run.seed=2", "routing.strategy=pqwrr_only"])
+    cfg = loads_scenario(text)
+    assert (cfg.run.seed, cfg.routing.strategy) == (2, "pqwrr_only")
+
+
+def test_an_unreadable_grid_file_is_a_scenario_error(tmp_path):
+    cfg = loads_scenario("[traffic]\ngrid_file = nope.txt\n", base_dir=str(tmp_path))
+    with pytest.raises(ScenarioError, match=r"^\[traffic\] grid_file"):
+        cfg.load_grid()
+    (tmp_path / "bad.txt").write_text("not a grid\n", encoding="utf-8")
+    cfg = loads_scenario("[traffic]\ngrid_file = bad.txt\n", base_dir=str(tmp_path))
+    with pytest.raises(ScenarioError, match=r"^\[traffic\] grid_file"):
+        cfg.load_grid()
