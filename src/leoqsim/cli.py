@@ -13,12 +13,7 @@ import sys
 from pathlib import Path
 
 from . import engine, stats
-from .scenario import (
-    ScenarioError,
-    apply_overrides,
-    bundled_scenario_path,
-    loads_scenario,
-)
+from .scenario import ScenarioError, apply_overrides, loads_scenario
 from .scheduling import ALL_CLASSES
 
 EXIT_OK = 0
@@ -27,23 +22,15 @@ EXIT_AUDIT = 2
 EXIT_IO = 3
 
 
-def _read_scenario_text(name: str) -> tuple[str, str | None]:
-    """Scenario text plus its base dir; bare names fall back to bundled files."""
-    p = Path(name)
-    if p.exists():
-        return p.read_text(encoding="utf-8"), str(p.parent)
-    bundled = bundled_scenario_path(Path(name).stem)
-    try:
-        return bundled.read_text(encoding="utf-8"), None
-    except (FileNotFoundError, ModuleNotFoundError):
-        raise ScenarioError(f"scenario {name!r}: no such file or bundled scenario") from None
-
-
 def _load(name: str, overrides: list[str]):
-    text, base = _read_scenario_text(name)
+    path = Path(name)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ScenarioError(f"scenario {name!r}: {e}") from None
     if overrides:
         text = apply_overrides(text, overrides)
-    return loads_scenario(text, base_dir=base)
+    return loads_scenario(text, base_dir=str(path.parent))
 
 
 def cmd_validate(args) -> int:
@@ -137,6 +124,9 @@ def cmd_compare(args) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"cannot read reports: {e}", file=sys.stderr)
         return EXIT_IO
+    except KeyError as e:
+        print(f"cannot read reports: no {e} field", file=sys.stderr)
+        return EXIT_IO
     except ValueError as e:
         print(f"incomparable reports: {e}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -163,13 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a scenario file")
-    p.add_argument("scenario", help="scenario file path or bundled name")
+    p.add_argument("scenario", help="scenario file path")
     p.add_argument("--set", action="append", metavar="SEC.KEY=VAL",
                    help="override a config key (repeatable)")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("run", help="run a scenario and export the report")
-    p.add_argument("scenario", help="scenario file path or bundled name")
+    p.add_argument("scenario", help="scenario file path")
     p.add_argument("--out", default="report", help="report output directory")
     p.add_argument("--set", action="append", metavar="SEC.KEY=VAL",
                    help="override a config key (repeatable)")

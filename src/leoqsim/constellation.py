@@ -256,40 +256,29 @@ def build_topology_snapshot(
 class AccessResolver:
     """Cached access-satellite lookups on a fixed time grid.
 
-    Terminals sit at fixed ground positions, so per time quantum one
-    vectorized elevation pass covers every registered terminal. Lookup times
-    are quantized to `quantum_s`. Only the latest quantum's row is kept: the
-    event loop's lookup times never decrease, so memory stays O(terminals)
-    at any horizon, and an earlier time is simply solved again.
+    Terminals sit at fixed ground positions, addressed by their position in
+    `ground`, so per time quantum one vectorized elevation pass covers every
+    terminal. Lookup times are quantized to `quantum_s`. Only the latest
+    quantum's row is kept: the event loop's lookup times never decrease, so
+    memory stays O(terminals) at any horizon, and an earlier time is simply
+    solved again.
     """
 
-    def __init__(self, params: ConstellationParams, quantum_s: float = 1.0):
+    def __init__(
+        self, params: ConstellationParams, ground: Sequence[GeoPosition], quantum_s: float = 1.0
+    ):
         if quantum_s <= 0:
             raise ValueError("quantum_s must be > 0")
         self.params = params
         self.quantum_s = quantum_s
-        self._positions: list[GeoPosition] = []
-        self._unit_ecef: np.ndarray | None = None  # (T, 3) unit vectors, Earth-fixed
+        lats = np.radians([p.lat_deg for p in ground])
+        lons = np.radians([p.lon_deg for p in ground])
+        cl = np.cos(lats)
+        # (T, 3) unit vectors, Earth-fixed
+        self._unit_ecef = np.stack([cl * np.cos(lons), cl * np.sin(lons), np.sin(lats)], axis=1)
         self._quantum: int | None = None  # quantum of `_row`
         self._row: list[int] = []  # best sat index per terminal (-1 none)
         self._min_sin_e = math.sin(math.radians(params.min_elevation_deg))
-
-    def register(self, pos: GeoPosition) -> int:
-        """Add a terminal; returns its handle. Register every terminal before lookups."""
-        self._positions.append(pos)
-        self._unit_ecef = None
-        self._quantum = None
-        return len(self._positions) - 1
-
-    def _units(self) -> np.ndarray:
-        if self._unit_ecef is None:
-            lats = np.radians([p.lat_deg for p in self._positions])
-            lons = np.radians([p.lon_deg for p in self._positions])
-            cl = np.cos(lats)
-            self._unit_ecef = np.stack(
-                [cl * np.cos(lons), cl * np.sin(lons), np.sin(lats)], axis=1
-            )
-        return self._unit_ecef
 
     def access_index(self, terminal: int, t: float) -> int:
         """Best satellite index for a terminal at the quantized time, or -1."""
@@ -305,7 +294,7 @@ class AccessResolver:
         theta = EARTH_ROTATION_RAD_S * t
         c, s = math.cos(theta), math.sin(theta)
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        units = self._units() @ rot.T  # terminals in the inertial frame
+        units = self._unit_ecef @ rot.T  # terminals in the inertial frame
         ground = units * EARTH_RADIUS_KM  # (T, 3)
         d = sat[None, :, :] - ground[:, None, :]  # (T, N, 3)
         dn = np.linalg.norm(d, axis=2)

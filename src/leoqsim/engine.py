@@ -27,7 +27,7 @@ from .routing import compute_backup_table, compute_shortest_path_table, decide_n
 from .scenario import ScenarioConfig
 from .scheduling import DropReason, DropRecord, PqwrrScheduler, TrafficClass
 from .stats import StatsCollector
-from .traffic import ArrivalGenerator, ContinentRatioTable, Packet
+from .traffic import ArrivalGenerator, Packet
 
 # Event kinds, dispatched positionally: (time, seq, kind, a, b)
 _EV_SOURCE = 0  # a packet is created at its source user; b unused
@@ -65,23 +65,14 @@ class Simulation:
             flows=list(cfg.traffic.flows),
             grid=grid,
             background_rate=cfg.traffic.background_rate,
-            ratios=ContinentRatioTable(),
             class_mix=cfg.traffic.class_mix,
             seed=cfg.run.seed,
         )
-        self.resolver = AccessResolver(params, quantum_s=cfg.run.access_refresh_s)
-        for term in self.generator.terminals:
-            self.resolver.register(term.position)
+        ground = self.generator.terminals
+        self.resolver = AccessResolver(params, ground, quantum_s=cfg.run.access_refresh_s)
+        self.geometry = OrbitGeometry(params, ground)
         self.nodes = [
-            _SatNode(
-                PqwrrScheduler(
-                    capacity=cfg.scheduler.buffer_capacity,
-                    weights=cfg.scheduler.weights,
-                    scope=cfg.scheduler.buffer_scope,
-                    owner=self.sids[i],
-                ),
-                NodeCongestionState(self.sids[i]),
-            )
+            _SatNode(PqwrrScheduler(cfg.scheduler, self.sids[i]), NodeCongestionState(self.sids[i]))
             for i in range(self.n)
         ]
         self.stats = StatsCollector(
@@ -104,7 +95,6 @@ class Simulation:
         self._count_uplink = cfg.traffic.count_uplink_in_rate
         self.trace: Optional[list] = [] if cfg.run.trace else None
         self.route_dump: Optional[list] = [] if cfg.routing.dump_routes else None
-        self.geometry = OrbitGeometry(params, [term.position for term in self.generator.terminals])
 
     # -- event plumbing ------------------------------------------------------
 
@@ -118,21 +108,18 @@ class Simulation:
 
     # -- routing state -------------------------------------------------------
 
-    def _busy_sids(self) -> set:
-        return {self.sids[i] for i, b in enumerate(self.busy_flags) if b}
-
     def _rebuild_for_slot(self, t: float, slot: int) -> None:
         self.snapshot = build_topology_snapshot(self.params, t, slot)
         self.primary = compute_shortest_path_table(self.snapshot)
         if self.composite:
-            self.backup = compute_backup_table(self.snapshot, self._busy_sids())
+            self.backup = compute_backup_table(self.snapshot, self.busy_flags)
         if self.route_dump is not None:
             for src, dst, nxt, cost in self.primary.entries():
                 self.route_dump.append((slot, str(src), str(dst), str(nxt) if nxt else "", cost))
 
     def _rebuild_backup(self, t: float) -> None:
         if self.composite:
-            self.backup = compute_backup_table(self.snapshot, self._busy_sids())
+            self.backup = compute_backup_table(self.snapshot, self.busy_flags)
         self._drain_wait_queues(t)
 
     def _apply_notification(self, notif) -> None:

@@ -35,14 +35,15 @@ class RouteTable:
     """All-pairs next-hop map for one topology snapshot.
 
     Internally index-based: `next_idx[cur][dst]` is the next satellite index
-    (-1 when dst is unreachable from cur) and `cost_ps[cur][dst]` the total
-    path delay in picoseconds (-1 when unreachable).
+    (-1 when dst is unreachable from cur) and the int64 array
+    `cost_ps[cur, dst]` the total path delay in picoseconds (-1 when
+    unreachable).
     """
 
     slot_index: int
     params: ConstellationParams
     next_idx: list[list[int]] = field(repr=False)
-    cost_ps: list[list[int]] = field(repr=False)
+    cost_ps: np.ndarray = field(repr=False)
 
     def next_hop(self, cur: SatelliteId, dst: SatelliteId) -> Optional[SatelliteId]:
         if cur == dst:
@@ -54,12 +55,13 @@ class RouteTable:
         """(src, dst, next_hop, cost_seconds) for every src != dst pair."""
         for i in range(self.params.num_sats):
             src = self.params.sid_of(i)
+            costs = self.cost_ps[i].tolist()  # Python ints: exact division, float repr
             for j in range(self.params.num_sats):
                 if i == j:
                     continue
                 dst = self.params.sid_of(j)
                 n = self.next_idx[i][j]
-                c = self.cost_ps[i][j]
+                c = costs[j]
                 yield (
                     src,
                     dst,
@@ -70,7 +72,7 @@ class RouteTable:
 
 def _build_table(
     snapshot: TopologySnapshot, excluded: list[bool]
-) -> tuple[list[list[int]], list[list[int]]]:
+) -> tuple[list[list[int]], np.ndarray]:
     """(next_idx, cost_ps) over the subgraph without the excluded nodes.
 
     Destinations are taken in column blocks. For each block, an int64
@@ -129,7 +131,7 @@ def _build_table(
     # Rows through an object array of the indices, so every list shares the
     # same int objects instead of allocating one per entry.
     ids = np.arange(-1, n).astype(object)
-    return ids[nxt + 1].tolist(), cost.tolist()
+    return ids[nxt + 1].tolist(), cost
 
 
 def compute_shortest_path_table(snapshot: TopologySnapshot) -> RouteTable:
@@ -143,19 +145,17 @@ def compute_shortest_path_table(snapshot: TopologySnapshot) -> RouteTable:
     return RouteTable(snapshot.slot_index, snapshot.params, next_idx, cost_ps)
 
 
-def compute_backup_table(snapshot: TopologySnapshot, busy: set[SatelliteId]) -> RouteTable:
-    """Shortest-path table over the topology with busy nodes deleted.
+def compute_backup_table(snapshot: TopologySnapshot, busy: list[bool]) -> RouteTable:
+    """Shortest-path table over the topology with the satellites whose
+    `busy` flag is set deleted.
 
     A busy node still gets next hops as a source so it can forward traffic it
     already holds, but no returned next hop is ever busy, and destinations cut
-    off by the deletion are unreachable.
+    off by the deletion are unreachable. The table keeps no reference to
+    `busy`, so later flips of the flags do not change it.
     """
-    params = snapshot.params
-    excluded = [False] * params.num_sats
-    for sid in busy:
-        excluded[params.index_of(sid)] = True
-    next_idx, cost_ps = _build_table(snapshot, excluded)
-    return RouteTable(snapshot.slot_index, params, next_idx, cost_ps)
+    next_idx, cost_ps = _build_table(snapshot, busy)
+    return RouteTable(snapshot.slot_index, snapshot.params, next_idx, cost_ps)
 
 
 def decide_next_index(

@@ -22,6 +22,7 @@ from typing import Optional
 
 from .congestion import CongestionConfig
 from .constellation import ConstellationParams, GeoPosition
+from .scheduling import SchedulerConfig
 from .traffic import DemandGrid, FlowSpec
 
 STRATEGIES = ("composite", "pqwrr_only")
@@ -29,28 +30,6 @@ STRATEGIES = ("composite", "pqwrr_only")
 
 class ScenarioError(ValueError):
     """A named configuration key failed validation."""
-
-
-@dataclass(frozen=True)
-class SchedulerConfig:
-    service_rate: float = 500.0  # packets/s
-    weights: tuple[int, int, int] = (4, 2, 1)
-    buffer_capacity: int = 50  # packets
-    buffer_scope: str = "per_queue"
-    channel_rate: float = 10_000.0  # per-link transmitter, packets/s
-
-    def __post_init__(self) -> None:
-        if self.service_rate <= 0:
-            raise ScenarioError("[scheduler] service_rate: must be > 0")
-        w2, w1, w0 = self.weights
-        if not (w2 > w1 > w0 >= 1):
-            raise ScenarioError("[scheduler] weights: must be strictly decreasing and >= 1")
-        if self.buffer_capacity < 0:
-            raise ScenarioError("[scheduler] buffer_capacity: must be >= 0")
-        if self.buffer_scope not in ("per_queue", "per_node"):
-            raise ScenarioError("[scheduler] buffer_scope: must be per_queue or per_node")
-        if self.channel_rate <= 0:
-            raise ScenarioError("[scheduler] channel_rate: must be > 0")
 
 
 @dataclass(frozen=True)
@@ -231,11 +210,6 @@ def loads_scenario(text: str, base_dir: Optional[str] = None) -> ScenarioConfig:
         for name, cls in _SECTIONS.items()
     }
     return ScenarioConfig(**sections, base_dir=base_dir)
-
-
-def bundled_scenario_path(name: str):
-    """Path-like handle to a scenario shipped with the package."""
-    return resources.files("leoqsim.data.scenarios").joinpath(f"{name}.ini")
 
 
 def serialize_scenario(cfg: ScenarioConfig) -> str:

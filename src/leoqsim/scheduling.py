@@ -5,6 +5,7 @@ tail drop."""
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import NamedTuple, Optional
 
@@ -35,6 +36,28 @@ class DropRecord(NamedTuple):
     reason: DropReason
 
 
+@dataclass(frozen=True)
+class SchedulerConfig:
+    service_rate: float = 500.0  # packets/s
+    weights: tuple[int, int, int] = (4, 2, 1)  # WRR weights of B2, B1, B0
+    buffer_capacity: int = 50  # packets
+    buffer_scope: str = "per_queue"
+    channel_rate: float = 10_000.0  # per-link transmitter, packets/s
+
+    def __post_init__(self) -> None:
+        if self.service_rate <= 0:
+            raise ValueError("service_rate: must be > 0")
+        w2, w1, w0 = self.weights
+        if not (w2 > w1 > w0 >= 1):
+            raise ValueError("weights: must be strictly decreasing and >= 1")
+        if self.buffer_capacity < 0:
+            raise ValueError("buffer_capacity: must be >= 0")
+        if self.buffer_scope not in ("per_queue", "per_node"):
+            raise ValueError("buffer_scope: must be per_queue or per_node")
+        if self.channel_rate <= 0:
+            raise ValueError("channel_rate: must be > 0")
+
+
 class PqwrrScheduler:
     """One on-board scheduler: queue A served by strict priority, B2/B1/B0 by
     weighted round-robin on the leftover bandwidth.
@@ -46,29 +69,16 @@ class PqwrrScheduler:
     """
 
     def __init__(
-        self,
-        capacity: int = 50,
-        weights: tuple[int, int, int] = (4, 2, 1),
-        scope: str = "per_queue",
-        owner: Optional[SatelliteId] = None,
+        self, cfg: SchedulerConfig = SchedulerConfig(), owner: Optional[SatelliteId] = None
     ):
-        w2, w1, w0 = weights
-        if not (w2 > w1 > w0 >= 1):
-            raise ValueError("weights must be strictly decreasing from B2 to B0 and >= 1")
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        if scope not in ("per_queue", "per_node"):
-            raise ValueError("scope must be 'per_queue' or 'per_node'")
-        self.capacity = capacity
-        self.weights = {TrafficClass.B2: w2, TrafficClass.B1: w1, TrafficClass.B0: w0}
-        self.scope = scope
+        self.capacity = cfg.buffer_capacity
         self.owner = owner
         self.queues: dict[TrafficClass, deque] = {c: deque() for c in ALL_CLASSES}
         self._bqueues = [self.queues[c] for c in B_CLASSES]
-        self._wlist = [w2, w1, w0]
+        self._wlist = cfg.weights
         self._credits = [0, 0, 0]  # parallel to B_CLASSES
         self._size = 0
-        self._per_queue = scope == "per_queue"
+        self._per_queue = cfg.buffer_scope == "per_queue"
 
     def __len__(self) -> int:
         return self._size

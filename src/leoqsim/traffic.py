@@ -10,7 +10,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class Continent(IntEnum):
 CONTINENT_CODES = {"NA": 0, "EU": 1, "AS": 2, "SA": 3, "AF": 4, "OC": 5}
 
 # Inter-continental traffic split, percent per source row (rows sum to ~100).
-DEFAULT_CONTINENT_RATIOS = (
+CONTINENT_RATIOS = (
     (86.18, 6.74, 4.18, 1.76, 0.45, 0.70),
     (25.10, 55.88, 13.52, 1.62, 2.84, 1.04),
     (24.04, 20.89, 47.74, 1.15, 1.75, 4.43),
@@ -41,6 +41,7 @@ DEFAULT_CONTINENT_RATIOS = (
     (25.63, 43.34, 17.33, 3.53, 7.95, 2.22),
     (26.48, 10.58, 29.22, 2.11, 1.49, 30.12),
 )
+_RATIOS_CUM = [list(np.cumsum(row)) for row in CONTINENT_RATIOS]
 
 
 class Packet:
@@ -83,11 +84,6 @@ class Packet:
         return f"Packet({self.id}, {self.tos.name}, u{self.src_user}->u{self.dst_user})"
 
 
-class Terminal(NamedTuple):
-    handle: int
-    position: GeoPosition
-
-
 @dataclass(frozen=True)
 class FlowSpec:
     """A tagged point-to-point demand."""
@@ -101,27 +97,14 @@ class FlowSpec:
             raise ValueError("flow rate must be >= 0")
 
 
-class ContinentRatioTable:
-    """Row-stochastic destination-continent percentages."""
-
-    def __init__(self, rows: Sequence[Sequence[float]] = DEFAULT_CONTINENT_RATIOS):
-        if len(rows) != 6 or any(len(r) != 6 for r in rows):
-            raise ValueError("ratio table must be 6x6")
-        for i, row in enumerate(rows):
-            if abs(sum(row) - 100.0) > 0.5:
-                raise ValueError(f"ratio row {i} must sum to 100 +- 0.5, got {sum(row)}")
-        self.rows = tuple(tuple(float(x) for x in r) for r in rows)
-        self._cum = [list(np.cumsum(r)) for r in self.rows]
-
-    def probability(self, src: Continent, dst: Continent) -> float:
-        return self.rows[src][dst] / sum(self.rows[src])
-
-    def sample_destination(self, src: Continent, rng: random.Random) -> Continent:
-        u = rng.random() * self._cum[src][-1]
-        for j, c in enumerate(self._cum[src]):
-            if u < c:
-                return Continent(j)
-        return Continent(5)
+def _sample_destination(src: Continent, rng: random.Random) -> Continent:
+    """Destination continent drawn from row `src` of the ratio table."""
+    cum = _RATIOS_CUM[src]
+    u = rng.random() * cum[-1]
+    for j, c in enumerate(cum):
+        if u < c:
+            return Continent(j)
+    return Continent(5)
 
 
 class DemandGrid:
@@ -136,8 +119,8 @@ class DemandGrid:
         continents = np.asarray(continents, dtype=int)
         if weights.shape != (GRID_ROWS, GRID_COLS) or continents.shape != weights.shape:
             raise ValueError(f"grid must be {GRID_ROWS}x{GRID_COLS}")
-        if np.any(weights < 0):
-            raise ValueError("grid weights must be nonnegative")
+        if not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise ValueError("grid weights must be finite and nonnegative")
         total = weights.sum()
         if total <= 0:
             raise ValueError("grid weights are all zero")
@@ -221,8 +204,9 @@ def _sample_class(mix_cum: Sequence[float], rng: random.Random) -> TrafficClass:
 class ArrivalGenerator:
     """Merged, time-ordered packet arrival stream.
 
-    Terminal handles 0..287 are the grid cell centers; foreground flow
-    endpoints are appended after them. Background and flow packets alike draw
+    `terminals[h]` is the position of terminal handle h: handles 0..287 are
+    the grid cell centers; foreground flow endpoints (source, destination)
+    are appended after them. Background and flow packets alike draw
     their class from `class_mix`. Every stream owns a derived RNG, so the
     generated sequence is independent of consumption interleaving.
     """
@@ -232,30 +216,22 @@ class ArrivalGenerator:
         flows: Sequence[FlowSpec],
         grid: DemandGrid,
         background_rate: float,
-        ratios: ContinentRatioTable,
         class_mix: tuple[float, float, float, float],
         seed: int,
     ):
-        if background_rate < 0:
-            raise ValueError("background_rate must be >= 0")
         self.flows = list(flows)
         self.grid = grid
         self.background_rate = background_rate
-        self.ratios = ratios
         self.class_mix_cum = tuple(np.cumsum(class_mix))
         self.seed = seed
-        self.terminals: list[Terminal] = [
-            Terminal(r * GRID_COLS + c, grid.cell_center(r, c))
-            for r in range(GRID_ROWS)
-            for c in range(GRID_COLS)
+        self.terminals: list[GeoPosition] = [
+            grid.cell_center(r, c) for r in range(GRID_ROWS) for c in range(GRID_COLS)
         ]
         self._flow_terminals: list[tuple[int, int]] = []
         for spec in self.flows:
-            s = Terminal(len(self.terminals), spec.src)
-            self.terminals.append(s)
-            d = Terminal(len(self.terminals), spec.dst)
-            self.terminals.append(d)
-            self._flow_terminals.append((s.handle, d.handle))
+            h = len(self.terminals)
+            self.terminals += [spec.src, spec.dst]
+            self._flow_terminals.append((h, h + 1))
 
     def _rng(self, stream: int) -> random.Random:
         return random.Random((self.seed * 1_000_003 + stream) & 0xFFFFFFFF)
@@ -263,7 +239,7 @@ class ArrivalGenerator:
     def _make_background(self, pkt_id: int, t: float, rng: random.Random) -> Packet:
         src_cell = self.grid.sample_source_cell(rng)
         src_cont = Continent(self.grid.continent_flat[src_cell])
-        dst_cont = self.ratios.sample_destination(src_cont, rng)
+        dst_cont = _sample_destination(src_cont, rng)
         dst_cell = self.grid.sample_cell_in_continent(dst_cont, rng)
         tos = _sample_class(self.class_mix_cum, rng)
         return Packet(pkt_id, tos, src_cell, dst_cell, t)

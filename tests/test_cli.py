@@ -1,9 +1,15 @@
 """Exit codes of the `leoqsim` command line: 0 success, 1 validation error,
 2 conservation-audit failure, 3 I/O error."""
 
+import json
+import shutil
+from pathlib import Path
+
 import pytest
 
 from leoqsim import cli, engine
+
+GRID_PATH = Path(__file__).resolve().parents[1] / "src" / "leoqsim" / "data" / "default_grid.txt"
 
 SHORT_RUN = "[run]\nduration_s = 1\nseed = 42\n"
 
@@ -32,6 +38,33 @@ def test_validate_accepts_a_good_scenario(scenario):
 
 def test_validate_rejects_a_bad_scenario(scenario):
     assert cli.main(["validate", scenario("[run]\nseed = x\n")]) == cli.EXIT_VALIDATION
+
+
+def test_validate_rejects_a_missing_scenario_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["validate", "nosuch.ini"]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("invalid: scenario 'nosuch.ini': ")
+
+
+def test_validate_rejects_a_directory(tmp_path, capsys):
+    assert cli.main(["validate", str(tmp_path)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"invalid: scenario {str(tmp_path)!r}: ")
+
+
+def test_run_rejects_a_missing_scenario_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["run", str(tmp_path / "nosuch.ini"), "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("invalid: scenario ")
+    assert not out.exists()
+
+
+def test_validate_rejects_non_finite_grid_weights(scenario, tmp_path, capsys):
+    grid = GRID_PATH.read_text(encoding="utf-8").replace(" 8 12 14 12 ", " inf 12 14 12 ", 1)
+    (tmp_path / "inf.txt").write_text(grid, encoding="utf-8")
+    code = cli.main(["validate", scenario("[traffic]\ngrid_file = inf.txt\n")])
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("invalid: [traffic] grid_file: ")
 
 
 def test_validate_rejects_a_missing_grid_file(scenario, capsys):
@@ -91,3 +124,27 @@ def test_compare_rejects_mismatched_horizons(report_dir, scenario, tmp_path):
 def test_compare_a_missing_directory_is_an_io_error(report_dir, tmp_path):
     missing = tmp_path / "missing"
     assert cli.main(["compare", str(report_dir), str(missing)]) == cli.EXIT_IO
+
+
+@pytest.fixture
+def broken_copy(report_dir, tmp_path):
+    """A copy of the finished report, to be damaged by the test."""
+    return Path(shutil.copytree(report_dir, tmp_path / "broken"))
+
+
+def test_compare_a_report_without_a_horizon_is_an_io_error(report_dir, broken_copy, capsys):
+    meta = json.loads((broken_copy / "run_meta.json").read_text(encoding="utf-8"))
+    del meta["horizon_s"]
+    (broken_copy / "run_meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    assert cli.main(["compare", str(report_dir), str(broken_copy)]) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("cannot read reports: ")
+
+
+def test_compare_a_summary_without_a_class_column_is_an_io_error(
+    report_dir, broken_copy, capsys
+):
+    summary = broken_copy / "summary.csv"
+    text = summary.read_text(encoding="utf-8")
+    summary.write_text(text.replace("class,", "klass,", 1), encoding="utf-8")
+    assert cli.main(["compare", str(broken_copy), str(report_dir)]) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("cannot read reports: ")

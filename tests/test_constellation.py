@@ -189,20 +189,16 @@ class TestAccess:
         t = 321.0
         user = subsatellite_point(PARAMS, PARAMS.index_of(sid), t)
         assert access_satellite(user, PARAMS, t) == sid
-        resolver = AccessResolver(PARAMS, quantum_s=1.0)
-        h = resolver.register(user)
-        assert resolver.access_index(h, t) == PARAMS.index_of(sid)
+        resolver = AccessResolver(PARAMS, [user], quantum_s=1.0)
+        assert resolver.access_index(0, t) == PARAMS.index_of(sid)
         assert elevation_deg(user, sat_xyz(sid, t), t) == pytest.approx(90.0, abs=1e-6)
 
     def test_degenerate_threshold_returns_none(self):
         params = ConstellationParams(min_elevation_deg=90.0)
         rng = random.Random(3)
-        resolver = AccessResolver(params, quantum_s=1.0)
-        handles = [
-            resolver.register(GeoPosition(rng.uniform(-80, 80), rng.uniform(-180, 180)))
-            for _ in range(50)
-        ]
-        for h in handles:
+        users = [GeoPosition(rng.uniform(-80, 80), rng.uniform(-180, 180)) for _ in range(50)]
+        resolver = AccessResolver(params, users, quantum_s=1.0)
+        for h in range(len(users)):
             assert resolver.access_index(h, rng.uniform(0, 6000)) == -1
 
     def test_global_coverage(self):
@@ -215,20 +211,18 @@ class TestAccess:
             assert access_satellite(GeoPosition(lat, lon), PARAMS, t) is not None
 
     def test_resolver_matches_direct_computation(self):
-        resolver = AccessResolver(PARAMS, quantum_s=1.0)
         users = [GeoPosition(-56.0, 26.0), GeoPosition(65.2, -58.0), GeoPosition(0.0, 0.0)]
-        handles = [resolver.register(u) for u in users]
+        resolver = AccessResolver(PARAMS, users, quantum_s=1.0)
         # Only the latest quantum is kept, so the last (earlier) time is solved again.
         for t in (0.0, 17.0, 600.0, 1799.0, 17.0):
-            for u, h in zip(users, handles):
+            for h, u in enumerate(users):
                 assert PARAMS.sid_of(resolver.access_index(h, t)) == access_satellite(u, PARAMS, t)
 
     def test_resolver_quantizes_time(self):
-        resolver = AccessResolver(PARAMS, quantum_s=1.0)
         user = GeoPosition(10.0, 20.0)
-        h = resolver.register(user)
-        assert resolver.access_index(h, 5.2) == resolver.access_index(h, 5.9)
-        assert PARAMS.sid_of(resolver.access_index(h, 5.2)) == access_satellite(user, PARAMS, 5.0)
+        resolver = AccessResolver(PARAMS, [user], quantum_s=1.0)
+        assert resolver.access_index(0, 5.2) == resolver.access_index(0, 5.9)
+        assert PARAMS.sid_of(resolver.access_index(0, 5.2)) == access_satellite(user, PARAMS, 5.0)
 
 
 def test_pair_delay_consistent_with_snapshot():

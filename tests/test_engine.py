@@ -13,10 +13,12 @@ from pathlib import Path
 import pytest
 
 from leoqsim import engine, stats
+from leoqsim.constellation import OrbitGeometry
 from leoqsim.routing import compute_backup_table, decide_next_index
 from leoqsim.scenario import loads_scenario
 from leoqsim.scheduling import TrafficClass
 from leoqsim.traffic import Packet
+from oracles import access_satellite
 
 HOTSPOT_FLOW = "40,-100 -> 50,10 @ 600"
 
@@ -96,6 +98,29 @@ def test_hotspot_detours_over_the_backup_table(runs):
     assert pqwrr_only.backup_forwards == 0
 
 
+def test_resolver_and_geometry_index_the_generators_terminals():
+    # Handle h means the same ground position to the traffic generator, the
+    # access resolver and the slant-delay geometry, flow endpoints included.
+    sim = engine.Simulation(loads_scenario(scenario_text(HOTSPOT_FLOW, "composite")))
+    terminals = sim.generator.terminals
+    flow = sim.cfg.traffic.flows[0]
+    cells = [sim.generator.grid.cell_center(r, c) for r in range(12) for c in range(24)]
+    assert terminals == cells + [flow.src, flow.dst]
+    flow_ends = {(p.src_user, p.dst_user) for _, p in sim.generator.stream(0.1) if p.flow == 0}
+    assert flow_ends == {(len(terminals) - 2, len(terminals) - 1)}
+    for t in (0.0, 600.0):
+        for h, pos in enumerate(terminals):
+            sat = sim.resolver.access_index(h, t)
+            expected = access_satellite(pos, sim.params, t)
+            assert sat == (-1 if expected is None else sim.params.index_of(expected))
+            alone = OrbitGeometry(sim.params, [pos])
+            assert sim.geometry.slant_delay(h, 7, t) == alone.slant_delay(0, 7, t)
+    with pytest.raises(IndexError):
+        sim.resolver.access_index(len(terminals), 0.0)
+    with pytest.raises(IndexError):
+        sim.geometry.slant_delay(len(terminals), 0, 0.0)
+
+
 # -- wait-queue drains --------------------------------------------------------
 
 DRAIN_SCENARIO = "[traffic]\nbackground_rate = 0\n[run]\nduration_s = 5\ntrace = true\n"
@@ -114,7 +139,7 @@ def busy_drain_setup():
     for i in busy:
         sim.busy_flags[i] = True
     sim.busy_count = len(busy)
-    sim.backup = compute_backup_table(sim.snapshot, {sim.sids[i] for i in busy})
+    sim.backup = compute_backup_table(sim.snapshot, sim.busy_flags)
     return sim
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from leoqsim import engine
 from leoqsim.constellation import (
+    PICOSECONDS_PER_SECOND,
     ConstellationParams,
     GeoPosition,
     SatelliteId,
@@ -109,6 +110,11 @@ def random_busy(rng, size):
     return {SatelliteId(rng.randrange(6), rng.randrange(11)) for _ in range(size)}
 
 
+def flags_of(busy, params=PARAMS):
+    """The engine's busy flags for a set of satellite ids."""
+    return [params.sid_of(i) in busy for i in range(params.num_sats)]
+
+
 @pytest.mark.parametrize("planes, sats_per_plane", [(6, 11), (12, 22), (24, 40)])
 def test_tables_equal_the_python_oracle(planes, sats_per_plane):
     # Every (source, destination) entry of next_idx and cost_ps, ties included,
@@ -122,10 +128,12 @@ def test_tables_equal_the_python_oracle(planes, sats_per_plane):
     busy = set(rng.sample(range(n), n // 10)) | {j for j, _ in snap.neighbor_table[src]}
     busy.discard(src)
     for excluded in (set(), busy):
-        table = compute_backup_table(snap, {params.sid_of(i) for i in excluded})
-        next_idx, cost_ps = route_table(snap, [i in excluded for i in range(n)])
+        flags = [i in excluded for i in range(n)]
+        table = compute_backup_table(snap, flags)
+        next_idx, cost_ps = route_table(snap, flags)
         assert table.next_idx == next_idx
-        assert table.cost_ps == cost_ps
+        assert table.cost_ps.dtype == np.int64
+        assert table.cost_ps.tolist() == cost_ps
     assert table.next_idx[src] == [-1] * n  # the surrounded source has no hop
     dst = min(busy)
     assert [row[dst] for row in table.next_idx] == [-1] * n  # nor has a busy destination
@@ -156,7 +164,7 @@ def test_primary_matches_floyd_warshall_exactly():
                     assert got is None
                 else:
                     assert got == oracle[i, j]
-                    assert table.cost_ps[i][j] == oracle[i, j]
+                    assert table.cost_ps[i, j] == oracle[i, j]
 
 
 def test_backup_matches_oracle_and_excludes_busy():
@@ -165,7 +173,7 @@ def test_backup_matches_oracle_and_excludes_busy():
         t = rng.uniform(0, 2 * PARAMS.period_s)
         snap = build_topology_snapshot(PARAMS, t)
         busy = random_busy(rng, rng.randint(1, 8))
-        table = compute_backup_table(snap, busy)
+        table = compute_backup_table(snap, flags_of(busy))
         oracle = fw_oracle(snap, busy)
         for i in range(PARAMS.num_sats):
             for j in range(PARAMS.num_sats):
@@ -184,16 +192,41 @@ def test_backup_matches_oracle_and_excludes_busy():
 def test_backup_with_empty_busy_equals_primary():
     snap = build_topology_snapshot(PARAMS, 500.0)
     primary = compute_shortest_path_table(snap)
-    backup = compute_backup_table(snap, set())
+    backup = compute_backup_table(snap, flags_of(set()))
     assert primary.next_idx == backup.next_idx
-    assert primary.cost_ps == backup.cost_ps
+    assert np.array_equal(primary.cost_ps, backup.cost_ps)
+
+
+def test_flipping_the_callers_flags_leaves_the_table_unchanged():
+    snap = build_topology_snapshot(PARAMS, 0.0)
+    busy = flags_of({SatelliteId(1, 2), SatelliteId(4, 7)})
+    table = compute_backup_table(snap, busy)
+    next_idx = [row[:] for row in table.next_idx]
+    cost_ps = table.cost_ps.copy()
+    busy[:] = [not b for b in busy]
+    assert table.next_idx == next_idx
+    assert np.array_equal(table.cost_ps, cost_ps)
+    assert table.next_idx == compute_backup_table(snap, [not b for b in busy]).next_idx
+
+
+def test_entries_give_python_floats_in_seconds():
+    # stats writes floats with repr, which numpy scalars would change.
+    snap = build_topology_snapshot(PARAMS, 0.0)
+    table = compute_shortest_path_table(snap)
+    rows = list(table.entries())
+    assert len(rows) == PARAMS.num_sats * (PARAMS.num_sats - 1)
+    for src, dst, nxt, cost in rows:
+        assert type(cost) is float
+        i, j = PARAMS.index_of(src), PARAMS.index_of(dst)
+        assert cost == int(table.cost_ps[i, j]) / PICOSECONDS_PER_SECOND
+        assert nxt == table.next_hop(src, dst)
 
 
 def test_all_neighbors_busy_isolates_source():
     snap = build_topology_snapshot(PARAMS, 0.0)
     x = SatelliteId(2, 4)
     busy = set(neighbors(snap, x))
-    table = compute_backup_table(snap, busy)
+    table = compute_backup_table(snap, flags_of(busy))
     for j in range(PARAMS.num_sats):
         dst = PARAMS.sid_of(j)
         if dst != x:
@@ -203,7 +236,7 @@ def test_all_neighbors_busy_isolates_source():
 def test_busy_destination_unreachable():
     snap = build_topology_snapshot(PARAMS, 0.0)
     busy = {SatelliteId(3, 3)}
-    table = compute_backup_table(snap, busy)
+    table = compute_backup_table(snap, flags_of(busy))
     for i in range(PARAMS.num_sats):
         src = PARAMS.sid_of(i)
         if src != SatelliteId(3, 3):
@@ -216,7 +249,8 @@ def test_loop_freedom_both_tables():
         t = rng.uniform(0, PARAMS.period_s)
         snap = build_topology_snapshot(PARAMS, t)
         busy = random_busy(rng, rng.randint(0, 6))
-        for table in (compute_shortest_path_table(snap), compute_backup_table(snap, busy)):
+        backup = compute_backup_table(snap, flags_of(busy))
+        for table in (compute_shortest_path_table(snap), backup):
             for i in range(PARAMS.num_sats):
                 for j in range(PARAMS.num_sats):
                     if i != j:
@@ -234,13 +268,13 @@ def test_monotone_degradation():
         snap = build_topology_snapshot(PARAMS, t)
         base = compute_shortest_path_table(snap)
         busy = random_busy(rng, rng.randint(1, 6))
-        reduced = compute_backup_table(snap, busy)
+        reduced = compute_backup_table(snap, flags_of(busy))
         for i in range(PARAMS.num_sats):
             for j in range(PARAMS.num_sats):
                 if i == j:
                     continue
-                c0 = base.cost_ps[i][j]
-                c1 = reduced.cost_ps[i][j]
+                c0 = base.cost_ps[i, j]
+                c1 = reduced.cost_ps[i, j]
                 if c1 >= 0:
                     assert c1 >= c0
 
@@ -277,7 +311,7 @@ class TestDecideForward:
 
     @staticmethod
     def backup_table(snap, busy):
-        return compute_backup_table(snap, {PARAMS.sid_of(i) for i in busy})
+        return compute_backup_table(snap, TestDecideForward.flags(busy))
 
     def decide(self, tos, primary, backup, busy=(), detoured=False):
         return decide_next_index(
@@ -305,7 +339,7 @@ class TestDecideForward:
 
     def test_idle_hop_forwards_primary(self, setup):
         snap, primary, hop = setup
-        backup = compute_backup_table(snap, set())
+        backup = compute_backup_table(snap, self.flags())
         assert self.decide(TrafficClass.B1, primary, backup) == (hop, False)
 
     def test_class_a_ignores_busy_hop(self, setup):

@@ -101,6 +101,7 @@ BAD_INPUTS = {
     "seed not an integer": ("[run]\nseed = 4.2\n", "run", "seed"),
     "duration not a number": ("[run]\nduration_s = soon\n", "run", "duration_s"),
     "trace not a boolean": ("[run]\ntrace = maybe\n", "run", "trace"),
+    "negative background": ("[traffic]\nbackground_rate = -1\n", "traffic", "background_rate"),
     "class_mix of 2": ("[traffic]\nclass_mix = 0.5 0.5\n", "traffic", "class_mix"),
     "weights of 2": ("[scheduler]\nweights = 2 1\n", "scheduler", "weights"),
     "weights increasing": ("[scheduler]\nweights = 1 2 3\n", "scheduler", "weights"),

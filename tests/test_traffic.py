@@ -8,13 +8,13 @@ import pytest
 from leoqsim.constellation import AccessResolver, ConstellationParams, GeoPosition, SatelliteId
 from leoqsim.scheduling import ALL_CLASSES, TrafficClass
 from leoqsim.traffic import (
-    DEFAULT_CONTINENT_RATIOS,
+    CONTINENT_RATIOS,
     ArrivalGenerator,
     Continent,
-    ContinentRatioTable,
     DemandGrid,
     FlowSpec,
     Packet,
+    _sample_destination,
 )
 from oracles import subsatellite_point
 
@@ -30,36 +30,33 @@ def grid():
     return DemandGrid.load(GRID_PATH)
 
 
-@pytest.fixture(scope="module")
-def ratios():
-    return ContinentRatioTable()
+def share(src, dst):
+    """Probability that traffic from continent `src` goes to `dst`."""
+    row = CONTINENT_RATIOS[src]
+    return row[dst] / sum(row)
 
 
 class TestRatioTable:
-    def test_rows_sum_to_100(self, ratios):
-        for row in ratios.rows:
+    def test_rows_sum_to_100(self):
+        assert len(CONTINENT_RATIOS) == len(Continent)
+        for row in CONTINENT_RATIOS:
+            assert len(row) == len(Continent)
             assert abs(sum(row) - 100.0) <= 0.5
 
-    def test_north_america_to_europe_share(self, ratios):
-        assert ratios.rows[Continent.NORTH_AMERICA][Continent.EUROPE] == 6.74
-        p = ratios.probability(Continent.NORTH_AMERICA, Continent.EUROPE)
+    def test_north_america_to_europe_share(self):
+        assert CONTINENT_RATIOS[Continent.NORTH_AMERICA][Continent.EUROPE] == 6.74
+        p = share(Continent.NORTH_AMERICA, Continent.EUROPE)
         assert p == pytest.approx(0.0674, abs=0.0005)
 
-    def test_sampling_matches_rows(self, ratios):
+    def test_sampling_matches_rows(self):
         rng = random.Random(5)
         n = 100_000
         for src in Continent:
-            counts = Counter(ratios.sample_destination(src, rng) for _ in range(n))
+            counts = Counter(_sample_destination(src, rng) for _ in range(n))
             for dst in Continent:
-                p = ratios.probability(src, dst)
+                p = share(src, dst)
                 sigma = math.sqrt(p * (1 - p) / n)
                 assert abs(counts[dst] / n - p) <= max(3 * sigma, 1e-4)
-
-    def test_bad_row_rejected(self):
-        rows = [list(r) for r in DEFAULT_CONTINENT_RATIOS]
-        rows[2][0] += 5.0
-        with pytest.raises(ValueError):
-            ContinentRatioTable(rows)
 
 
 class TestDemandGrid:
@@ -99,6 +96,13 @@ class TestDemandGrid:
                 cell = grid.sample_cell_in_continent(cont, rng)
                 assert grid.continents.ravel()[cell] == int(cont)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        weights = np.ones((12, 24))
+        weights[3, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DemandGrid(weights, np.zeros((12, 24), dtype=int) + np.arange(24) % 6)
+
     def test_parse_errors(self):
         with pytest.raises(ValueError, match="weight block and a continent block"):
             DemandGrid.from_text("1 2 3")
@@ -108,55 +112,54 @@ class TestDemandGrid:
 
 
 class TestArrivalGenerator:
-    def make(self, grid, ratios, background=500.0, flows=(), seed=7):
+    def make(self, grid, background=500.0, flows=(), seed=7):
         return ArrivalGenerator(
             flows=list(flows),
             grid=grid,
             background_rate=background,
-            ratios=ratios,
             class_mix=(0.25, 0.25, 0.25, 0.25),
             seed=seed,
         )
 
-    def test_reproducible_stream(self, grid, ratios):
+    def test_reproducible_stream(self, grid):
         flow = FlowSpec(GeoPosition(-56.0, 26.0), GeoPosition(65.2, -58.0), 100.0)
         a = [
             (t, p.id, p.tos, p.src_user, p.dst_user, p.flow)
-            for t, p in self.make(grid, ratios, flows=[flow]).stream(5.0)
+            for t, p in self.make(grid, flows=[flow]).stream(5.0)
         ]
         b = [
             (t, p.id, p.tos, p.src_user, p.dst_user, p.flow)
-            for t, p in self.make(grid, ratios, flows=[flow]).stream(5.0)
+            for t, p in self.make(grid, flows=[flow]).stream(5.0)
         ]
         assert a == b
         assert len(a) > 0
 
-    def test_time_ordered_and_bounded(self, grid, ratios):
+    def test_time_ordered_and_bounded(self, grid):
         last = 0.0
-        for t, _ in self.make(grid, ratios).stream(10.0):
+        for t, _ in self.make(grid).stream(10.0):
             assert t >= last
             assert t <= 10.0
             last = t
 
-    def test_class_mix_frequencies(self, grid, ratios):
+    def test_class_mix_frequencies(self, grid):
         counts = Counter()
         n = 0
-        for _, p in self.make(grid, ratios, background=2000.0).stream(50.0):
+        for _, p in self.make(grid, background=2000.0).stream(50.0):
             counts[p.tos] += 1
             n += 1
         assert n > 90_000
         for cls in ALL_CLASSES:
             assert abs(counts[cls] / n - 0.25) <= 0.005
 
-    def test_poisson_count_foreground(self, grid, ratios):
+    def test_poisson_count_foreground(self, grid):
         flow = FlowSpec(GeoPosition(-56.0, 26.0), GeoPosition(65.2, -58.0), 100.0)
-        gen = self.make(grid, ratios, background=0.0, flows=[flow])
+        gen = self.make(grid, background=0.0, flows=[flow])
         n = sum(1 for _ in gen.stream(1800.0))
         expected = 100.0 * 1800.0
         assert abs(n - expected) <= 3 * math.sqrt(expected)
 
-    def test_destination_continent_conditional(self, grid, ratios):
-        gen = self.make(grid, ratios, background=4000.0, seed=21)
+    def test_destination_continent_conditional(self, grid):
+        gen = self.make(grid, background=4000.0, seed=21)
         by_src = {c: Counter() for c in range(6)}
         totals = Counter()
         for _, p in gen.stream(50.0):
@@ -169,49 +172,40 @@ class TestArrivalGenerator:
             if n < 5000:
                 continue
             for dst in Continent:
-                p = ratios.probability(src, dst)
+                p = share(src, dst)
                 sigma = math.sqrt(p * (1 - p) / n)
                 assert abs(by_src[int(src)][int(dst)] / n - p) <= max(4 * sigma, 2e-3)
 
-    def test_foreground_packets_are_tagged(self, grid, ratios):
+    def test_foreground_packets_are_tagged(self, grid):
         flow = FlowSpec(GeoPosition(-56.0, 26.0), GeoPosition(65.2, -58.0), 50.0)
-        gen = self.make(grid, ratios, background=50.0, flows=[flow])
+        gen = self.make(grid, background=50.0, flows=[flow])
         kinds = {p.flow for _, p in gen.stream(5.0)}
         assert kinds == {None, 0}
 
-    def test_flow_packets_draw_from_the_class_mix(self, grid, ratios):
+    def test_flow_packets_draw_from_the_class_mix(self, grid):
         flow = FlowSpec(GeoPosition(-56.0, 26.0), GeoPosition(65.2, -58.0), 50.0)
-        gen = ArrivalGenerator([flow], grid, 0.0, ratios, (0.0, 0.0, 1.0, 0.0), 3)
+        gen = ArrivalGenerator([flow], grid, 0.0, (0.0, 0.0, 1.0, 0.0), 3)
         assert {p.tos for _, p in gen.stream(5.0)} == {TrafficClass.B1}
-
-    def test_rejects_negative_background(self, grid, ratios):
-        with pytest.raises(ValueError):
-            self.make(grid, ratios, background=-1.0)
 
 
 def resolver_for(gen, extra=()):
-    """An access resolver with the generator's terminals registered in
-    handle order, as the engine registers them, then `extra` positions."""
-    resolver = AccessResolver(PARAMS, quantum_s=1.0)
-    for term in gen.terminals:
-        assert resolver.register(term.position) == term.handle
-    for pos in extra:
-        resolver.register(pos)
-    return resolver
+    """An access resolver over the generator's terminals, as the engine
+    builds it, followed by `extra` positions."""
+    return AccessResolver(PARAMS, gen.terminals + list(extra), quantum_s=1.0)
 
 
 class TestResolveEndpoints:
-    def test_user_under_satellite(self, grid, ratios):
-        gen = ArrivalGenerator([], grid, 1.0, ratios, (0.25, 0.25, 0.25, 0.25), 1)
+    def test_user_under_satellite(self, grid):
+        gen = ArrivalGenerator([], grid, 1.0, (0.25, 0.25, 0.25, 0.25), 1)
         t = 600.0
         sat = PARAMS.index_of(SatelliteId(2, 5))
         resolver = resolver_for(gen, [subsatellite_point(PARAMS, sat, t)])
         pkt = Packet(0, TrafficClass.A, len(gen.terminals), 0, t)
         assert resolver.access_index(pkt.src_user, t) == sat
 
-    def test_paper_endpoints_always_resolvable(self, grid, ratios):
+    def test_paper_endpoints_always_resolvable(self, grid):
         flow = FlowSpec(GeoPosition(-56.0, 26.0), GeoPosition(65.2, -58.0), 1.0)
-        gen = ArrivalGenerator([flow], grid, 0.0, ratios, (0.25, 0.25, 0.25, 0.25), 1)
+        gen = ArrivalGenerator([flow], grid, 0.0, (0.25, 0.25, 0.25, 0.25), 1)
         resolver = resolver_for(gen)
         pkt = Packet(0, TrafficClass.A, 288, 289, 0.0)
         period = PARAMS.period_s
