@@ -9,6 +9,7 @@ these digests; a deliberate behaviour change records the new ones.
 
 import hashlib
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -22,28 +23,40 @@ from oracles import access_satellite
 
 HOTSPOT_FLOW = "40,-100 -> 50,10 @ 600"
 
+# Every knob the per-hop pipeline branches on, set away from its default.
+KNOBS = {
+    "traffic": ["count_uplink_in_rate = false"],
+    "scheduler": ["weights = 5 3 1", "buffer_scope = per_node", "buffer_capacity = 20"],
+    "congestion": ["window_s = 0.3"],
+}
+
 SCENARIOS = {
-    "baseline": ("", "composite"),
-    "hotspot": (HOTSPOT_FLOW, "composite"),
-    "hotspot_pqwrr_only": (HOTSPOT_FLOW, "pqwrr_only"),
+    "baseline": ("", "composite", {}),
+    "hotspot": (HOTSPOT_FLOW, "composite", {}),
+    "hotspot_pqwrr_only": (HOTSPOT_FLOW, "pqwrr_only", {}),
+    "hotspot_knobs": (HOTSPOT_FLOW, "composite", KNOBS),
 }
 
 DIGESTS = {
     "baseline": "86fef41d092b29328c35c8a1d9b67085a6135c0dcb63a636391758e484d823cf",
     "hotspot": "177ce03f24e03c112b0b1ae8f5f840518033f4b5fbbee41291fd8b00bd52e9fb",
     "hotspot_pqwrr_only": "c36ad117207acbdbb1c9a3075cbb95f37863a40a2e97cd380cf1a725f5a5ddb4",
+    "hotspot_knobs": "e9cff736520bd6509886fefbe3d4e0b20fdd28897031692dfe57aa9834898818",
 }
 
 
-def scenario_text(flows: str, strategy: str) -> str:
-    lines = ["[traffic]", "background_rate = 800", "grid_file = default"]
+def scenario_text(flows: str, strategy: str, knobs: Optional[dict] = None) -> str:
+    sections = {
+        "traffic": ["background_rate = 800", "grid_file = default"],
+        "routing": [f"strategy = {strategy}", "dump_routes = true"],
+        "run": ["duration_s = 5", "seed = 42", "trace = true"],
+    }
     if flows:
-        lines.append(f"flows = {flows}")
-    lines += [
-        "[routing]", f"strategy = {strategy}", "dump_routes = true",
-        "[run]", "duration_s = 5", "seed = 42", "trace = true",
-    ]
-    return "\n".join(lines) + "\n"
+        sections["traffic"].append(f"flows = {flows}")
+    for name, lines in (knobs or {}).items():
+        sections.setdefault(name, []).extend(lines)
+    return "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines)
+                   for name, lines in sections.items())
 
 
 def export_digest(out_dir) -> str:
@@ -60,10 +73,10 @@ def export_digest(out_dir) -> str:
 def runs(tmp_path_factory):
     """name -> (report, [digest of the first run, digest of the second run])"""
     out = {}
-    for name, (flows, strategy) in SCENARIOS.items():
+    for name, (flows, strategy, knobs) in SCENARIOS.items():
         digests = []
         for k in range(2):
-            report = engine.Simulation(loads_scenario(scenario_text(flows, strategy))).run()
+            report = engine.Simulation(loads_scenario(scenario_text(flows, strategy, knobs))).run()
             out_dir = tmp_path_factory.mktemp(f"{name}_{k}")
             stats.export(report, out_dir)
             digests.append(export_digest(out_dir))

@@ -62,15 +62,23 @@ def test_benchmark_scenarios_parse(name, expected):
     assert loads_scenario(text) == expected
 
 
+# What test_engine.KNOBS sets, section by section.
+KNOB_SECTIONS = {
+    "scheduler": SchedulerConfig(weights=(5, 3, 1), buffer_capacity=20, buffer_scope="per_node"),
+    "congestion": CongestionConfig(window_s=0.3),
+}
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_engine_scenarios_parse(name):
-    flows, strategy = SCENARIOS[name]
+    flows, strategy, knobs = SCENARIOS[name]
     expected = ScenarioConfig(
-        traffic=TrafficSection(flows=(HOTSPOT,) if flows else ()),
+        traffic=TrafficSection(flows=(HOTSPOT,) if flows else (), count_uplink_in_rate=not knobs),
         routing=RoutingConfig(strategy=strategy, dump_routes=True),
         run=RunConfig(duration_s=5.0, seed=42, trace=True),
+        **(KNOB_SECTIONS if knobs else {}),
     )
-    assert loads_scenario(scenario_text(flows, strategy)) == expected
+    assert loads_scenario(scenario_text(flows, strategy, knobs)) == expected
 
 
 def test_empty_text_gives_the_defaults():
