@@ -77,10 +77,20 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+class ReportError(Exception):
+    """A report file that reads but does not hold what `export` writes."""
+
+
 def _read_summary(report_dir: Path) -> tuple[dict, dict]:
-    meta = json.loads((report_dir / "run_meta.json").read_text(encoding="utf-8"))
+    meta_path = report_dir / "run_meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    if not isinstance(meta, dict):
+        raise ReportError(f"{meta_path}: not a JSON object")
     rows = {}
-    lines = (report_dir / "summary.csv").read_text(encoding="utf-8").splitlines()
+    summary_path = report_dir / "summary.csv"
+    lines = summary_path.read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise ReportError(f"{summary_path}: empty")
     header = lines[0].split(",")
     for line in lines[1:]:
         cells = line.split(",")
@@ -121,7 +131,7 @@ def compare(dir_a, dir_b) -> list[dict]:
 def cmd_compare(args) -> int:
     try:
         rows = compare(args.report_a, args.report_b)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, ReportError) as e:
         print(f"cannot read reports: {e}", file=sys.stderr)
         return EXIT_IO
     except KeyError as e:

@@ -148,3 +148,15 @@ def test_compare_a_summary_without_a_class_column_is_an_io_error(
     summary.write_text(text.replace("class,", "klass,", 1), encoding="utf-8")
     assert cli.main(["compare", str(broken_copy), str(report_dir)]) == cli.EXIT_IO
     assert capsys.readouterr().err.startswith("cannot read reports: ")
+
+
+def test_compare_an_empty_summary_is_an_io_error(report_dir, broken_copy, capsys):
+    (broken_copy / "summary.csv").write_text("", encoding="utf-8")
+    assert cli.main(["compare", str(report_dir), str(broken_copy)]) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("cannot read reports: ")
+
+
+def test_compare_a_meta_that_is_not_an_object_is_an_io_error(report_dir, broken_copy, capsys):
+    (broken_copy / "run_meta.json").write_text("[1]\n", encoding="utf-8")
+    assert cli.main(["compare", str(report_dir), str(broken_copy)]) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("cannot read reports: ")
