@@ -1,14 +1,17 @@
 """Reference implementations that tests compare the package against.
 
 They favour directness over speed: exact per-call geometry for access, one
-heap Dijkstra per destination for route tables, and a plain single-server
-loop for PQWRR service.
+heap Dijkstra per destination for route tables, a plain single-server loop
+for PQWRR service, busy/idle classification and PQWRR queue selection as
+first written (one method per step), and strict priority as the discipline
+PQWRR is measured against.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from typing import Iterable, Optional
 
 import numpy as np
@@ -22,7 +25,16 @@ from leoqsim.constellation import (
     TopologySnapshot,
     satellite_positions,
 )
-from leoqsim.scheduling import DropRecord, PqwrrScheduler
+from leoqsim.congestion import CongestionConfig, CongestionLabel, Notification
+from leoqsim.scheduling import (
+    ALL_CLASSES,
+    B_CLASSES,
+    DropReason,
+    DropRecord,
+    PqwrrScheduler,
+    SchedulerConfig,
+    TrafficClass,
+)
 
 
 def ground_position_eci(user: GeoPosition, t: float) -> np.ndarray:
@@ -160,3 +172,107 @@ def service_process(
             busy_until = ta + period
     drain(horizon)
     return completions, drops
+
+
+class CongestionReference:
+    """Busy/idle classification as `NodeCongestionState` first did it: each
+    arrival appends its time and then runs the full evaluation, which prunes
+    the window, divides the count by the window length and compares the rate
+    with both thresholds. Notifications carry no satellite."""
+
+    def __init__(self):
+        self.rate = 0.0
+        self.label = CongestionLabel.IDLE
+        self.last_notified = CongestionLabel.IDLE
+        self._arrivals: deque[float] = deque()
+
+    def record_arrival(self, t: float, cfg: CongestionConfig) -> Optional[Notification]:
+        self._arrivals.append(t)
+        return self.evaluate(t, cfg)
+
+    def evaluate(self, t: float, cfg: CongestionConfig) -> Optional[Notification]:
+        cutoff = t - cfg.window_s
+        arrivals = self._arrivals
+        while arrivals and arrivals[0] <= cutoff:
+            arrivals.popleft()
+        rate = len(arrivals) / cfg.window_s
+        self.rate = rate
+        if rate > cfg.beta:
+            label = CongestionLabel.BUSY
+        elif rate < cfg.alpha:
+            label = CongestionLabel.IDLE
+        else:
+            label = CongestionLabel.TRANSITION
+        self.label = label
+        if label is self.last_notified or label is CongestionLabel.TRANSITION:
+            return None
+        self.last_notified = label
+        return Notification(t, None, label, rate)
+
+
+class _ReferenceQueues:
+    """Bounded FIFO class queues with tail drop, as `PqwrrScheduler` keeps them."""
+
+    def __init__(self, cfg: SchedulerConfig = SchedulerConfig()):
+        self.capacity = cfg.buffer_capacity
+        self.per_queue = cfg.buffer_scope == "per_queue"
+        self.queues: dict[TrafficClass, deque] = {c: deque() for c in ALL_CLASSES}
+        self.size = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def enqueue(self, pkt, t: float) -> Optional[DropRecord]:
+        q = self.queues[pkt.tos]
+        if (len(q) if self.per_queue else self.size) >= self.capacity:
+            return DropRecord(t, None, pkt.tos, DropReason.BUFFER_OVERFLOW)
+        q.append(pkt)
+        self.size += 1
+        return None
+
+
+class PqwrrReference(_ReferenceQueues):
+    """PQWRR queue selection as first written: class A by strict priority,
+    then a two-pass credit scan over B2, B1, B0 in `_dequeue_b`."""
+
+    def __init__(self, cfg: SchedulerConfig = SchedulerConfig()):
+        super().__init__(cfg)
+        self._bqueues = [self.queues[c] for c in B_CLASSES]
+        self._wlist = cfg.weights
+        self._credits = [0, 0, 0]
+
+    def dequeue(self):
+        qa = self.queues[TrafficClass.A]
+        if qa:
+            self.size -= 1
+            return qa.popleft()
+        pkt = self._dequeue_b()
+        if pkt is not None:
+            self.size -= 1
+        return pkt
+
+    def _dequeue_b(self):
+        credits = self._credits
+        for _ in range(2):  # current round, then at most one fresh round
+            for k in range(3):
+                if credits[k] > 0:
+                    q = self._bqueues[k]
+                    if q:
+                        credits[k] -= 1
+                        return q.popleft()
+                    credits[k] = 0  # forfeit: empty at its turn
+            credits[0], credits[1], credits[2] = self._wlist  # new round
+        return None
+
+
+class StrictPriorityReference(_ReferenceQueues):
+    """Strict priority over all four classes, A > B2 > B1 > B0: the discipline
+    under which low-priority traffic starves."""
+
+    def dequeue(self):
+        for cls in ALL_CLASSES:
+            q = self.queues[cls]
+            if q:
+                self.size -= 1
+                return q.popleft()
+        return None
