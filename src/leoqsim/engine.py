@@ -17,8 +17,9 @@ graph from `constellation.build_topology_snapshot`, the forwarding rule from
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
+from itertools import count
 from typing import Optional
 
 from .congestion import CongestionLabel, NodeCongestionState
@@ -29,15 +30,21 @@ from .scheduling import DropReason, DropRecord, PqwrrScheduler, TrafficClass
 from .stats import StatsCollector
 from .traffic import ArrivalGenerator, Packet
 
-# Event kinds, dispatched positionally: (time, seq, kind, a, b)
-_EV_SOURCE = 0  # a packet is created at its source user; b unused
-_EV_UPLINK = 1  # packet reaches its source access satellite; b = sat index
-_EV_SERVICE = 2  # service completion; a = sat index, b = packet
-_EV_LINK = 3  # packet reaches the next satellite; b = sat index
-_EV_DELIVERY = 4  # downlink completes at the destination user
+# Event kinds, dispatched positionally: (time, seq, kind, a, b). Events are
+# ordered by (time, seq) alone; the kinds are numbered by how often the loop
+# meets them.
+_EV_SERVICE = 0  # service completion; a = sat index, b = packet
+_EV_LINK = 1  # packet reaches the next satellite; a = packet, b = sat index
+_EV_UPLINK = 2  # packet reaches its source access satellite; a = packet, b = sat index
+_EV_SOURCE = 3  # a packet is created at its source user; b unused
+_EV_DELIVERY = 4  # downlink completes at the destination user; b unused
 _EV_SLOT = 5  # routing slot boundary; a = slot index
 _EV_SWEEP = 6  # periodic arrival-rate re-evaluation of every satellite
 _EV_TICK = 7  # stats bucket boundary
+_IN_FLIGHT = (_EV_LINK, _EV_UPLINK, _EV_DELIVERY)  # a packet on a link
+
+# Reading a member off an Enum class costs several times a global lookup.
+_CLASS_A = TrafficClass.A
 
 
 class _SatNode:
@@ -88,8 +95,7 @@ class Simulation:
         self.primary = None
         self.backup = None
         self._heap: list = []
-        self._seq = 0
-        self._in_flight = 0
+        self._next_seq = count(1).__next__  # event sequence numbers 1, 2, ...
         self._service_period = 1.0 / cfg.scheduler.service_rate
         self._chan_period = 1.0 / cfg.scheduler.channel_rate
         self._count_uplink = cfg.traffic.count_uplink_in_rate
@@ -97,10 +103,6 @@ class Simulation:
         self.route_dump: Optional[list] = [] if cfg.routing.dump_routes else None
 
     # -- event plumbing ------------------------------------------------------
-
-    def _schedule(self, t: float, kind: int, a=None, b=None) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, kind, a, b))
 
     def _trace(self, t: float, event: str, pkt: Packet, sat: int) -> None:
         name = str(self.sids[sat]) if sat >= 0 else "-"
@@ -111,15 +113,22 @@ class Simulation:
     def _rebuild_for_slot(self, t: float, slot: int) -> None:
         self.snapshot = build_topology_snapshot(self.params, t, slot)
         self.primary = compute_shortest_path_table(self.snapshot)
-        if self.composite:
-            self.backup = compute_backup_table(self.snapshot, self.busy_flags)
+        self._build_backup()
         if self.route_dump is not None:
             for src, dst, nxt, cost in self.primary.entries():
                 self.route_dump.append((slot, str(src), str(dst), str(nxt) if nxt else "", cost))
 
-    def _rebuild_backup(self, t: float) -> None:
+    def _build_backup(self) -> None:
+        """The backup table of the composite strategy. With no satellite busy
+        it would equal the primary table, so the primary is used."""
         if self.composite:
-            self.backup = compute_backup_table(self.snapshot, self.busy_flags)
+            if self.busy_count:
+                self.backup = compute_backup_table(self.snapshot, self.busy_flags)
+            else:
+                self.backup = self.primary
+
+    def _rebuild_backup(self, t: float) -> None:
+        self._build_backup()
         self._drain_wait_queues(t)
 
     def _apply_notification(self, notif) -> None:
@@ -144,7 +153,7 @@ class Simulation:
         """
         for i, node in enumerate(self.nodes):
             queue = node.wait_queue
-            groups = [(pkt.dst_user, pkt.tos is TrafficClass.A, pkt.detoured) for pkt in queue]
+            groups = [(pkt.dst_user, pkt.tos is _CLASS_A, pkt.detoured) for pkt in queue]
             leaves = {}
             for pkt, group in zip(queue, groups):
                 if group not in leaves:
@@ -165,26 +174,6 @@ class Simulation:
 
     # -- packet pipeline -----------------------------------------------------
 
-    def _on_sat_arrival(self, t: float, pkt: Packet, sat: int, uplink: bool) -> None:
-        node = self.nodes[sat]
-        if not uplink or self._count_uplink:
-            notif = node.cong.record_arrival(t, self.cfg.congestion)
-            if notif is not None:
-                self._apply_notification(notif)
-                self._rebuild_backup(t)
-        drop = node.scheduler.enqueue(pkt, t)
-        if drop is not None:
-            self.stats.record_drop(drop)
-            if self.trace is not None:
-                self._trace(t, "drop", pkt, sat)
-        elif node.in_service is None:
-            self._start_service(t, node, sat)
-
-    def _start_service(self, t: float, node: _SatNode, sat: int) -> None:
-        pkt = node.scheduler.dequeue()
-        node.in_service = pkt
-        self._schedule(t + self._service_period, _EV_SERVICE, sat, pkt)
-
     def _next_hop(self, t: float, pkt: Packet, sat: int) -> tuple[int, bool]:
         """Where a packet at satellite `sat` goes next, and whether the hop comes
         from the backup table: `sat` itself means the downlink, -1 to wait."""
@@ -197,32 +186,27 @@ class Simulation:
 
     def _route(self, t: float, pkt: Packet, sat: int) -> None:
         """Forwarding decision for a packet that finished service (or left the
-        routing wait queue) at satellite `sat`."""
+        routing wait queue) at satellite `sat`, and its transmission."""
         nxt, via_backup = self._next_hop(t, pkt, sat)
         if nxt < 0:
             self._wait(t, pkt, sat)
         elif nxt == sat:
             delay = self.geometry.slant_delay(pkt.dst_user, sat, t)
-            self._in_flight += 1
-            self._schedule(t + delay, _EV_DELIVERY, pkt)
+            heappush(self._heap, (t + delay, self._next_seq(), _EV_DELIVERY, pkt, None))
             if self.trace is not None:
                 self._trace(t, "downlink", pkt, sat)
         else:
             if via_backup:
                 self.stats.backup_forwards += 1
                 pkt.detoured = True
-            self._transmit(t, pkt, sat, nxt)
-
-    def _transmit(self, t: float, pkt: Packet, sat: int, nxt: int) -> None:
-        node = self.nodes[sat]
-        free = node.chan_free.get(nxt, 0.0)
-        depart = t if t >= free else free
-        node.chan_free[nxt] = depart + self._chan_period
-        prop = self.geometry.link_delay(sat, nxt, depart)
-        self._in_flight += 1
-        self._schedule(depart + prop, _EV_LINK, pkt, nxt)
-        if self.trace is not None:
-            self._trace(depart, "forward", pkt, sat)
+            chan_free = self.nodes[sat].chan_free
+            free = chan_free.get(nxt, 0.0)
+            depart = t if t >= free else free
+            chan_free[nxt] = depart + self._chan_period
+            prop = self.geometry.link_delay(sat, nxt, depart)
+            heappush(self._heap, (depart + prop, self._next_seq(), _EV_LINK, pkt, nxt))
+            if self.trace is not None:
+                self._trace(depart, "forward", pkt, sat)
 
     def _wait(self, t: float, pkt: Packet, sat: int) -> None:
         node = self.nodes[sat]
@@ -242,70 +226,90 @@ class Simulation:
     def run(self) -> StatsCollector:
         cfg = self.cfg
         end = cfg.run.duration_s
+        heap = self._heap
+        seq = self._next_seq
         self._rebuild_for_slot(0.0, 0)
 
         slot = cfg.routing.slot_length_s
         for k in range(1, int(end / slot) + 1):
-            self._schedule(k * slot, _EV_SLOT, k)
+            heappush(heap, (k * slot, seq(), _EV_SLOT, k, None))
         tick = cfg.run.stats_interval_s
         for k in range(1, int(end / tick) + 1):
-            self._schedule(k * tick, _EV_TICK, k)
+            heappush(heap, (k * tick, seq(), _EV_TICK, k, None))
         sweep = cfg.run.state_check_interval_s
         for k in range(1, int(end / sweep) + 1):
-            self._schedule(k * sweep, _EV_SWEEP, k)
+            heappush(heap, (k * sweep, seq(), _EV_SWEEP, k, None))
 
         stream = self.generator.stream(end)
         first = next(stream, None)
         if first is not None:
-            self._schedule(first[0], _EV_SOURCE, first[1])
+            heappush(heap, (first[0], seq(), _EV_SOURCE, first[1], None))
 
-        heap = self._heap
         stats = self.stats
         nodes = self.nodes
+        trace = self.trace
+        route = self._route
+        access_index = self.resolver.access_index
+        slant_delay = self.geometry.slant_delay
+        ccfg = cfg.congestion
+        service_period = self._service_period
+        count_uplink = self._count_uplink
         while heap and heap[0][0] <= end:
-            t, _, kind, a, b = heapq.heappop(heap)
+            t, _, kind, a, b = heappop(heap)
 
             if kind == _EV_SERVICE:
                 node = nodes[a]
-                node.in_service = None
-                if len(node.scheduler):
-                    self._start_service(t, node, a)
-                if self.trace is not None:
+                scheduler = node.scheduler
+                if scheduler.size:
+                    pkt = scheduler.dequeue()
+                    node.in_service = pkt
+                    heappush(heap, (t + service_period, seq(), _EV_SERVICE, a, pkt))
+                else:
+                    node.in_service = None
+                if trace is not None:
                     self._trace(t, "service", b, a)
-                self._route(t, b, a)
-            elif kind == _EV_LINK:
-                self._in_flight -= 1
-                a.hop += 1
-                if self.trace is not None:
-                    self._trace(t, "link_arrival", a, b)
-                self._on_sat_arrival(t, a, b, uplink=False)
+                route(t, b, a)
+            elif kind <= _EV_UPLINK:  # a packet reaches satellite b
+                node = nodes[b]
+                if kind == _EV_LINK:
+                    a.hop += 1
+                    if trace is not None:
+                        self._trace(t, "link_arrival", a, b)
+                if kind == _EV_LINK or count_uplink:
+                    notif = node.cong.record_arrival(t, ccfg)
+                    if notif is not None:
+                        self._apply_notification(notif)
+                        self._rebuild_backup(t)
+                scheduler = node.scheduler
+                drop = scheduler.enqueue(a, t)
+                if drop is not None:
+                    stats.record_drop(drop)
+                    if trace is not None:
+                        self._trace(t, "drop", a, b)
+                elif node.in_service is None:
+                    pkt = scheduler.dequeue()
+                    node.in_service = pkt
+                    heappush(heap, (t + service_period, seq(), _EV_SERVICE, b, pkt))
             elif kind == _EV_SOURCE:
-                pkt = a
-                stats.record_generated(pkt)
-                src = self.resolver.access_index(pkt.src_user, t)
+                stats.record_generated(a)
+                src = access_index(a.src_user, t)
                 if src < 0:
-                    rec = DropRecord(t, None, pkt.tos, DropReason.ACCESS_BLOCKED)
+                    rec = DropRecord(t, None, a.tos, DropReason.ACCESS_BLOCKED)
                     stats.record_drop(rec)
                 else:
-                    delay = self.geometry.slant_delay(pkt.src_user, src, t)
-                    self._in_flight += 1
-                    self._schedule(t + delay, _EV_UPLINK, pkt, src)
-                    if self.trace is not None:
-                        self._trace(t, "generated", pkt, src)
+                    delay = slant_delay(a.src_user, src, t)
+                    heappush(heap, (t + delay, seq(), _EV_UPLINK, a, src))
+                    if trace is not None:
+                        self._trace(t, "generated", a, src)
                 nxt = next(stream, None)
                 if nxt is not None:
-                    self._schedule(nxt[0], _EV_SOURCE, nxt[1])
-            elif kind == _EV_UPLINK:
-                self._in_flight -= 1
-                self._on_sat_arrival(t, a, b, uplink=True)
+                    heappush(heap, (nxt[0], seq(), _EV_SOURCE, nxt[1], None))
             elif kind == _EV_DELIVERY:
-                self._in_flight -= 1
                 stats.record_delivery(a, t)
-                if self.trace is not None:
+                if trace is not None:
                     self._trace(t, "deliver", a, -1)
             elif kind == _EV_SWEEP:
                 notifs = []
-                ccfg = cfg.congestion
                 for node in nodes:
                     n = node.cong.evaluate(t, ccfg)
                     if n is not None:
@@ -323,9 +327,9 @@ class Simulation:
                 if self.busy_count:
                     stats.note_busy(t)
 
-        residual = self._in_flight
+        residual = sum(1 for ev in heap if ev[2] in _IN_FLIGHT)
         for node in nodes:
-            residual += len(node.scheduler) + len(node.wait_queue)
+            residual += node.scheduler.size + len(node.wait_queue)
             if node.in_service is not None:
                 residual += 1
         stats.route_dump = self.route_dump

@@ -26,6 +26,7 @@ from .constellation import (
 from .scheduling import TrafficClass
 
 _UNREACHABLE = -1
+_CLASS_A = TrafficClass.A  # a global lookup; reading it off the Enum class is slower
 _INF = 1 << 60  # int64 'no path'; a sum of two still fits
 _BLOCK_ENTRIES = 1 << 16  # int64 distances per column block: 512 KiB, held in cache
 
@@ -183,7 +184,7 @@ def decide_next_index(
     """
     if not detoured:
         n = primary.next_idx[here][dst]
-        if n < 0 or not busy_flags[n] or tos is TrafficClass.A or backup is None:
+        if n < 0 or not busy_flags[n] or tos is _CLASS_A or backup is None:
             return n, False
     b = backup.next_idx[here][dst]
     if b >= 0 and not busy_flags[b]:

@@ -74,14 +74,12 @@ class PqwrrScheduler:
         self.capacity = cfg.buffer_capacity
         self.owner = owner
         self.queues: dict[TrafficClass, deque] = {c: deque() for c in ALL_CLASSES}
+        self._qa = self.queues[TrafficClass.A]
         self._bqueues = [self.queues[c] for c in B_CLASSES]
         self._wlist = cfg.weights
         self._credits = [0, 0, 0]  # parallel to B_CLASSES
-        self._size = 0
+        self.size = 0  # packets queued, all classes
         self._per_queue = cfg.buffer_scope == "per_queue"
-
-    def __len__(self) -> int:
-        return self._size
 
     def queue_length(self, cls: TrafficClass) -> int:
         return len(self.queues[cls])
@@ -90,32 +88,27 @@ class PqwrrScheduler:
         """Append to the packet's class queue; returns a DropRecord on tail drop."""
         cls = pkt.tos
         q = self.queues[cls]
-        occupancy = len(q) if self._per_queue else self._size
+        occupancy = len(q) if self._per_queue else self.size
         if occupancy >= self.capacity:
             return DropRecord(t, self.owner, cls, DropReason.BUFFER_OVERFLOW)
         q.append(pkt)
-        self._size += 1
+        self.size += 1
         return None
 
     def dequeue(self):
         """Next packet to serve, or None when every queue is empty."""
-        qa = self.queues[TrafficClass.A]
+        qa = self._qa
         if qa:
-            self._size -= 1
+            self.size -= 1
             return qa.popleft()
-        pkt = self._dequeue_b()
-        if pkt is not None:
-            self._size -= 1
-        return pkt
-
-    def _dequeue_b(self):
         credits = self._credits
-        for _ in range(2):  # current round, then at most one fresh round
-            for k in range(3):
+        for _ in (0, 1):  # current round, then at most one fresh round
+            for k in (0, 1, 2):
                 if credits[k] > 0:
                     q = self._bqueues[k]
                     if q:
                         credits[k] -= 1
+                        self.size -= 1
                         return q.popleft()
                     credits[k] = 0  # forfeit: empty at its turn
             credits[0], credits[1], credits[2] = self._wlist  # new round

@@ -81,16 +81,25 @@ class StatsCollector:
     # -- recording, called by the event loop ---------------------------------
 
     def bucket_of(self, t: float) -> int:
+        """The bucket holding time t; the horizon itself falls in the last."""
         b = int(t / self.bucket_s)
         return b if b < self.n_buckets else self.n_buckets - 1
 
+    # The two per-packet recorders compute `bucket_of` in line.
+
     def record_generated(self, pkt) -> None:
-        self.generated[pkt.tos] += 1
-        self.generated_bucket[pkt.tos][self.bucket_of(pkt.created_at)] += 1
+        cls = pkt.tos
+        b = int(pkt.created_at / self.bucket_s)
+        if b >= self.n_buckets:
+            b = self.n_buckets - 1
+        self.generated[cls] += 1
+        self.generated_bucket[cls][b] += 1
 
     def record_delivery(self, pkt, t: float) -> None:
         cls = pkt.tos
-        b = self.bucket_of(t)
+        b = int(t / self.bucket_s)
+        if b >= self.n_buckets:
+            b = self.n_buckets - 1
         delay = t - pkt.created_at
         self.delivered[cls] += 1
         self.delivered_bucket[cls][b] += 1

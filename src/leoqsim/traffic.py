@@ -97,14 +97,15 @@ class FlowSpec:
             raise ValueError("flow rate must be >= 0")
 
 
-def _sample_destination(src: Continent, rng: random.Random) -> Continent:
-    """Destination continent drawn from row `src` of the ratio table."""
+def _sample_destination(src: int, rng: random.Random) -> int:
+    """Destination continent (its `Continent` value) drawn from row `src` of
+    the ratio table."""
     cum = _RATIOS_CUM[src]
     u = rng.random() * cum[-1]
     for j, c in enumerate(cum):
         if u < c:
-            return Continent(j)
-    return Continent(5)
+            return j
+    return 5
 
 
 class DemandGrid:
@@ -155,12 +156,12 @@ class DemandGrid:
         """Flat cell index drawn proportionally to demand weight."""
         return bisect_right(self._cum_all, rng.random() * self._cum_all[-1])
 
-    def sample_cell_in_continent(self, continent: Continent, rng: random.Random) -> int:
-        """Flat cell index within a continent, weight-proportional (uniform if
-        the continent carries zero demand)."""
-        cum = self._cum_by_continent[int(continent)]
+    def sample_cell_in_continent(self, continent: int, rng: random.Random) -> int:
+        """Flat cell index within a continent (a `Continent` or its value),
+        weight-proportional (uniform if the continent carries zero demand)."""
+        cum = self._cum_by_continent[continent]
         k = min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
-        return self._cells_by_continent[int(continent)][k]
+        return self._cells_by_continent[continent][k]
 
     @classmethod
     def from_text(cls, text: str) -> "DemandGrid":
@@ -237,10 +238,10 @@ class ArrivalGenerator:
         return random.Random((self.seed * 1_000_003 + stream) & 0xFFFFFFFF)
 
     def _make_background(self, pkt_id: int, t: float, rng: random.Random) -> Packet:
-        src_cell = self.grid.sample_source_cell(rng)
-        src_cont = Continent(self.grid.continent_flat[src_cell])
-        dst_cont = _sample_destination(src_cont, rng)
-        dst_cell = self.grid.sample_cell_in_continent(dst_cont, rng)
+        grid = self.grid
+        src_cell = grid.sample_source_cell(rng)
+        dst_cont = _sample_destination(grid.continent_flat[src_cell], rng)
+        dst_cell = grid.sample_cell_in_continent(dst_cont, rng)
         tos = _sample_class(self.class_mix_cum, rng)
         return Packet(pkt_id, tos, src_cell, dst_cell, t)
 

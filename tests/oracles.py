@@ -219,9 +219,6 @@ class _ReferenceQueues:
         self.queues: dict[TrafficClass, deque] = {c: deque() for c in ALL_CLASSES}
         self.size = 0
 
-    def __len__(self) -> int:
-        return self.size
-
     def enqueue(self, pkt, t: float) -> Optional[DropRecord]:
         q = self.queues[pkt.tos]
         if (len(q) if self.per_queue else self.size) >= self.capacity:

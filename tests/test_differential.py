@@ -95,7 +95,7 @@ def test_service_order_matches_the_reference(cfg, ops):
         else:
             p = pkt(tos, tag=k)
             assert sched.enqueue(p, float(k)) == ref.enqueue(p, float(k))
-        assert len(sched) == len(ref)
+        assert sched.size == ref.size
 
 
 def test_pqwrr_keeps_b0_from_starving_where_strict_priority_does_not():

@@ -18,9 +18,10 @@ from leoqsim.scenario import apply_overrides, loads_scenario
 BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "baseline.ini"
 PACKAGE = str(Path(leoqsim.__file__).resolve().parent)
 
-# Package calls made by one 5 s seed-42 baseline run(); before the per-hop
-# pipeline was flattened the same run made 331,207 (about 83 per packet).
-MAX_CALLS = 331_207
+# Package calls made by one 5 s seed-42 baseline run() of 3,971 packets:
+# 186,608 (47 per packet). Before the per-hop pipeline was flattened the same
+# run made 331,207 (83 per packet).
+MAX_CALLS = 186_608
 
 
 def package_calls(sim: engine.Simulation) -> int:
