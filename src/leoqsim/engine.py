@@ -269,7 +269,7 @@ class Simulation:
                 if trace is not None:
                     self._trace(t, "service", b, a)
                 route(t, b, a)
-            elif kind <= _EV_UPLINK:  # a packet reaches satellite b
+            elif kind <= _EV_UPLINK:  # _EV_LINK or _EV_UPLINK: packet a reaches satellite b
                 node = nodes[b]
                 if kind == _EV_LINK:
                     a.hop += 1

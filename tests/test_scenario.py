@@ -62,7 +62,7 @@ def test_benchmark_scenarios_parse(name, expected):
     assert loads_scenario(text) == expected
 
 
-# What test_engine.KNOBS sets, section by section.
+# The sections test_engine.KNOBS sets; it also turns count_uplink_in_rate off.
 KNOB_SECTIONS = {
     "scheduler": SchedulerConfig(weights=(5, 3, 1), buffer_capacity=20, buffer_scope="per_node"),
     "congestion": CongestionConfig(window_s=0.3),
