@@ -1,8 +1,10 @@
 """Per-slot route tables and the per-packet forwarding rule.
 
 Two tables exist per slot: the plain shortest-path table, and a backup table
-computed on the topology with busy satellites deleted. Costs are integer
-picoseconds end to end, so equal-cost ties and oracle comparisons are exact.
+on which busy satellites are never transit hops. A busy satellite is avoided
+as a relay, not as an endpoint: it can still be a path's last hop, so traffic
+bound for it is delivered rather than parked. Costs are integer picoseconds
+end to end, so equal-cost ties and oracle comparisons are exact.
 
 `decide_next_index` is the whole forwarding rule: the engine makes one call
 to it per forwarding decision and only acts on the answer. Deciding that a
@@ -74,7 +76,7 @@ class RouteTable:
 def _build_table(
     snapshot: TopologySnapshot, excluded: list[bool]
 ) -> tuple[list[list[int]], np.ndarray]:
-    """(next_idx, cost_ps) over the subgraph without the excluded nodes.
+    """(next_idx, cost_ps) over paths with no excluded node as a transit hop.
 
     Destinations are taken in column blocks. For each block, an int64
     Bellman-Ford runs to a fixpoint: `dist[v, d]` is the least delay from v
@@ -82,9 +84,11 @@ def _build_table(
     `_INF` pad row is what padded neighbour slots point at. The next hop from
     v toward d is then the neighbour w with `w_ps(v, w) + dist[w, d]`
     minimal; neighbours are sorted by index and only a strictly smaller cost
-    replaces the best, so ties go to the lowest index. Excluded nodes never
-    appear as hops or destinations but are still given next hops as sources
-    (they must drain their own queues).
+    replaces the best, so ties go to the lowest index. An excluded node
+    appears as a hop only when it is the destination itself: its column starts
+    at 0 like any other, but no path leaves it, so none passes through it.
+    Excluded nodes are still given next hops as sources (they must drain
+    their own queues).
     """
     n = snapshot.params.num_sats
     table = snapshot.neighbor_table
@@ -105,7 +109,7 @@ def _build_table(
         dst = np.arange(lo, min(lo + width, n))
         col = np.arange(len(dst))
         dist = np.full((n + 1, len(dst)), _INF, dtype=np.int64)
-        dist[dst, col] = np.where(cut[dst], _INF, 0)
+        dist[dst, col] = 0
         body = dist[:n]
         step = np.empty_like(body)
         before = np.empty_like(body)
@@ -147,13 +151,15 @@ def compute_shortest_path_table(snapshot: TopologySnapshot) -> RouteTable:
 
 
 def compute_backup_table(snapshot: TopologySnapshot, busy: list[bool]) -> RouteTable:
-    """Shortest-path table over the topology with the satellites whose
-    `busy` flag is set deleted.
+    """Shortest-path table over paths on which no satellite whose `busy`
+    flag is set is a transit hop.
 
-    A busy node still gets next hops as a source so it can forward traffic it
-    already holds, but no returned next hop is ever busy, and destinations cut
-    off by the deletion are unreachable. The table keeps no reference to
-    `busy`, so later flips of the flags do not change it.
+    A busy satellite is reachable as a destination, so a returned next hop is
+    busy only when it is the destination itself. A busy node still gets next
+    hops as a source so it can forward traffic it already holds, and
+    destinations that can only be reached through a busy relay are
+    unreachable. The table keeps no reference to `busy`, so later flips of
+    the flags do not change it.
     """
     next_idx, cost_ps = _build_table(snapshot, busy)
     return RouteTable(snapshot.slot_index, snapshot.params, next_idx, cost_ps)
@@ -174,7 +180,9 @@ def decide_next_index(
     Real-time traffic always follows the primary table, even into a busy hop,
     as does all traffic when there is no backup table (strategy pqwrr_only).
     Non-real-time traffic detours via the backup table when the primary hop is
-    busy, and waits when the backup hop is missing or itself busy.
+    busy, and waits when the backup hop is missing or itself busy. A busy hop
+    that is the destination itself is taken from either table: busy satellites
+    are avoided as relays, not as endpoints.
 
     A packet that has been detoured once stays on the backup table until
     delivery: alternating between the two tables hop by hop can bounce a
@@ -184,9 +192,9 @@ def decide_next_index(
     """
     if not detoured:
         n = primary.next_idx[here][dst]
-        if n < 0 or not busy_flags[n] or tos is _CLASS_A or backup is None:
+        if n < 0 or not busy_flags[n] or n == dst or tos is _CLASS_A or backup is None:
             return n, False
     b = backup.next_idx[here][dst]
-    if b >= 0 and not busy_flags[b]:
+    if b >= 0 and (not busy_flags[b] or b == dst):
         return b, True
     return _UNREACHABLE, False

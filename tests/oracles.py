@@ -83,11 +83,10 @@ def access_satellite(
 
 
 def _dijkstra_to(dst: int, neighbor_table, excluded: list[bool]) -> list[int]:
-    """Distances (ps) from every node to dst over non-excluded nodes; -1 unreachable."""
+    """Distances (ps) from every node to dst with no excluded node as a transit
+    hop; -1 unreachable. An excluded dst is still reached, from 0."""
     n = len(neighbor_table)
     dist = [-1] * n
-    if excluded[dst]:
-        return dist
     dist[dst] = 0
     heap = [(0, dst)]
     while heap:
@@ -110,8 +109,9 @@ def route_table(
     """(next_idx, cost_ps) as `RouteTable` holds them, -1 for unreachable.
 
     The next hop from v toward dst is the lowest-index neighbor w with
-    w_ps(v, w) + dist(w) minimal; excluded nodes never appear as hops or
-    destinations but are still given a next hop as sources.
+    w_ps(v, w) + dist(w) minimal. Excluded nodes are never transit hops: one
+    appears as a hop only when it is dst itself, and each is still given next
+    hops as a source.
     """
     table = snapshot.neighbor_table
     n = len(table)
@@ -119,12 +119,12 @@ def route_table(
     cost_ps = [[-1] * n for _ in range(n)]
     for dst in range(n):
         dist = _dijkstra_to(dst, table, excluded)
-        cost_ps[dst][dst] = -1 if excluded[dst] else 0
+        cost_ps[dst][dst] = 0
         for v in range(n):
             if v == dst:
                 continue
             for w, w_ps in table[v]:  # sorted by index: first win = lexicographic
-                if excluded[w] or dist[w] < 0:
+                if (excluded[w] and w != dst) or dist[w] < 0:
                     continue
                 c = w_ps + dist[w]
                 if cost_ps[v][dst] < 0 or c < cost_ps[v][dst]:

@@ -28,8 +28,8 @@ INF = 1 << 50
 def fw_oracle(snapshot, busy=frozenset()):
     """Brute-force all-pairs costs in integer picoseconds via Floyd-Warshall.
 
-    Busy nodes are deleted from the graph; a busy source's cost is the best
-    (edge + reduced-graph cost) over its non-busy neighbors.
+    Only non-busy nodes are relaxed through, so a path may start or end at a
+    busy node but never passes through one.
     """
     params = snapshot.params
     n = params.num_sats
@@ -37,28 +37,12 @@ def fw_oracle(snapshot, busy=frozenset()):
     dist = np.full((n, n), INF, dtype=np.int64)
     np.fill_diagonal(dist, 0)
     for (i, j), w in link_ps(snapshot).items():
-        if i in busy_idx or j in busy_idx:
-            continue
         dist[i, j] = min(dist[i, j], w)
-        dist[j, i] = dist[i, j]
-    for i in busy_idx:
-        dist[i, :] = INF
-        dist[:, i] = INF
     for k in range(n):
         if k in busy_idx:
             continue
         dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
-    # busy sources re-attach through their own edges
-    out = dist.copy()
-    for i in busy_idx:
-        for j, w in snapshot.neighbor_table[i]:
-            if j in busy_idx:
-                continue
-            out[i, :] = np.minimum(out[i, :], w + dist[j, :])
-        out[i, i] = INF  # deleted as a destination, even from itself
-    for j in busy_idx:
-        out[:, j] = INF
-    return out
+    return dist
 
 
 def link_ps(snapshot):
@@ -119,7 +103,8 @@ def flags_of(busy, params=PARAMS):
 def test_tables_equal_the_python_oracle(planes, sats_per_plane):
     # Every (source, destination) entry of next_idx and cost_ps, ties included,
     # with no busy node and with a random busy set that also surrounds one
-    # source completely.
+    # source completely. Busy nodes are reached as destinations, never
+    # relayed through.
     params = ConstellationParams(planes=planes, sats_per_plane=sats_per_plane)
     n = params.num_sats
     rng = random.Random(n)
@@ -134,9 +119,13 @@ def test_tables_equal_the_python_oracle(planes, sats_per_plane):
         assert table.next_idx == next_idx
         assert table.cost_ps.dtype == np.int64
         assert table.cost_ps.tolist() == cost_ps
-    assert table.next_idx[src] == [-1] * n  # the surrounded source has no hop
-    dst = min(busy)
-    assert [row[dst] for row in table.next_idx] == [-1] * n  # nor has a busy destination
+    # The surrounded source reaches its busy neighbours, each over its own
+    # link as the last hop, and nothing beyond them.
+    nbrs = {j for j, _ in snap.neighbor_table[src]}
+    assert table.next_idx[src] == [j if j in nbrs else -1 for j in range(n)]
+    dst = min(busy)  # a busy destination: every neighbour of it has a route
+    assert table.cost_ps[dst, dst] == 0
+    assert all(table.next_idx[v][dst] >= 0 for v, _ in snap.neighbor_table[dst])
 
 
 def test_one_hop_next_is_destination():
@@ -181,12 +170,13 @@ def test_backup_matches_oracle_and_excludes_busy():
                     continue
                 src, dst = PARAMS.sid_of(i), PARAMS.sid_of(j)
                 nxt = table.next_hop(src, dst)
-                assert nxt not in busy
+                assert nxt not in busy or nxt == dst
                 got = iterated_path_cost_ps(table, snap, src, dst)
                 if oracle[i, j] >= INF:
                     assert got is None
                 else:
                     assert got == oracle[i, j]
+                    assert not busy.intersection(path(table, src, dst)[1:-1])
 
 
 def test_backup_with_empty_busy_equals_primary():
@@ -223,6 +213,7 @@ def test_entries_give_python_floats_in_seconds():
 
 
 def test_all_neighbors_busy_isolates_source():
+    # The source reaches only its busy neighbours, each as the last hop.
     snap = build_topology_snapshot(PARAMS, 0.0)
     x = SatelliteId(2, 4)
     busy = set(neighbors(snap, x))
@@ -230,17 +221,20 @@ def test_all_neighbors_busy_isolates_source():
     for j in range(PARAMS.num_sats):
         dst = PARAMS.sid_of(j)
         if dst != x:
-            assert table.next_hop(x, dst) is None
+            assert table.next_hop(x, dst) == (dst if dst in busy else None)
 
 
-def test_busy_destination_unreachable():
+def test_busy_destination_reachable_but_never_relayed_through():
     snap = build_topology_snapshot(PARAMS, 0.0)
-    busy = {SatelliteId(3, 3)}
+    target = SatelliteId(3, 3)
+    busy = {target, SatelliteId(3, 4), SatelliteId(2, 3)}
     table = compute_backup_table(snap, flags_of(busy))
     for i in range(PARAMS.num_sats):
         src = PARAMS.sid_of(i)
-        if src != SatelliteId(3, 3):
-            assert table.next_hop(src, SatelliteId(3, 3)) is None
+        if src != target:
+            p = path(table, src, target)
+            assert p is not None and p[-1] == target
+            assert not busy.intersection(p[1:-1])
 
 
 def test_loop_freedom_both_tables():
@@ -400,6 +394,25 @@ class TestDecideForward:
         alt = backup.next_idx[self.SRC][self.DST]
         decision = self.decide(TrafficClass.B0, primary, backup, {alt}, detoured=True)
         assert decision == (-1, False)
+
+    def test_class_b_takes_a_busy_primary_hop_that_is_its_destination(self, setup):
+        # Busy satellites are avoided as relays, not as endpoints.
+        snap, primary, hop = setup
+        backup = self.backup_table(snap, {hop})
+        busy = self.flags({hop})
+        assert primary.next_idx[self.SRC][hop] == hop
+        for tos in B_CLASSES:
+            decision = decide_next_index(tos, self.SRC, hop, primary, backup, busy, False)
+            assert decision == (hop, False)
+
+    def test_detoured_packet_takes_a_busy_backup_hop_that_is_its_destination(self, setup):
+        snap, primary, hop = setup
+        backup = self.backup_table(snap, {hop})
+        busy = self.flags({hop})
+        assert backup.next_idx[self.SRC][hop] == hop
+        for tos in B_CLASSES:
+            decision = decide_next_index(tos, self.SRC, hop, primary, backup, busy, True)
+            assert decision == (hop, True)
 
     def test_forwarded_hop_is_adjacent(self, setup):
         snap, primary, hop = setup
