@@ -26,7 +26,7 @@ from .congestion import CongestionLabel, NodeCongestionState
 from .constellation import AccessResolver, OrbitGeometry, build_topology_snapshot
 from .routing import compute_backup_table, compute_shortest_path_table, decide_next_index
 from .scenario import ScenarioConfig
-from .scheduling import DropReason, DropRecord, PqwrrScheduler, TrafficClass
+from .scheduling import DropReason, DropRecord, PqwrrScheduler
 from .stats import StatsCollector
 from .traffic import ArrivalGenerator, Packet
 
@@ -42,9 +42,6 @@ _EV_SLOT = 5  # routing slot boundary; a = slot index
 _EV_SWEEP = 6  # periodic arrival-rate re-evaluation of every satellite
 _EV_TICK = 7  # stats bucket boundary
 _IN_FLIGHT = (_EV_LINK, _EV_UPLINK, _EV_DELIVERY)  # a packet on a link
-
-# Reading a member off an Enum class costs several times a global lookup.
-_CLASS_A = TrafficClass.A
 
 
 class _SatNode:
@@ -142,35 +139,15 @@ class Simulation:
             self.stats.note_busy(notif.time)
 
     def _drain_wait_queues(self, t: float) -> None:
-        """Re-route every parked packet, in FIFO order per satellite.
-
-        Within one drain the tables, busy flags and access satellites are
-        fixed, so packets alike in what the forwarding rule reads (destination
-        user, whether the class is A, whether already detoured) get the same
-        answer, which is asked once per group. Packets that still have to wait
-        are parked again in their order; the others go through `_route` in
-        queue order. The queue was just emptied, so re-parking cannot overflow.
-        """
+        """Re-route every parked packet, in FIFO order per satellite. Each
+        queue is emptied first, so packets that must wait again are re-parked
+        in their order and cannot overflow it."""
         for i, node in enumerate(self.nodes):
-            queue = node.wait_queue
-            groups = [(pkt.dst_user, pkt.tos is _CLASS_A, pkt.detoured) for pkt in queue]
-            leaves = {}
-            for pkt, group in zip(queue, groups):
-                if group not in leaves:
-                    leaves[group] = self._next_hop(t, pkt, i)[0] >= 0
-            if True not in leaves.values():  # nothing leaves: the queue stays as it is
-                self.stats.wait_enqueues += len(queue)
-                if self.trace is not None:
-                    for pkt in queue:
-                        self._trace(t, "wait", pkt, i)
-                continue
-            pending = list(queue)
-            queue.clear()
-            for pkt, group in zip(pending, groups):
-                if leaves[group]:
+            pending = node.wait_queue
+            if pending:
+                node.wait_queue = deque()
+                for pkt in pending:
                     self._route(t, pkt, i)
-                else:
-                    self._wait(t, pkt, i)
 
     # -- packet pipeline -----------------------------------------------------
 
