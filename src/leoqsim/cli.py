@@ -93,6 +93,8 @@ def _read_summary(report_dir: Path) -> tuple[dict, dict]:
         raise ReportError(f"{summary_path}: empty")
     header = lines[0].split(",")
     for line in lines[1:]:
+        if not line:
+            continue
         cells = line.split(",")
         row = dict(zip(header, cells))
         rows[row["class"]] = row
@@ -101,7 +103,12 @@ def _read_summary(report_dir: Path) -> tuple[dict, dict]:
 
 def _num(row: dict, key: str):
     v = row.get(key, "")
-    return float(v) if v else None
+    if not v:
+        return None
+    try:
+        return float(v)
+    except ValueError:
+        raise ReportError(f"{key} of class {row['class']}: not a number: {v!r}") from None
 
 
 def compare(dir_a, dir_b) -> list[dict]:

@@ -160,3 +160,22 @@ def test_compare_a_meta_that_is_not_an_object_is_an_io_error(report_dir, broken_
     (broken_copy / "run_meta.json").write_text("[1]\n", encoding="utf-8")
     assert cli.main(["compare", str(report_dir), str(broken_copy)]) == cli.EXIT_IO
     assert capsys.readouterr().err.startswith("cannot read reports: ")
+
+
+def test_compare_a_non_numeric_summary_cell_is_an_io_error(report_dir, broken_copy, capsys):
+    summary = broken_copy / "summary.csv"
+    lines = summary.read_text(encoding="utf-8").splitlines()
+    col = lines[0].split(",").index("p90_delay_ms")
+    cells = lines[1].split(",")
+    cells[col] = "abc"
+    lines[1] = ",".join(cells)
+    summary.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli.main(["compare", str(report_dir), str(broken_copy)]) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("cannot read reports: ")
+
+
+def test_compare_skips_a_trailing_blank_line_in_the_summary(report_dir, broken_copy, capsys):
+    summary = broken_copy / "summary.csv"
+    summary.write_text(summary.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+    assert cli.main(["compare", str(report_dir), str(broken_copy)]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
