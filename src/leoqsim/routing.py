@@ -151,15 +151,14 @@ def compute_shortest_path_table(snapshot: TopologySnapshot) -> RouteTable:
 
 
 def compute_backup_table(snapshot: TopologySnapshot, busy: list[bool]) -> RouteTable:
-    """Shortest-path table over paths on which no satellite whose `busy`
-    flag is set is a transit hop.
+    """Shortest-path table on which no satellite whose `busy` flag is set is
+    a transit hop.
 
-    A busy satellite is reachable as a destination, so a returned next hop is
-    busy only when it is the destination itself. A busy node still gets next
-    hops as a source so it can forward traffic it already holds, and
-    destinations that can only be reached through a busy relay are
-    unreachable. The table keeps no reference to `busy`, so later flips of
-    the flags do not change it.
+    A returned next hop is busy only when it is the destination itself. A busy
+    node still gets next hops as a source so it can forward traffic it already
+    holds, and destinations reachable only through a busy relay are
+    unreachable. The table keeps no reference to `busy`, so later flips of the
+    flags do not change it.
     """
     next_idx, cost_ps = _build_table(snapshot, busy)
     return RouteTable(snapshot.slot_index, snapshot.params, next_idx, cost_ps)
