@@ -138,7 +138,7 @@ def compare(dir_a, dir_b) -> list[dict]:
 def cmd_compare(args) -> int:
     try:
         rows = compare(args.report_a, args.report_b)
-    except (OSError, json.JSONDecodeError, ReportError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ReportError) as e:
         print(f"cannot read reports: {e}", file=sys.stderr)
         return EXIT_IO
     except KeyError as e:

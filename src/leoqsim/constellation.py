@@ -296,9 +296,14 @@ class AccessResolver:
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         units = self._unit_ecef @ rot.T  # terminals in the inertial frame
         ground = units * EARTH_RADIUS_KM  # (T, 3)
-        d = sat[None, :, :] - ground[:, None, :]  # (T, N, 3)
-        dn = np.linalg.norm(d, axis=2)
-        sin_e = np.einsum("tns,ts->tn", d, units) / dn
+        # (T, N) differences per axis: dn adds the squares in the order of
+        # np.linalg.norm over the (T, N, 3) difference, so it is bit-identical,
+        # and einsum still sums the dot products in its own order.
+        dx = sat[:, 0] - ground[:, 0, None]
+        dy = sat[:, 1] - ground[:, 1, None]
+        dz = sat[:, 2] - ground[:, 2, None]
+        dn = np.sqrt(dx * dx + dy * dy + dz * dz)
+        sin_e = np.einsum("tns,ts->tn", np.stack((dx, dy, dz), axis=2), units) / dn
         best = np.argmax(sin_e, axis=1)
         ok = sin_e[np.arange(len(best)), best] >= self._min_sin_e
-        return [int(b) if good else -1 for b, good in zip(best, ok)]
+        return np.where(ok, best, -1).tolist()

@@ -92,7 +92,7 @@ class Simulation:
         self.primary = None
         self.backup = None
         self._heap: list = []
-        self._next_seq = count(1).__next__  # event sequence numbers 1, 2, ...
+        self._next_seq = count(1).__next__  # event sequence numbers; `run` restarts it
         self._service_period = 1.0 / cfg.scheduler.service_rate
         self._chan_period = 1.0 / cfg.scheduler.channel_rate
         self._count_uplink = cfg.traffic.count_uplink_in_rate
@@ -151,20 +151,18 @@ class Simulation:
 
     # -- packet pipeline -----------------------------------------------------
 
-    def _next_hop(self, t: float, pkt: Packet, sat: int) -> tuple[int, bool]:
-        """Where a packet at satellite `sat` goes next, and whether the hop comes
-        from the backup table: `sat` itself means the downlink, -1 to wait."""
-        dst = self.resolver.access_index(pkt.dst_user, t)
-        if dst < 0 or dst == sat:
-            return dst, False
-        return decide_next_index(
-            pkt.tos, sat, dst, self.primary, self.backup, self.busy_flags, pkt.detoured
-        )
-
     def _route(self, t: float, pkt: Packet, sat: int) -> None:
         """Forwarding decision for a packet that finished service (or left the
-        routing wait queue) at satellite `sat`, and its transmission."""
-        nxt, via_backup = self._next_hop(t, pkt, sat)
+        routing wait queue) at satellite `sat`, and its transmission. The next
+        hop is `sat` itself for the downlink, -1 to wait, and `via_backup` says
+        whether it comes from the backup table."""
+        dst = self.resolver.access_index(pkt.dst_user, t)
+        if dst < 0 or dst == sat:
+            nxt, via_backup = dst, False
+        else:
+            nxt, via_backup = decide_next_index(
+                pkt.tos, sat, dst, self.primary, self.backup, self.busy_flags, pkt.detoured
+            )
         if nxt < 0:
             self._wait(t, pkt, sat)
         elif nxt == sat:
@@ -204,18 +202,25 @@ class Simulation:
         cfg = self.cfg
         end = cfg.run.duration_s
         heap = self._heap
-        seq = self._next_seq
         self._rebuild_for_slot(0.0, 0)
 
-        slot = cfg.routing.slot_length_s
-        for k in range(1, int(end / slot) + 1):
-            heappush(heap, (k * slot, seq(), _EV_SLOT, k, None))
-        tick = cfg.run.stats_interval_s
-        for k in range(1, int(end / tick) + 1):
-            heappush(heap, (k * tick, seq(), _EV_TICK, k, None))
-        sweep = cfg.run.state_check_interval_s
-        for k in range(1, int(end / sweep) + 1):
-            heappush(heap, (k * sweep, seq(), _EV_SWEEP, k, None))
+        # Periodic events are pushed one ahead: the first of each kind here,
+        # event k + 1 when event k fires, so the heap never holds more than
+        # one of a kind. Their sequence numbers are the ones an all-up-front
+        # schedule would give (slots 1..n, then ticks, then sweeps) and packet
+        # events are numbered after them: every event keeps its (time, seq)
+        # key, so the pop order, and with it every export, is the same.
+        periodic = {}  # kind -> (period, number of events)
+        first_seq = 1
+        for kind, period in ((_EV_SLOT, cfg.routing.slot_length_s),
+                             (_EV_TICK, cfg.run.stats_interval_s),
+                             (_EV_SWEEP, cfg.run.state_check_interval_s)):
+            last = int(end / period)
+            periodic[kind] = (period, last)
+            if last:
+                heappush(heap, (period, first_seq, kind, 1, None))
+            first_seq += last
+        self._next_seq = seq = count(first_seq).__next__
 
         stream = self.generator.stream(end)
         first = next(stream, None)
@@ -232,7 +237,7 @@ class Simulation:
         service_period = self._service_period
         count_uplink = self._count_uplink
         while heap and heap[0][0] <= end:
-            t, _, kind, a, b = heappop(heap)
+            t, s, kind, a, b = heappop(heap)
 
             if kind == _EV_SERVICE:
                 node = nodes[a]
@@ -285,23 +290,24 @@ class Simulation:
                 stats.record_delivery(a, t)
                 if trace is not None:
                     self._trace(t, "deliver", a, -1)
-            elif kind == _EV_SWEEP:
-                notifs = []
-                for node in nodes:
-                    n = node.cong.evaluate(t, ccfg)
-                    if n is not None:
-                        notifs.append(n)
-                for n in notifs:
-                    self._apply_notification(n)
-                if notifs:
-                    self._rebuild_backup(t)
-                if self.busy_count:
-                    stats.note_busy(t)
-            elif kind == _EV_SLOT:
-                self._rebuild_for_slot(t, a)
-                self._drain_wait_queues(t)
-            elif kind == _EV_TICK:
-                if self.busy_count:
+            else:  # _EV_SLOT, _EV_SWEEP or _EV_TICK: the a-th event of its kind
+                period, last = periodic[kind]
+                if a < last:
+                    heappush(heap, ((a + 1) * period, s + 1, kind, a + 1, None))
+                if kind == _EV_SWEEP:
+                    notifs = []
+                    for node in nodes:
+                        n = node.cong.evaluate(t, ccfg)
+                        if n is not None:
+                            notifs.append(n)
+                    for n in notifs:
+                        self._apply_notification(n)
+                    if notifs:
+                        self._rebuild_backup(t)
+                if kind == _EV_SLOT:
+                    self._rebuild_for_slot(t, a)
+                    self._drain_wait_queues(t)
+                elif self.busy_count:  # a sweep or a stats tick
                     stats.note_busy(t)
 
         residual = sum(1 for ev in heap if ev[2] in _IN_FLIGHT)

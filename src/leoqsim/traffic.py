@@ -41,7 +41,7 @@ CONTINENT_RATIOS = (
     (25.63, 43.34, 17.33, 3.53, 7.95, 2.22),
     (26.48, 10.58, 29.22, 2.11, 1.49, 30.12),
 )
-_RATIOS_CUM = [list(np.cumsum(row)) for row in CONTINENT_RATIOS]
+_RATIOS_CUM = [np.cumsum(row).tolist() for row in CONTINENT_RATIOS]
 
 
 class Packet:
@@ -130,7 +130,7 @@ class DemandGrid:
         self.weights = weights / total
         self.continents = continents
         flat = self.weights.ravel()
-        self._cum_all = list(np.cumsum(flat))
+        self._cum_all = np.cumsum(flat).tolist()
         self.continent_flat = [int(x) for x in continents.ravel()]
         self._cells_by_continent: dict[int, list[int]] = {}
         self._cum_by_continent: dict[int, list[float]] = {}
@@ -141,9 +141,9 @@ class DemandGrid:
             self._cells_by_continent[c] = cells
             w = flat[cells]
             if w.sum() > 0:
-                self._cum_by_continent[c] = list(np.cumsum(w / w.sum()))
+                self._cum_by_continent[c] = np.cumsum(w / w.sum()).tolist()
             else:
-                self._cum_by_continent[c] = list(np.cumsum(np.full(len(cells), 1.0 / len(cells))))
+                self._cum_by_continent[c] = np.cumsum(np.full(len(cells), 1.0 / len(cells))).tolist()
 
     @staticmethod
     def cell_center(row: int, col: int) -> GeoPosition:
@@ -223,7 +223,7 @@ class ArrivalGenerator:
         self.flows = list(flows)
         self.grid = grid
         self.background_rate = background_rate
-        self.class_mix_cum = tuple(np.cumsum(class_mix))
+        self.class_mix_cum = np.cumsum(class_mix).tolist()
         self.seed = seed
         self.terminals: list[GeoPosition] = [
             grid.cell_center(r, c) for r in range(GRID_ROWS) for c in range(GRID_COLS)

@@ -1,10 +1,11 @@
 """Reference implementations that tests compare the package against.
 
-They favour directness over speed: exact per-call geometry for access, one
-heap Dijkstra per destination for route tables, a plain single-server loop
-for PQWRR service, busy/idle classification and PQWRR queue selection as
-first written (one method per step), and strict priority as the discipline
-PQWRR is measured against.
+They favour directness over speed: exact per-call geometry for access, the
+access resolver's vectorized solve as first written, one heap Dijkstra per
+destination for route tables, a plain single-server loop for PQWRR service,
+busy/idle classification and PQWRR queue selection as first written (one
+method per step), and strict priority as the discipline PQWRR is measured
+against.
 """
 
 from __future__ import annotations
@@ -80,6 +81,28 @@ def access_satellite(
     if sin_e[best] < math.sin(math.radians(params.min_elevation_deg)):
         return None
     return params.sid_of(best)
+
+
+def access_row(params: ConstellationParams, ground: Iterable[GeoPosition], t: float) -> list[int]:
+    """Best satellite index per terminal at time t, -1 where none clears the
+    elevation mask: `AccessResolver`'s solve as first written, over one
+    broadcast (T, N, 3) difference with `np.linalg.norm` and `einsum`."""
+    ground = list(ground)
+    lats = np.radians([p.lat_deg for p in ground])
+    lons = np.radians([p.lon_deg for p in ground])
+    cl = np.cos(lats)
+    unit_ecef = np.stack([cl * np.cos(lons), cl * np.sin(lons), np.sin(lats)], axis=1)
+    sat = satellite_positions(params, t)  # (N, 3)
+    theta = EARTH_ROTATION_RAD_S * t
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    units = unit_ecef @ rot.T  # terminals in the inertial frame
+    d = sat[None, :, :] - (units * EARTH_RADIUS_KM)[:, None, :]  # (T, N, 3)
+    dn = np.linalg.norm(d, axis=2)
+    sin_e = np.einsum("tns,ts->tn", d, units) / dn
+    best = np.argmax(sin_e, axis=1)
+    ok = sin_e[np.arange(len(best)), best] >= math.sin(math.radians(params.min_elevation_deg))
+    return [int(b) if good else -1 for b, good in zip(best, ok)]
 
 
 def _dijkstra_to(dst: int, neighbor_table, excluded: list[bool]) -> list[int]:

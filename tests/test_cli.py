@@ -179,3 +179,13 @@ def test_compare_skips_a_trailing_blank_line_in_the_summary(report_dir, broken_c
     summary.write_text(summary.read_text(encoding="utf-8") + "\n", encoding="utf-8")
     assert cli.main(["compare", str(report_dir), str(broken_copy)]) == cli.EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", ["summary.csv", "run_meta.json"])
+def test_compare_a_report_file_that_is_not_utf8_is_an_io_error(
+    report_dir, broken_copy, capsys, name
+):
+    path = broken_copy / name
+    path.write_bytes(b"\xff" + path.read_bytes())
+    assert cli.main(["compare", str(report_dir), str(broken_copy)]) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("cannot read reports: ")

@@ -1,15 +1,22 @@
 """The per-hop layers against their references in `oracles`: busy/idle
 classification and PQWRR queue selection must give the same labels, rates,
-notifications and service order as the straightforward versions."""
+notifications and service order as the straightforward versions, and the
+access resolver the same access satellites."""
+
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leoqsim.congestion import CongestionConfig, CongestionLabel, NodeCongestionState
+from leoqsim.constellation import AccessResolver, ConstellationParams, GeoPosition
 from leoqsim.scheduling import ALL_CLASSES, PqwrrScheduler, SchedulerConfig, TrafficClass
-from oracles import CongestionReference, PqwrrReference
+from leoqsim.traffic import ArrivalGenerator, DemandGrid, FlowSpec
+from oracles import CongestionReference, PqwrrReference, access_row
 from test_scheduling import pkt
+
+GRID_PATH = Path(__file__).resolve().parents[1] / "src" / "leoqsim" / "data" / "default_grid.txt"
 
 # (alpha, beta, window_s). In all but the last, alpha * window_s and
 # beta * window_s are whole arrival counts, so a window can hold exactly the
@@ -90,3 +97,29 @@ def test_service_order_matches_the_reference(cfg, ops):
             assert sched.enqueue(p, float(k)) == ref.enqueue(p, float(k))
         assert sched.size == ref.size
 
+
+
+# The default 6x11 shell, the 24x40 shell of the large_shell workload, and a
+# sparse shell whose 30-degree mask leaves some terminals without access.
+ACCESS_SHELLS = {
+    "default": ConstellationParams(),
+    "large_shell": ConstellationParams(planes=24, sats_per_plane=40, phase_offset_deg=4.5),
+    "sparse_high_mask": ConstellationParams(planes=5, sats_per_plane=9, min_elevation_deg=30.0),
+}
+
+
+@pytest.mark.parametrize("shell", sorted(ACCESS_SHELLS))
+def test_access_rows_match_the_reference_at_every_quantum(shell):
+    # Terminals as the engine builds them: the grid cell centres, then the
+    # endpoints of a foreground flow.
+    params = ACCESS_SHELLS[shell]
+    flow = FlowSpec(GeoPosition(40.0, -100.0), GeoPosition(50.0, 10.0), 600.0)
+    terminals = ArrivalGenerator([flow], DemandGrid.load(GRID_PATH), 800.0,
+                                 (0.25, 0.25, 0.25, 0.25), 42).terminals
+    resolver = AccessResolver(params, terminals, quantum_s=1.0)
+    blocked = 0
+    for q in range(121):
+        row = [resolver.access_index(h, float(q)) for h in range(len(terminals))]
+        assert row == access_row(params, terminals, float(q)), q
+        blocked += row.count(-1)
+    assert (blocked > 0) == (shell == "sparse_high_mask")

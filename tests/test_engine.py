@@ -1,5 +1,5 @@
-"""End-to-end engine runs, pinned to the sha256 of their exports, and the
-FIFO wait-queue drain.
+"""End-to-end engine runs, pinned to the sha256 of their exports, the
+schedule of periodic events, and the FIFO wait-queue drain.
 
 Each run covers 5 s at seed 42 with the packet trace and the route-table dump
 switched on, so every export file is part of the digest. A change to the
@@ -12,6 +12,9 @@ satellite is delivered over the primary or backup table instead of parked.
 """
 
 import hashlib
+import heapq
+from collections import Counter
+from itertools import count
 from pathlib import Path
 from typing import Optional
 
@@ -136,6 +139,64 @@ def test_resolver_and_geometry_index_the_generators_terminals():
         sim.resolver.access_index(len(terminals), 0.0)
     with pytest.raises(IndexError):
         sim.geometry.slant_delay(len(terminals), 0, 0.0)
+
+
+# -- periodic events ----------------------------------------------------------
+
+PERIODIC = (engine._EV_SLOT, engine._EV_TICK, engine._EV_SWEEP)
+
+# Slots, stats ticks and sweeps coincide at every even second, and the horizon
+# is a multiple of none of their periods.
+COINCIDING_SCENARIO = (
+    "[traffic]\nbackground_rate = 50\n[routing]\nslot_length_s = 2\n"
+    "[run]\nduration_s = 7.3\nstats_interval_s = 1\nstate_check_interval_s = 0.5\n"
+)
+
+
+def record_pops(monkeypatch, observe):
+    """Make the engine's heappop call `observe(heap)` before each pop and
+    return the list it appends every popped event to."""
+    popped = []
+
+    def pop(heap):
+        observe(heap)
+        event = heapq.heappop(heap)
+        popped.append(event)
+        return event
+
+    monkeypatch.setattr(engine, "heappop", pop)
+    return popped
+
+
+def test_periodic_events_pop_with_the_keys_of_an_all_up_front_schedule(monkeypatch):
+    popped = record_pops(monkeypatch, lambda heap: None)
+    engine.Simulation(loads_scenario(COINCIDING_SCENARIO)).run()
+    # Every periodic event pushed at t = 0: slots, then ticks, then sweeps.
+    seq = count(1)
+    up_front = [(k * period, next(seq), kind)
+                for kind, period in zip(PERIODIC, (2.0, 1.0, 0.5))
+                for k in range(1, int(7.3 / period) + 1)]
+    assert [event[:3] for event in popped if event[2] in PERIODIC] == sorted(up_front)
+    first_source = next(event for event in popped if event[2] == engine._EV_SOURCE)
+    assert first_source[1] == len(up_front) + 1
+
+
+def test_the_heap_holds_at_most_one_periodic_event_of_each_kind(monkeypatch):
+    # Default periods over an hour: 60 slots, 60 stats ticks and 7,200 sweeps.
+    most = Counter()
+
+    def observe(heap):
+        for kind, n in Counter(event[2] for event in heap).items():
+            most[kind] = max(most[kind], n)
+
+    popped = record_pops(monkeypatch, observe)
+    sim = engine.Simulation(
+        loads_scenario("[traffic]\nbackground_rate = 0\n[run]\nduration_s = 3600\n"))
+    sim.run()
+    assert most == {kind: 1 for kind in PERIODIC}
+    assert Counter(event[2] for event in popped) == {
+        engine._EV_SLOT: 60, engine._EV_TICK: 60, engine._EV_SWEEP: 7200}
+    assert sim.stats.generated_total() == 0
 
 
 # -- wait-queue drains --------------------------------------------------------

@@ -19,9 +19,10 @@ BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "ba
 PACKAGE = str(Path(leoqsim.__file__).resolve().parent)
 
 # Package calls made by one 5 s seed-42 baseline run() of 3,971 packets:
-# 186,608 (47 per packet). Before the per-hop pipeline was flattened the same
-# run made 331,207 (83 per packet).
-MAX_CALLS = 186_608
+# 169,419 (42.7 per packet), since the forwarding decision is made in
+# `Simulation._route` itself. Before that the same run made 186,608 (47.0 per
+# packet), and before the per-hop pipeline was flattened 331,207 (83.4).
+MAX_CALLS = 169_419
 
 
 def package_calls(sim: engine.Simulation) -> int:

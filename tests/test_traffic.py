@@ -14,6 +14,7 @@ from leoqsim.traffic import (
     DemandGrid,
     FlowSpec,
     Packet,
+    _RATIOS_CUM,
     _sample_destination,
 )
 from oracles import subsatellite_point
@@ -186,6 +187,20 @@ class TestArrivalGenerator:
         flow = FlowSpec(GeoPosition(-56.0, 26.0), GeoPosition(65.2, -58.0), 50.0)
         gen = ArrivalGenerator([flow], grid, 0.0, (0.0, 0.0, 1.0, 0.0), 3)
         assert {p.tos for _, p in gen.stream(5.0)} == {TrafficClass.B1}
+
+
+def test_sampling_tables_hold_python_floats(grid):
+    # Every draw compares and scales these entries; numpy scalars would make
+    # each of those a numpy operation. The weightless continent gets the
+    # uniform table.
+    weights = grid.weights.copy()
+    weights[grid.continents == Continent.OCEANIA] = 0.0
+    no_oceania = DemandGrid(weights, grid.continents)
+    gen = ArrivalGenerator([], grid, 1.0, (0.1, 0.2, 0.3, 0.4), 1)
+    tables = [*_RATIOS_CUM, gen.class_mix_cum]
+    for g in (grid, no_oceania):
+        tables += [g._cum_all, *g._cum_by_continent.values()]
+    assert all(type(x) is float for table in tables for x in table)
 
 
 def resolver_for(gen, extra=()):
