@@ -83,11 +83,10 @@ def access_satellite(
     return params.sid_of(best)
 
 
-def access_row(params: ConstellationParams, ground: Iterable[GeoPosition], t: float) -> list[int]:
+def access_row(params: ConstellationParams, ground: list[GeoPosition], t: float) -> list[int]:
     """Best satellite index per terminal at time t, -1 where none clears the
     elevation mask: `AccessResolver`'s solve as first written, over one
     broadcast (T, N, 3) difference with `np.linalg.norm` and `einsum`."""
-    ground = list(ground)
     lats = np.radians([p.lat_deg for p in ground])
     lons = np.radians([p.lon_deg for p in ground])
     cl = np.cos(lats)
