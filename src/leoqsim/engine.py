@@ -13,6 +13,11 @@ The engine owns the event loop and the per-satellite state only. Orbit
 geometry and link delays come from `constellation.OrbitGeometry`, the link
 graph from `constellation.build_topology_snapshot`, the forwarding rule from
 `routing.decide_next_index`, and satellite names from `SatelliteId`.
+
+Of each route table the engine keeps only the next-hop rows the forwarding
+rule reads. A backup table depends only on the slot's snapshot and the busy
+flags, so each slot builds it once per distinct busy set and keeps the rows
+until the slot ends: at most (distinct busy sets in the slot) x N^2 x 2 bytes.
 """
 
 from __future__ import annotations
@@ -89,8 +94,9 @@ class Simulation:
         self.busy_flags = [False] * self.n
         self.busy_count = 0
         self.snapshot = None
-        self.primary = None
-        self.backup = None
+        self.primary = None  # next-hop rows of the primary table
+        self.backup = None  # next-hop rows of the backup table, or None (pqwrr_only)
+        self._backups: dict[tuple[bool, ...], list] = {}  # busy flags -> rows, this slot
         self._heap: list = []
         self._next_seq = count(1).__next__  # event sequence numbers; `run` restarts it
         self._service_period = 1.0 / cfg.scheduler.service_rate
@@ -109,18 +115,26 @@ class Simulation:
 
     def _rebuild_for_slot(self, t: float, slot: int) -> None:
         self.snapshot = build_topology_snapshot(self.params, t, slot)
-        self.primary = compute_shortest_path_table(self.snapshot)
+        primary = compute_shortest_path_table(self.snapshot)
+        self.primary = primary.next_idx
+        self._backups = {}
         self._build_backup()
         if self.route_dump is not None:
-            for src, dst, nxt, cost in self.primary.entries():
+            for src, dst, nxt, cost in primary.entries():
                 self.route_dump.append((slot, str(src), str(dst), str(nxt) if nxt else "", cost))
 
     def _build_backup(self) -> None:
-        """The backup table of the composite strategy. With no satellite busy
-        it would equal the primary table, so the primary is used."""
+        """The backup rows of the composite strategy: built on the first
+        meeting of the busy set in this slot, then reused. With no satellite
+        busy they would equal the primary rows, so those are used."""
         if self.composite:
             if self.busy_count:
-                self.backup = compute_backup_table(self.snapshot, self.busy_flags)
+                key = tuple(self.busy_flags)
+                rows = self._backups.get(key)
+                if rows is None:
+                    rows = compute_backup_table(self.snapshot, self.busy_flags).next_idx
+                    self._backups[key] = rows
+                self.backup = rows
             else:
                 self.backup = self.primary
 
@@ -215,7 +229,11 @@ class Simulation:
         for kind, period in ((_EV_SLOT, cfg.routing.slot_length_s),
                              (_EV_TICK, cfg.run.stats_interval_s),
                              (_EV_SWEEP, cfg.run.state_check_interval_s)):
-            last = int(end / period)
+            # Event k fires at k * period while that is <= end; end / period
+            # may round either way, so count down from one past its floor.
+            last = int(end / period) + 1
+            while last * period > end:
+                last -= 1
             periodic[kind] = (period, last)
             if last:
                 heappush(heap, (period, first_seq, kind, 1, None))

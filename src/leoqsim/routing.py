@@ -6,6 +6,12 @@ as a relay, not as an endpoint: it can still be a path's last hop, so traffic
 bound for it is delivered rather than parked. Costs are integer picoseconds
 end to end, so equal-cost ties and oracle comparisons are exact.
 
+A table's next hops are rows of `array` integers, one row per source: 2
+bytes per entry up to 32,767 satellites. The forwarding rule reads nothing
+else, so the engine keeps only these rows, and for each slot it keeps one set
+of backup rows per distinct busy set it has met: at most (distinct busy sets
+in the slot) x N^2 x 2 bytes.
+
 `decide_next_index` is the whole forwarding rule: the engine makes one call
 to it per forwarding decision and only acts on the answer. Deciding that a
 packet has reached its destination's access satellite, and so leaves by the
@@ -14,6 +20,7 @@ downlink, is the engine's, since it needs no route table.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -32,20 +39,22 @@ _CLASS_A = TrafficClass.A  # a global lookup; reading it off the Enum class is s
 _INF = 1 << 60  # int64 'no path'; a sum of two still fits
 _BLOCK_ENTRIES = 1 << 16  # int64 distances per column block: 512 KiB, held in cache
 
+Rows = list[array]  # next_idx[cur][dst]: next satellite index, -1 when unreachable
+
 
 @dataclass
 class RouteTable:
     """All-pairs next-hop map for one topology snapshot.
 
     Internally index-based: `next_idx[cur][dst]` is the next satellite index
-    (-1 when dst is unreachable from cur) and the int64 array
-    `cost_ps[cur, dst]` the total path delay in picoseconds (-1 when
-    unreachable).
+    (-1 when dst is unreachable from cur), one `array` row per source, and the
+    int64 array `cost_ps[cur, dst]` the total path delay in picoseconds (-1
+    when unreachable).
     """
 
     slot_index: int
     params: ConstellationParams
-    next_idx: list[list[int]] = field(repr=False)
+    next_idx: Rows = field(repr=False)
     cost_ps: np.ndarray = field(repr=False)
 
     def next_hop(self, cur: SatelliteId, dst: SatelliteId) -> Optional[SatelliteId]:
@@ -73,9 +82,7 @@ class RouteTable:
                 )
 
 
-def _build_table(
-    snapshot: TopologySnapshot, excluded: list[bool]
-) -> tuple[list[list[int]], np.ndarray]:
+def _build_table(snapshot: TopologySnapshot, excluded: list[bool]) -> tuple[Rows, np.ndarray]:
     """(next_idx, cost_ps) over paths with no excluded node as a transit hop.
 
     Destinations are taken in column blocks. For each block, an int64
@@ -133,10 +140,11 @@ def _build_table(
         hop[dst, col] = _UNREACHABLE
         best[dst, col] = body[dst, col]
         cost[:, lo : lo + len(dst)] = np.where(best < _INF, best, -1)
-    # Rows through an object array of the indices, so every list shares the
-    # same int objects instead of allocating one per entry.
-    ids = np.arange(-1, n).astype(object)
-    return ids[nxt + 1].tolist(), cost
+    code = "h" if n <= 32_767 else "i"  # the same C type to numpy and to array
+    rows = []
+    for row in nxt.astype(code):  # a loop, not a comprehension: no extra frame
+        rows.append(array(code, row.tobytes()))
+    return rows, cost
 
 
 def compute_shortest_path_table(snapshot: TopologySnapshot) -> RouteTable:
@@ -168,13 +176,14 @@ def decide_next_index(
     tos: TrafficClass,
     here: int,
     dst: int,
-    primary: RouteTable,
-    backup: Optional[RouteTable],
+    primary: Rows,
+    backup: Optional[Rows],
     busy_flags: list[bool],
     detoured: bool,
 ) -> tuple[int, bool]:
     """Next satellite index for a packet at `here` bound for `dst`, and
     whether that hop comes from the backup table; (-1, False) means wait.
+    `primary` and `backup` are the two tables' `next_idx` rows.
 
     Real-time traffic always follows the primary table, even into a busy hop,
     as does all traffic when there is no backup table (strategy pqwrr_only).
@@ -190,10 +199,10 @@ def decide_next_index(
     detoured packet naturally rejoins shortest paths.
     """
     if not detoured:
-        n = primary.next_idx[here][dst]
+        n = primary[here][dst]
         if n < 0 or not busy_flags[n] or n == dst or tos is _CLASS_A or backup is None:
             return n, False
-    b = backup.next_idx[here][dst]
+    b = backup[here][dst]
     if b >= 0 and (not busy_flags[b] or b == dst):
         return b, True
     return _UNREACHABLE, False

@@ -128,7 +128,8 @@ def _dijkstra_to(dst: int, neighbor_table, excluded: list[bool]) -> list[int]:
 def route_table(
     snapshot: TopologySnapshot, excluded: list[bool]
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """(next_idx, cost_ps) as `RouteTable` holds them, -1 for unreachable.
+    """(next_idx, cost_ps) as lists, entry for entry what `RouteTable` holds,
+    -1 for unreachable.
 
     The next hop from v toward dst is the lowest-index neighbor w with
     w_ps(v, w) + dist(w) minimal. Excluded nodes are never transit hops: one

@@ -1,5 +1,6 @@
 """End-to-end engine runs, pinned to the sha256 of their exports, the
-schedule of periodic events, and the FIFO wait-queue drain.
+schedule of periodic events, the per-slot backup rows and the FIFO wait-queue
+drain.
 
 Each run covers 5 s at seed 42 with the packet trace and the route-table dump
 switched on, so every export file is part of the digest. A change to the
@@ -199,6 +200,56 @@ def test_the_heap_holds_at_most_one_periodic_event_of_each_kind(monkeypatch):
     assert sim.stats.generated_total() == 0
 
 
+@pytest.mark.parametrize("duration_s, sweeps", [(4.3, 43), (4.4, 44)])
+def test_a_periodic_event_at_exactly_the_horizon_runs(monkeypatch, duration_s, sweeps):
+    # 43 * 0.1 == 4.3 and 44 * 0.1 == 4.4, though 4.3 / 0.1 rounds down to
+    # 42.99... while 4.4 / 0.1 is 44.0.
+    popped = record_pops(monkeypatch, lambda heap: None)
+    engine.Simulation(loads_scenario(
+        f"[traffic]\nbackground_rate = 0\n"
+        f"[run]\nduration_s = {duration_s}\nstate_check_interval_s = 0.1\n")).run()
+    assert sum(event[2] == engine._EV_SWEEP for event in popped) == sweeps
+
+
+# -- backup rows --------------------------------------------------------------
+
+
+def record_backup_builds(monkeypatch):
+    """Make the engine's compute_backup_table append (slot, busy flags) to the
+    returned list on each call."""
+    builds = []
+
+    def build(snapshot, busy):
+        builds.append((snapshot.slot_index, tuple(busy)))
+        return compute_backup_table(snapshot, busy)
+
+    monkeypatch.setattr(engine, "compute_backup_table", build)
+    return builds
+
+
+def test_each_busy_set_is_built_once_per_slot(monkeypatch):
+    # One 60 s slot: the hotspot's 15 busy/idle notifications meet 10
+    # distinct busy sets, and the rows kept for each are its backup table's.
+    builds = record_backup_builds(monkeypatch)
+    sim = engine.Simulation(loads_scenario(scenario_text(HOTSPOT_FLOW, "composite")))
+    report = sim.run()
+    assert len(report.state_log) == 15
+    assert len(builds) == 10
+    assert [flags for _, flags in builds] == list(sim._backups)
+    for flags, rows in sim._backups.items():
+        assert rows == compute_backup_table(sim.snapshot, list(flags)).next_idx
+
+
+def test_a_new_slot_builds_its_busy_sets_again(monkeypatch):
+    # Rows hold for one snapshot only: a busy set met in slot 0 is built again
+    # on slot 1's snapshot.
+    builds = record_backup_builds(monkeypatch)
+    knobs = {"routing": ["slot_length_s = 1"]}
+    engine.Simulation(loads_scenario(scenario_text(HOTSPOT_FLOW, "composite", knobs))).run()
+    assert len(set(builds)) == len(builds)
+    assert {f for slot, f in builds if slot == 0} & {f for slot, f in builds if slot == 1}
+
+
 # -- wait-queue drains --------------------------------------------------------
 
 DRAIN_SCENARIO = "[traffic]\nbackground_rate = 0\n[run]\nduration_s = 5\ntrace = true\n"
@@ -214,7 +265,7 @@ def busy_drain_setup():
     for i in busy:
         sim.busy_flags[i] = True
     sim.busy_count = len(busy)
-    sim.backup = compute_backup_table(sim.snapshot, sim.busy_flags)
+    sim.backup = compute_backup_table(sim.snapshot, sim.busy_flags).next_idx
     return sim
 
 

@@ -1,11 +1,13 @@
-"""Regression guard on the per-packet Python work of the event loop.
+"""Regression guard on the per-packet Python work of the event loop, and
+on the backup-table builds of a congested run.
 
 Counts the Python-level calls into `leoqsim` code (`call` events from
 `sys.setprofile` whose code object lives in the package) made by `run()` on a
 5 s seed-42 run of the benchmark's baseline scenario. The count depends only
 on the code and the scenario, not on the host, so it is checked exactly
 against a ceiling: a change that adds a call to the per-hop pipeline shows up
-here long before it shows up in a wall-time benchmark.
+here long before it shows up in a wall-time benchmark. The same holds for the
+number of backup tables a 10 s seed-42 run of the hotspot scenario builds.
 """
 
 import sys
@@ -15,7 +17,9 @@ import leoqsim
 from leoqsim import engine
 from leoqsim.scenario import apply_overrides, loads_scenario
 
-BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "baseline.ini"
+SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+BASELINE = SCENARIOS / "baseline.ini"
+HOTSPOT = SCENARIOS / "hotspot.ini"
 PACKAGE = str(Path(leoqsim.__file__).resolve().parent)
 
 # Package calls made by one 5 s seed-42 baseline run() of 3,971 packets:
@@ -23,6 +27,11 @@ PACKAGE = str(Path(leoqsim.__file__).resolve().parent)
 # `Simulation._route` itself. Before that the same run made 186,608 (47.0 per
 # packet), and before the per-hop pipeline was flattened 331,207 (83.4).
 MAX_CALLS = 169_419
+
+# Backup tables built by one 10 s seed-42 hotspot run(): its 32 busy/idle
+# notifications meet 20 distinct busy sets in its one routing slot, and each
+# is built once. Rebuilding on every notification made 32.
+MAX_BACKUP_BUILDS = 20
 
 
 def package_calls(sim: engine.Simulation) -> int:
@@ -50,3 +59,21 @@ def test_baseline_run_makes_no_more_package_calls_than_pinned():
     calls = package_calls(sim)
     assert sim.stats.generated_total() == 3971
     assert calls <= MAX_CALLS
+
+
+def test_hotspot_run_builds_no_more_backup_tables_than_pinned(monkeypatch):
+    builds = 0
+    build = engine.compute_backup_table
+
+    def counted(snapshot, busy):
+        nonlocal builds
+        builds += 1
+        return build(snapshot, busy)
+
+    monkeypatch.setattr(engine, "compute_backup_table", counted)
+    text = apply_overrides(HOTSPOT.read_text(encoding="utf-8"),
+                           ["run.seed=42", "run.duration_s=10"])
+    sim = engine.Simulation(loads_scenario(text))
+    sim.run()
+    assert len(sim.stats.state_log) == 32
+    assert builds <= MAX_BACKUP_BUILDS

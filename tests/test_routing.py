@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -116,13 +117,14 @@ def test_tables_equal_the_python_oracle(planes, sats_per_plane):
         flags = [i in excluded for i in range(n)]
         table = compute_backup_table(snap, flags)
         next_idx, cost_ps = route_table(snap, flags)
-        assert table.next_idx == next_idx
+        assert all(type(row) is array and row.typecode == "h" for row in table.next_idx)
+        assert [row.tolist() for row in table.next_idx] == next_idx
         assert table.cost_ps.dtype == np.int64
         assert table.cost_ps.tolist() == cost_ps
     # The surrounded source reaches its busy neighbours, each over its own
     # link as the last hop, and nothing beyond them.
     nbrs = {j for j, _ in snap.neighbor_table[src]}
-    assert table.next_idx[src] == [j if j in nbrs else -1 for j in range(n)]
+    assert table.next_idx[src].tolist() == [j if j in nbrs else -1 for j in range(n)]
     dst = min(busy)  # a busy destination: every neighbour of it has a route
     assert table.cost_ps[dst, dst] == 0
     assert all(table.next_idx[v][dst] >= 0 for v, _ in snap.neighbor_table[dst])
@@ -308,8 +310,9 @@ class TestDecideForward:
         return compute_backup_table(snap, TestDecideForward.flags(busy))
 
     def decide(self, tos, primary, backup, busy=(), detoured=False):
+        rows = None if backup is None else backup.next_idx
         return decide_next_index(
-            tos, self.SRC, self.DST, primary, backup, self.flags(busy), detoured
+            tos, self.SRC, self.DST, primary.next_idx, rows, self.flags(busy), detoured
         )
 
     def test_deliver_at_destination(self, monkeypatch):
@@ -402,7 +405,8 @@ class TestDecideForward:
         busy = self.flags({hop})
         assert primary.next_idx[self.SRC][hop] == hop
         for tos in B_CLASSES:
-            decision = decide_next_index(tos, self.SRC, hop, primary, backup, busy, False)
+            decision = decide_next_index(
+                tos, self.SRC, hop, primary.next_idx, backup.next_idx, busy, False)
             assert decision == (hop, False)
 
     def test_detoured_packet_takes_a_busy_backup_hop_that_is_its_destination(self, setup):
@@ -411,7 +415,8 @@ class TestDecideForward:
         busy = self.flags({hop})
         assert backup.next_idx[self.SRC][hop] == hop
         for tos in B_CLASSES:
-            decision = decide_next_index(tos, self.SRC, hop, primary, backup, busy, True)
+            decision = decide_next_index(
+                tos, self.SRC, hop, primary.next_idx, backup.next_idx, busy, True)
             assert decision == (hop, True)
 
     def test_forwarded_hop_is_adjacent(self, setup):
