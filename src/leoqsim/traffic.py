@@ -1,15 +1,29 @@
 """Traffic generation: a geographic demand grid drives background load, a
 continent-to-continent ratio matrix picks destinations, and tagged foreground
 flows connect fixed endpoints. All arrival processes are Poisson with
-per-stream seeded generators, so the event stream is reproducible."""
+per-stream seeded generators, so the event stream is reproducible.
+
+Each stream draws its uniforms a block at a time, and they equal the values
+`random.Random(seed).random()` returns, call for call: a block is read from
+`getrandbits`, which consumes the same Mersenne Twister words. Cells,
+continents and classes are picked from the same cumulative tables as the
+scalar samplers in `tests/oracles.py`, so the packets are identical too.
+Each gap is `-math.log(1 - u) / rate`, as `expovariate` computes it
+(vectorized `numpy.log` differs from `math.log` in the last bit on some
+inputs), and arrival times add the gaps one at a time. `numpy.random` is
+never imported: loading it costs about 6 MB of resident memory. Each stream
+holds one block of `_BLOCK` packets, so memory does not grow with the
+horizon."""
 
 from __future__ import annotations
 
-import heapq
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
+from heapq import merge
+from itertools import chain, repeat
+from math import log
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -42,6 +56,20 @@ CONTINENT_RATIOS = (
     (26.48, 10.58, 29.22, 2.11, 1.49, 30.12),
 )
 _RATIOS_CUM = [np.cumsum(row).tolist() for row in CONTINENT_RATIOS]
+_RATIOS_CUM_ARRAYS = [np.array(row) for row in _RATIOS_CUM]
+_CLASSES = np.array(ALL_CLASSES, dtype=object)
+
+# Packets drawn per stream at a time. Each stream holds one block, so memory
+# does not grow with the horizon.
+_BLOCK = 1024
+
+
+def _uniforms(rng: random.Random, n: int) -> np.ndarray:
+    """The next n values of `rng.random()`, drawn at once. Each takes two
+    32-bit Mersenne Twister words, as `random()` does: the top 27 bits of the
+    first and the top 26 of the second make a 53-bit fraction."""
+    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
 
 
 class Packet:
@@ -97,17 +125,6 @@ class FlowSpec:
             raise ValueError("flow rate must be >= 0")
 
 
-def _sample_destination(src: int, rng: random.Random) -> int:
-    """Destination continent (its `Continent` value) drawn from row `src` of
-    the ratio table."""
-    cum = _RATIOS_CUM[src]
-    u = rng.random() * cum[-1]
-    for j, c in enumerate(cum):
-        if u < c:
-            return j
-    return 5
-
-
 class DemandGrid:
     """12x24 grid of demand weights with a parallel continent label per cell.
 
@@ -130,20 +147,47 @@ class DemandGrid:
         self.weights = weights / total
         self.continents = continents
         flat = self.weights.ravel()
-        self._cum_all = np.cumsum(flat).tolist()
+        # Each sampling table as an array, for drawing a block at a time, and
+        # as a list of Python floats, as the scalar samplers in the test
+        # oracles read it.
+        self._src_cum = np.cumsum(flat)
+        self._cum_all = self._src_cum.tolist()
         self.continent_flat = [int(x) for x in continents.ravel()]
         self._cells_by_continent: dict[int, list[int]] = {}
         self._cum_by_continent: dict[int, list[float]] = {}
+        self._cell_cum: list[tuple[np.ndarray, np.ndarray]] = []
         for c in range(6):
-            cells = [i for i, cc in enumerate(self.continent_flat) if cc == c]
-            if not cells:
+            cells = np.flatnonzero(continents.ravel() == c)
+            if not len(cells):
                 raise ValueError(f"continent {Continent(c).name} has no cells")
-            self._cells_by_continent[c] = cells
             w = flat[cells]
             if w.sum() > 0:
-                self._cum_by_continent[c] = np.cumsum(w / w.sum()).tolist()
+                cum = np.cumsum(w / w.sum())
             else:
-                self._cum_by_continent[c] = np.cumsum(np.full(len(cells), 1.0 / len(cells))).tolist()
+                cum = np.cumsum(np.full(len(cells), 1.0 / len(cells)))
+            self._cells_by_continent[c] = cells.tolist()
+            self._cum_by_continent[c] = cum.tolist()
+            self._cell_cum.append((cum, cells))
+
+    def sample_cells(self, u: np.ndarray) -> tuple[list[int], list[int]]:
+        """Source and destination cells, one pair per row of uniforms `u`: the
+        source weight-proportional from column 0, the destination continent
+        from the source's row of the ratio table by column 1, and a cell in
+        that continent from column 2 (uniform if it carries zero demand)."""
+        src_cum = self._src_cum
+        src = np.searchsorted(src_cum, u[:, 0] * src_cum[-1], side="right")
+        src_cont = self.continents.ravel()[src]
+        dst_cont = np.empty(len(u), dtype=np.intp)
+        for c, cum in enumerate(_RATIOS_CUM_ARRAYS):
+            rows = np.flatnonzero(src_cont == c)
+            dst_cont[rows] = np.searchsorted(cum, u[rows, 1] * cum[-1], side="right")
+        np.minimum(dst_cont, 5, out=dst_cont)
+        dst = np.empty(len(u), dtype=np.intp)
+        for c, (cum, cells) in enumerate(self._cell_cum):
+            rows = np.flatnonzero(dst_cont == c)
+            k = np.searchsorted(cum, u[rows, 2] * cum[-1], side="right")
+            dst[rows] = cells[np.minimum(k, len(cum) - 1)]
+        return src.tolist(), dst.tolist()
 
     @staticmethod
     def cell_center(row: int, col: int) -> GeoPosition:
@@ -151,17 +195,6 @@ class DemandGrid:
 
     def continent_of(self, row: int, col: int) -> Continent:
         return Continent(int(self.continents[row, col]))
-
-    def sample_source_cell(self, rng: random.Random) -> int:
-        """Flat cell index drawn proportionally to demand weight."""
-        return bisect_right(self._cum_all, rng.random() * self._cum_all[-1])
-
-    def sample_cell_in_continent(self, continent: int, rng: random.Random) -> int:
-        """Flat cell index within a continent (a `Continent` or its value),
-        weight-proportional (uniform if the continent carries zero demand)."""
-        cum = self._cum_by_continent[continent]
-        k = min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
-        return self._cells_by_continent[continent][k]
 
     @classmethod
     def from_text(cls, text: str) -> "DemandGrid":
@@ -194,14 +227,6 @@ class DemandGrid:
             return cls.from_text(f.read())
 
 
-def _sample_class(mix_cum: Sequence[float], rng: random.Random) -> TrafficClass:
-    u = rng.random()
-    for cls, c in zip(ALL_CLASSES, mix_cum):
-        if u < c:
-            return cls
-    return ALL_CLASSES[-1]
-
-
 class ArrivalGenerator:
     """Merged, time-ordered packet arrival stream.
 
@@ -225,6 +250,7 @@ class ArrivalGenerator:
         self.background_rate = background_rate
         self.class_mix_cum = np.cumsum(class_mix).tolist()
         self.seed = seed
+        self._class_cum = np.array(self.class_mix_cum)
         self.terminals: list[GeoPosition] = [
             grid.cell_center(r, c) for r in range(GRID_ROWS) for c in range(GRID_COLS)
         ]
@@ -237,45 +263,44 @@ class ArrivalGenerator:
     def _rng(self, stream: int) -> random.Random:
         return random.Random((self.seed * 1_000_003 + stream) & 0xFFFFFFFF)
 
-    def _make_background(self, pkt_id: int, t: float, rng: random.Random) -> Packet:
-        grid = self.grid
-        src_cell = grid.sample_source_cell(rng)
-        dst_cont = _sample_destination(grid.continent_flat[src_cell], rng)
-        dst_cell = grid.sample_cell_in_continent(dst_cont, rng)
-        tos = _sample_class(self.class_mix_cum, rng)
-        return Packet(pkt_id, tos, src_cell, dst_cell, t)
+    def _blocks(
+        self, stream: int, rate: float, flow: Optional[int], horizon: float
+    ) -> Iterator[Iterator[tuple]]:
+        """One stream's arrivals up to the horizon, as an iterator of
+        (t, stream, tos, src_user, dst_user, flow) tuples per block of
+        `_BLOCK` packets. A background packet takes five draws (source cell,
+        destination continent, cell in that continent, class, next gap), a
+        flow packet two (class, next gap), in the order `random()` would
+        return them."""
+        rng = self._rng(stream)
+        draws = 5 if flow is None else 2
+        t = -log(1.0 - rng.random()) / rate
+        while t <= horizon:
+            u = _uniforms(rng, _BLOCK * draws).reshape(_BLOCK, draws)
+            times = []
+            for x in u[:, -1].tolist():
+                times.append(t)
+                t += -log(1.0 - x) / rate
+            n = bisect_right(times, horizon)
+            u = u[:n]
+            k = np.searchsorted(self._class_cum, u[:, -2], side="right")
+            tos = _CLASSES[np.minimum(k, 3)].tolist()
+            if flow is None:
+                src, dst = self.grid.sample_cells(u)
+            else:
+                src, dst = map(repeat, self._flow_terminals[flow])
+            yield zip(times[:n], repeat(stream), tos, src, dst, repeat(flow))
 
     def stream(self, horizon: float) -> Iterator[tuple[float, Packet]]:
-        """Yield (time, packet) in nondecreasing time order up to the horizon."""
-        rngs: list[random.Random] = []
-        rates: list[float] = []
-        kinds: list[int] = []  # -1 background, else flow index
+        """Yield (time, packet) in nondecreasing time order up to the horizon.
+        Streams are merged on (time, stream) and packets numbered in that
+        order."""
+        blocks = []
         if self.background_rate > 0:
-            rngs.append(self._rng(0))
-            rates.append(self.background_rate)
-            kinds.append(-1)
+            blocks.append(self._blocks(0, self.background_rate, None, horizon))
         for i, spec in enumerate(self.flows):
             if spec.rate > 0:
-                rngs.append(self._rng(i + 1))
-                rates.append(spec.rate)
-                kinds.append(i)
-        heap: list[tuple[float, int]] = []
-        for s, (rng, rate) in enumerate(zip(rngs, rates)):
-            t = rng.expovariate(rate)
-            if t <= horizon:
-                heapq.heappush(heap, (t, s))
-        pkt_id = 0
-        while heap:
-            t, s = heapq.heappop(heap)
-            rng = rngs[s]
-            if kinds[s] < 0:
-                pkt = self._make_background(pkt_id, t, rng)
-            else:
-                src_h, dst_h = self._flow_terminals[kinds[s]]
-                tos = _sample_class(self.class_mix_cum, rng)
-                pkt = Packet(pkt_id, tos, src_h, dst_h, t, flow=kinds[s])
-            pkt_id += 1
-            yield t, pkt
-            nt = t + rng.expovariate(rates[s])
-            if nt <= horizon:
-                heapq.heappush(heap, (nt, s))
+                blocks.append(self._blocks(i + 1, spec.rate, i, horizon))
+        merged = merge(*map(chain.from_iterable, blocks))
+        for pkt_id, (t, _, tos, src, dst, flow) in enumerate(merged):
+            yield t, Packet(pkt_id, tos, src, dst, t, flow)

@@ -4,16 +4,19 @@ They favour directness over speed: exact per-call geometry for access, the
 access resolver's vectorized solve as first written, one heap Dijkstra per
 destination for route tables, a plain single-server loop for PQWRR service,
 busy/idle classification and PQWRR queue selection as first written (one
-method per step), and strict priority as the discipline PQWRR is measured
-against.
+method per step), strict priority as the discipline PQWRR is measured
+against, and the arrival stream as first written (one `random()` call per
+draw, one scalar sampler per packet field).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import random
+from bisect import bisect_right
 from collections import deque
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from leoqsim.scheduling import (
     SchedulerConfig,
     TrafficClass,
 )
+from leoqsim.traffic import _RATIOS_CUM, ArrivalGenerator, DemandGrid, Packet
 
 
 def ground_position_eci(user: GeoPosition, t: float) -> np.ndarray:
@@ -296,3 +300,82 @@ class StrictPriorityReference(_ReferenceQueues):
                 self.size -= 1
                 return q.popleft()
         return None
+
+
+def sample_destination(src: int, rng: random.Random) -> int:
+    """Destination continent (its `Continent` value) drawn from row `src` of
+    the ratio table."""
+    cum = _RATIOS_CUM[src]
+    u = rng.random() * cum[-1]
+    for j, c in enumerate(cum):
+        if u < c:
+            return j
+    return 5
+
+
+def sample_source_cell(grid: DemandGrid, rng: random.Random) -> int:
+    """Flat cell index drawn proportionally to demand weight."""
+    return bisect_right(grid._cum_all, rng.random() * grid._cum_all[-1])
+
+
+def sample_cell_in_continent(grid: DemandGrid, continent: int, rng: random.Random) -> int:
+    """Flat cell index within a continent (a `Continent` or its value),
+    weight-proportional (uniform if the continent carries zero demand)."""
+    cum = grid._cum_by_continent[continent]
+    k = min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
+    return grid._cells_by_continent[continent][k]
+
+
+def sample_class(mix_cum: Sequence[float], rng: random.Random) -> TrafficClass:
+    u = rng.random()
+    for cls, c in zip(ALL_CLASSES, mix_cum):
+        if u < c:
+            return cls
+    return ALL_CLASSES[-1]
+
+
+def make_background(gen: ArrivalGenerator, pkt_id: int, t: float, rng: random.Random) -> Packet:
+    grid = gen.grid
+    src_cell = sample_source_cell(grid, rng)
+    dst_cont = sample_destination(grid.continent_flat[src_cell], rng)
+    dst_cell = sample_cell_in_continent(grid, dst_cont, rng)
+    tos = sample_class(gen.class_mix_cum, rng)
+    return Packet(pkt_id, tos, src_cell, dst_cell, t)
+
+
+def arrival_stream(gen: ArrivalGenerator, horizon: float) -> Iterator[tuple[float, Packet]]:
+    """`ArrivalGenerator.stream` as first written: one heap entry per stream,
+    and each packet's fields and next gap drawn from the stream's RNG, in that
+    order, as it is popped."""
+    rngs: list[random.Random] = []
+    rates: list[float] = []
+    kinds: list[int] = []  # -1 background, else flow index
+    if gen.background_rate > 0:
+        rngs.append(gen._rng(0))
+        rates.append(gen.background_rate)
+        kinds.append(-1)
+    for i, spec in enumerate(gen.flows):
+        if spec.rate > 0:
+            rngs.append(gen._rng(i + 1))
+            rates.append(spec.rate)
+            kinds.append(i)
+    heap: list[tuple[float, int]] = []
+    for s, (rng, rate) in enumerate(zip(rngs, rates)):
+        t = rng.expovariate(rate)
+        if t <= horizon:
+            heapq.heappush(heap, (t, s))
+    pkt_id = 0
+    while heap:
+        t, s = heapq.heappop(heap)
+        rng = rngs[s]
+        if kinds[s] < 0:
+            pkt = make_background(gen, pkt_id, t, rng)
+        else:
+            src_h, dst_h = gen._flow_terminals[kinds[s]]
+            tos = sample_class(gen.class_mix_cum, rng)
+            pkt = Packet(pkt_id, tos, src_h, dst_h, t, flow=kinds[s])
+        pkt_id += 1
+        yield t, pkt
+        nt = t + rng.expovariate(rates[s])
+        if nt <= horizon:
+            heapq.heappush(heap, (nt, s))

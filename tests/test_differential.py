@@ -1,10 +1,13 @@
 """The per-hop layers against their references in `oracles`: busy/idle
 classification and PQWRR queue selection must give the same labels, rates,
-notifications and service order as the straightforward versions, and the
-access resolver the same access satellites."""
+notifications and service order as the straightforward versions, the
+access resolver the same access satellites, and the arrival generator the
+same packets at the same times."""
 
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +15,8 @@ from hypothesis import strategies as st
 from leoqsim.congestion import CongestionConfig, CongestionLabel, NodeCongestionState
 from leoqsim.constellation import AccessResolver, ConstellationParams, GeoPosition
 from leoqsim.scheduling import ALL_CLASSES, PqwrrScheduler, SchedulerConfig, TrafficClass
-from leoqsim.traffic import ArrivalGenerator, DemandGrid, FlowSpec
-from oracles import CongestionReference, PqwrrReference, access_row
+from leoqsim.traffic import _BLOCK, ArrivalGenerator, Continent, DemandGrid, FlowSpec, _uniforms
+from oracles import CongestionReference, PqwrrReference, access_row, arrival_stream
 from test_scheduling import pkt
 
 GRID_PATH = Path(__file__).resolve().parents[1] / "src" / "leoqsim" / "data" / "default_grid.txt"
@@ -123,3 +126,76 @@ def test_access_rows_match_the_reference_at_every_quantum(shell):
         assert row == access_row(params, terminals, float(q)), q
         blocked += row.count(-1)
     assert (blocked > 0) == (shell == "sparse_high_mask")
+
+
+def arrivals(stream):
+    return [(t, p.id, p.tos, p.src_user, p.dst_user, p.flow) for t, p in stream]
+
+
+def assert_same_stream(gen, horizon):
+    got = arrivals(gen.stream(horizon))
+    assert got == arrivals(arrival_stream(gen, horizon))
+    return got
+
+
+def test_block_draws_equal_random_calls():
+    for seed, n in ((0, 1), (42, 5 * _BLOCK), (2**32 - 1, 3)):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert _uniforms(rng, n).tolist() == [ref.random() for _ in range(n)]
+        assert rng.random() == ref.random()  # the generator is left where random() leaves it
+
+
+FLOW_ENDS = [
+    (GeoPosition(40.0, -100.0), GeoPosition(50.0, 10.0)),
+    (GeoPosition(-56.0, 26.0), GeoPosition(65.2, -58.0)),
+    (GeoPosition(0.0, 0.0), GeoPosition(-33.9, 151.2)),
+]
+RATES = st.sampled_from([0.0, 0.5, 37.5, 600.0, 2500.0])
+# Integer weights, so mixes with zero entries such as (0, 0, 1, 0) come up.
+CLASS_MIXES = st.lists(st.integers(0, 3), min_size=4, max_size=4).filter(any).map(
+    lambda w: tuple(x / sum(w) for x in w))
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return DemandGrid.load(GRID_PATH)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+       background=RATES, flow_rates=st.lists(RATES, max_size=3), mix=CLASS_MIXES,
+       horizon=st.floats(0.1, 2.5))
+def test_arrival_stream_matches_the_reference(grid, seed, background, flow_rates, mix, horizon):
+    flows = [FlowSpec(src, dst, rate) for (src, dst), rate in zip(FLOW_ENDS, flow_rates)]
+    assert_same_stream(ArrivalGenerator(flows, grid, background, mix, seed), horizon)
+
+
+def test_arrival_stream_matches_the_reference_with_a_zero_rate_flow(grid):
+    flows = [FlowSpec(*FLOW_ENDS[0], 0.0), FlowSpec(*FLOW_ENDS[1], 600.0)]
+    got = assert_same_stream(ArrivalGenerator(flows, grid, 800.0, (0.0, 0.0, 1.0, 0.0), 3), 5.0)
+    assert {flow for *_, flow in got} == {None, 1}
+
+
+def test_arrival_stream_matches_the_reference_on_a_weightless_continent(grid):
+    # Oceania carries no demand: no packet starts there, and packets bound
+    # there pick its cells from the uniform table.
+    weights = grid.weights.copy()
+    weights[grid.continents == Continent.OCEANIA] = 0.0
+    gen = ArrivalGenerator([], DemandGrid(weights, grid.continents), 3000.0,
+                           (0.25, 0.25, 0.25, 0.25), 11)
+    got = assert_same_stream(gen, 10.0)
+    oceania = set(np.flatnonzero(grid.continents.ravel() == Continent.OCEANIA).tolist())
+    assert not {row[3] for row in got} & oceania  # src_user
+    assert {row[4] for row in got} >= oceania  # dst_user
+
+
+@pytest.mark.parametrize("last", [_BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 1500])
+def test_arrival_stream_ends_at_a_horizon_equal_to_an_arrival(grid, last):
+    # A horizon equal to an arrival time includes that arrival (`<=`). With a
+    # single stream, the arrival at index _BLOCK - 1 ends the first block, so
+    # that horizon ends the stream exactly on a block boundary and the next
+    # block is never used; index _BLOCK is the first arrival of the second.
+    gen = ArrivalGenerator([], grid, 800.0, (0.25, 0.25, 0.25, 0.25), 42)
+    horizon = arrivals(arrival_stream(gen, 10.0))[last][0]
+    got = assert_same_stream(gen, horizon)
+    assert len(got) == last + 1 and got[-1][0] == horizon

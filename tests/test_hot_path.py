@@ -23,10 +23,11 @@ HOTSPOT = SCENARIOS / "hotspot.ini"
 PACKAGE = str(Path(leoqsim.__file__).resolve().parent)
 
 # Package calls made by one 5 s seed-42 baseline run() of 3,971 packets:
-# 169,419 (42.7 per packet), since the forwarding decision is made in
-# `Simulation._route` itself. Before that the same run made 186,608 (47.0 per
-# packet), and before the per-hop pipeline was flattened 331,207 (83.4).
-MAX_CALLS = 169_419
+# 149,577 (37.7 per packet), since arrival streams are drawn a block at a
+# time. Before that the scalar samplers made it 169,419 (42.7 per packet), and
+# before the forwarding decision moved into `Simulation._route` 186,608
+# (47.0); before the per-hop pipeline was flattened 331,207 (83.4).
+MAX_CALLS = 149_577
 
 # Backup tables built by one 10 s seed-42 hotspot run(): its 32 busy/idle
 # notifications meet 20 distinct busy sets in its one routing slot, and each

@@ -1,5 +1,6 @@
 """Every public top-level function and class of `leoqsim` has a caller, and
-importing the command line does not pull in scipy.
+neither importing the command line nor a run pulls in scipy or
+`numpy.random`.
 
 A name counts as used when the package itself or the benchmark harness in
 `perfbench/` (its tests excluded) refers to it anywhere other than its own
@@ -60,12 +61,24 @@ def test_every_public_definition_is_used():
     assert unused == []
 
 
-def test_importing_the_cli_does_not_load_scipy():
+def test_importing_the_cli_does_not_load_scipy(tmp_path):
     # Importing scipy's graph routines adds about 33 MB of resident memory, so
-    # route tables are built with numpy alone.
-    probe = "import sys, leoqsim.cli; print('scipy' in sys.modules)"
+    # route tables are built with numpy alone. Importing `numpy.random` adds
+    # about 6.1 MB, so arrival streams draw their blocks from
+    # `random.Random.getrandbits`; a 1 s run checks that no draw loads it.
+    scenario = tmp_path / "short.ini"
+    scenario.write_text("[run]\nduration_s = 1\n", encoding="utf-8")
+    run = ["run", str(scenario), "--out", str(tmp_path / "report")]
+    probe = (
+        "import sys, leoqsim.cli\n"
+        "print('scipy' in sys.modules)\n"
+        f"code = leoqsim.cli.main({run!r})\n"
+        "print(code, 'scipy' in sys.modules, 'numpy.random' in sys.modules)\n"
+    )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    lines = result.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "0 False False"

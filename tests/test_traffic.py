@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -15,9 +16,13 @@ from leoqsim.traffic import (
     FlowSpec,
     Packet,
     _RATIOS_CUM,
-    _sample_destination,
 )
-from oracles import subsatellite_point
+from oracles import (
+    sample_cell_in_continent,
+    sample_destination,
+    sample_source_cell,
+    subsatellite_point,
+)
 
 from pathlib import Path
 
@@ -53,7 +58,7 @@ class TestRatioTable:
         rng = random.Random(5)
         n = 100_000
         for src in Continent:
-            counts = Counter(_sample_destination(src, rng) for _ in range(n))
+            counts = Counter(sample_destination(src, rng) for _ in range(n))
             for dst in Continent:
                 p = share(src, dst)
                 sigma = math.sqrt(p * (1 - p) / n)
@@ -83,7 +88,7 @@ class TestDemandGrid:
     def test_source_sampling_follows_weights(self, grid):
         rng = random.Random(12)
         n = 50_000
-        counts = Counter(grid.sample_source_cell(rng) for _ in range(n))
+        counts = Counter(sample_source_cell(grid, rng) for _ in range(n))
         flat = grid.weights.ravel()
         heavy = int(np.argmax(flat))
         p = flat[heavy]
@@ -94,7 +99,7 @@ class TestDemandGrid:
         rng = random.Random(3)
         for cont in Continent:
             for _ in range(200):
-                cell = grid.sample_cell_in_continent(cont, rng)
+                cell = sample_cell_in_continent(grid, cont, rng)
                 assert grid.continents.ravel()[cell] == int(cont)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -187,6 +192,22 @@ class TestArrivalGenerator:
         flow = FlowSpec(GeoPosition(-56.0, 26.0), GeoPosition(65.2, -58.0), 50.0)
         gen = ArrivalGenerator([flow], grid, 0.0, (0.0, 0.0, 1.0, 0.0), 3)
         assert {p.tos for _, p in gen.stream(5.0)} == {TrafficClass.B1}
+
+    def test_memory_does_not_grow_with_the_horizon(self, grid):
+        # Each stream holds one block of draws, so consuming ten times the
+        # packets peaks at the same traced memory.
+        def peak(horizon):
+            gen = self.make(grid, background=800.0)
+            tracemalloc.start()
+            try:
+                for _ in gen.stream(horizon):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short = peak(60.0)
+        assert peak(600.0) <= 1.1 * short
 
 
 def test_sampling_tables_hold_python_floats(grid):
