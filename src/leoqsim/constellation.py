@@ -205,6 +205,16 @@ class OrbitGeometry:
         return d / SPEED_OF_LIGHT_KM_S
 
 
+def periods_elapsed(t: float, period: float) -> int:
+    """The largest k with `k * period <= t`, for t >= 0: how many events of
+    the schedule period, 2 * period, ... fall at or before t. `t / period`
+    may round either way, so count down from one past its floor."""
+    k = int(t / period) + 1
+    while k * period > t:
+        k -= 1
+    return k
+
+
 @dataclass
 class TopologySnapshot:
     """Static link graph for one routing time slot.
@@ -254,14 +264,21 @@ def build_topology_snapshot(
 
 
 class AccessResolver:
-    """Cached access-satellite lookups on a fixed time grid.
+    """Access-satellite lookups on a fixed time grid.
 
     Terminals sit at fixed ground positions, addressed by their position in
-    `ground`, so per time quantum one vectorized elevation pass covers every
-    terminal. Lookup times are quantized to `quantum_s`. Only the latest
-    quantum's row is kept: the event loop's lookup times never decrease, so
-    memory stays O(terminals) at any horizon, and an earlier time is simply
-    solved again.
+    `ground`, so one vectorized elevation pass per time quantum covers every
+    terminal. Quantum k starts at `k * quantum_s`, and a time t falls in the
+    largest k with `k * quantum_s <= t` (`periods_elapsed`): the rule by
+    which the event loop schedules its access refreshes, routing slots,
+    stats ticks and sweeps. For `quantum_s = 1.0` it is `int(t)`. For other
+    quanta, `int(t / quantum_s)` can differ from it within an ulp of a
+    boundary (`int(3 * 0.7 / 0.7) == 2`).
+
+    The event loop holds the current quantum's `row` and refreshes it every
+    quantum. `access_index` looks up one terminal and keeps only the latest
+    quantum's row, so memory stays O(terminals) at any horizon, and an
+    earlier time is simply solved again.
     """
 
     def __init__(
@@ -281,14 +298,15 @@ class AccessResolver:
         self._min_sin_e = math.sin(math.radians(params.min_elevation_deg))
 
     def access_index(self, terminal: int, t: float) -> int:
-        """Best satellite index for a terminal at the quantized time, or -1."""
-        q = int(t / self.quantum_s)
+        """Best satellite index for a terminal in the quantum of time t, or -1."""
+        q = periods_elapsed(t, self.quantum_s)
         if q != self._quantum:
-            self._row = self._solve(q)
+            self._row = self.row(q)
             self._quantum = q
         return self._row[terminal]
 
-    def _solve(self, q: int) -> list[int]:
+    def row(self, q: int) -> list[int]:
+        """Best satellite index (-1 none) of every terminal in quantum q."""
         t = q * self.quantum_s
         sat = satellite_positions(self.params, t)  # (N, 3)
         theta = EARTH_ROTATION_RAD_S * t

@@ -14,6 +14,19 @@ geometry and link delays come from `constellation.OrbitGeometry`, the link
 graph from `constellation.build_topology_snapshot`, the forwarding rule from
 `routing.decide_next_index`, and satellite names from `SatelliteId`.
 
+Pending events sit in two lanes. Every service completion falls one fixed
+service period after the event that starts it, and event times never
+decrease, so completions are created in (time, seq) order: they queue in a
+FIFO. Everything else goes through a binary heap, which also holds a horizon
+sentinel `(end, 1 << 62, _EV_END)`. The loop takes the FIFO's head when it
+sorts before the heap's top and otherwise pops the heap, and it stops when
+it pops the sentinel, so an event at exactly the horizon still runs.
+
+The access satellite of every terminal is a row, refreshed by a periodic
+event at each `access_refresh_s` quantum (`AccessResolver.row`). Refreshes
+hold the first sequence numbers, so at a quantum boundary the new row is in
+place before any other event at that time reads it.
+
 Of each route table the engine keeps only the next-hop rows the forwarding
 rule reads. A backup table depends only on the slot's snapshot and the busy
 flags, so each slot builds it once per distinct busy set and keeps the rows
@@ -28,7 +41,7 @@ from itertools import count
 from typing import Optional
 
 from .congestion import CongestionLabel, NodeCongestionState
-from .constellation import AccessResolver, OrbitGeometry, build_topology_snapshot
+from .constellation import AccessResolver, OrbitGeometry, build_topology_snapshot, periods_elapsed
 from .routing import compute_backup_table, compute_shortest_path_table, decide_next_index
 from .scenario import ScenarioConfig
 from .scheduling import DropReason, DropRecord, PqwrrScheduler
@@ -38,7 +51,7 @@ from .traffic import ArrivalGenerator, Packet
 # Event kinds, dispatched positionally: (time, seq, kind, a, b). Events are
 # ordered by (time, seq) alone; the kinds are numbered by how often the loop
 # meets them.
-_EV_SERVICE = 0  # service completion; a = sat index, b = packet
+_EV_SERVICE = 0  # service completion, in the FIFO lane; a = sat index, b = packet
 _EV_LINK = 1  # packet reaches the next satellite; a = packet, b = sat index
 _EV_UPLINK = 2  # packet reaches its source access satellite; a = packet, b = sat index
 _EV_SOURCE = 3  # a packet is created at its source user; b unused
@@ -46,6 +59,8 @@ _EV_DELIVERY = 4  # downlink completes at the destination user; b unused
 _EV_SLOT = 5  # routing slot boundary; a = slot index
 _EV_SWEEP = 6  # periodic arrival-rate re-evaluation of every satellite
 _EV_TICK = 7  # stats bucket boundary
+_EV_ACCESS = 8  # access row refresh; a = quantum index
+_EV_END = 9  # horizon sentinel
 _IN_FLIGHT = (_EV_LINK, _EV_UPLINK, _EV_DELIVERY)  # a packet on a link
 
 
@@ -96,8 +111,10 @@ class Simulation:
         self.snapshot = None
         self.primary = None  # next-hop rows of the primary table
         self.backup = None  # next-hop rows of the backup table, or None (pqwrr_only)
+        self.access = None  # access satellite index per terminal (-1 none), this quantum
         self._backups: dict[tuple[bool, ...], list] = {}  # busy flags -> rows, this slot
         self._heap: list = []
+        self._svc: deque = deque()  # service completions, in (time, seq) order
         self._next_seq = count(1).__next__  # event sequence numbers; `run` restarts it
         self._service_period = 1.0 / cfg.scheduler.service_rate
         self._chan_period = 1.0 / cfg.scheduler.channel_rate
@@ -170,7 +187,7 @@ class Simulation:
         routing wait queue) at satellite `sat`, and its transmission. The next
         hop is `sat` itself for the downlink, -1 to wait, and `via_backup` says
         whether it comes from the backup table."""
-        dst = self.resolver.access_index(pkt.dst_user, t)
+        dst = self.access[pkt.dst_user]
         if dst < 0 or dst == sat:
             nxt, via_backup = dst, False
         else:
@@ -216,28 +233,31 @@ class Simulation:
         cfg = self.cfg
         end = cfg.run.duration_s
         heap = self._heap
+        svc = self._svc
         self._rebuild_for_slot(0.0, 0)
+        access_row = self.resolver.row
+        self.access = access = access_row(0)
 
         # Periodic events are pushed one ahead: the first of each kind here,
         # event k + 1 when event k fires, so the heap never holds more than
         # one of a kind. Their sequence numbers are the ones an all-up-front
-        # schedule would give (slots 1..n, then ticks, then sweeps) and packet
-        # events are numbered after them: every event keeps its (time, seq)
-        # key, so the pop order, and with it every export, is the same.
+        # schedule would give (access refreshes 1..n, then slots, ticks and
+        # sweeps) and packet events are numbered after them: every event
+        # keeps its (time, seq) key, so the pop order, and with it every
+        # export, does not depend on when an event was pushed.
         periodic = {}  # kind -> (period, number of events)
         first_seq = 1
-        for kind, period in ((_EV_SLOT, cfg.routing.slot_length_s),
+        for kind, period in ((_EV_ACCESS, cfg.run.access_refresh_s),
+                             (_EV_SLOT, cfg.routing.slot_length_s),
                              (_EV_TICK, cfg.run.stats_interval_s),
                              (_EV_SWEEP, cfg.run.state_check_interval_s)):
-            # Event k fires at k * period while that is <= end; end / period
-            # may round either way, so count down from one past its floor.
-            last = int(end / period) + 1
-            while last * period > end:
-                last -= 1
+            # Event k fires at k * period while that is <= end.
+            last = periods_elapsed(end, period)
             periodic[kind] = (period, last)
             if last:
                 heappush(heap, (period, first_seq, kind, 1, None))
             first_seq += last
+        heappush(heap, (end, 1 << 62, _EV_END, None, None))
         self._next_seq = seq = count(first_seq).__next__
 
         stream = self.generator.stream(end)
@@ -249,27 +269,30 @@ class Simulation:
         nodes = self.nodes
         trace = self.trace
         route = self._route
-        access_index = self.resolver.access_index
         slant_delay = self.geometry.slant_delay
         ccfg = cfg.congestion
         service_period = self._service_period
         count_uplink = self._count_uplink
-        while heap and heap[0][0] <= end:
-            t, s, kind, a, b = heappop(heap)
-
-            if kind == _EV_SERVICE:
+        svc_pop = svc.popleft
+        svc_push = svc.append
+        while True:
+            if svc and svc[0] < heap[0]:  # _EV_SERVICE: packet b leaves satellite a
+                t, _, _, a, b = svc_pop()
                 node = nodes[a]
                 scheduler = node.scheduler
                 if scheduler.size:
                     pkt = scheduler.dequeue()
                     node.in_service = pkt
-                    heappush(heap, (t + service_period, seq(), _EV_SERVICE, a, pkt))
+                    svc_push((t + service_period, seq(), _EV_SERVICE, a, pkt))
                 else:
                     node.in_service = None
                 if trace is not None:
                     self._trace(t, "service", b, a)
                 route(t, b, a)
-            elif kind <= _EV_UPLINK:  # _EV_LINK or _EV_UPLINK: packet a reaches satellite b
+                continue
+
+            t, s, kind, a, b = heappop(heap)
+            if kind <= _EV_UPLINK:  # _EV_LINK or _EV_UPLINK: packet a reaches satellite b
                 node = nodes[b]
                 if kind == _EV_LINK:
                     a.hop += 1
@@ -289,10 +312,10 @@ class Simulation:
                 elif node.in_service is None:
                     pkt = scheduler.dequeue()
                     node.in_service = pkt
-                    heappush(heap, (t + service_period, seq(), _EV_SERVICE, b, pkt))
+                    svc_push((t + service_period, seq(), _EV_SERVICE, b, pkt))
             elif kind == _EV_SOURCE:
                 stats.record_generated(a)
-                src = access_index(a.src_user, t)
+                src = access[a.src_user]
                 if src < 0:
                     rec = DropRecord(t, None, a.tos, DropReason.ACCESS_BLOCKED)
                     stats.record_drop(rec)
@@ -308,10 +331,15 @@ class Simulation:
                 stats.record_delivery(a, t)
                 if trace is not None:
                     self._trace(t, "deliver", a, -1)
-            else:  # _EV_SLOT, _EV_SWEEP or _EV_TICK: the a-th event of its kind
+            elif kind == _EV_END:
+                break
+            else:  # _EV_ACCESS, _EV_SLOT, _EV_SWEEP or _EV_TICK: the a-th event of its kind
                 period, last = periodic[kind]
                 if a < last:
                     heappush(heap, ((a + 1) * period, s + 1, kind, a + 1, None))
+                if kind == _EV_ACCESS:
+                    self.access = access = access_row(a)
+                    continue
                 if kind == _EV_SWEEP:
                     notifs = []
                     for node in nodes:

@@ -147,14 +147,9 @@ class DemandGrid:
         self.weights = weights / total
         self.continents = continents
         flat = self.weights.ravel()
-        # Each sampling table as an array, for drawing a block at a time, and
-        # as a list of Python floats, as the scalar samplers in the test
-        # oracles read it.
+        # The cumulative sampling tables: over every cell, and per continent
+        # over its cells, with those cells' flat indices.
         self._src_cum = np.cumsum(flat)
-        self._cum_all = self._src_cum.tolist()
-        self.continent_flat = [int(x) for x in continents.ravel()]
-        self._cells_by_continent: dict[int, list[int]] = {}
-        self._cum_by_continent: dict[int, list[float]] = {}
         self._cell_cum: list[tuple[np.ndarray, np.ndarray]] = []
         for c in range(6):
             cells = np.flatnonzero(continents.ravel() == c)
@@ -165,8 +160,6 @@ class DemandGrid:
                 cum = np.cumsum(w / w.sum())
             else:
                 cum = np.cumsum(np.full(len(cells), 1.0 / len(cells)))
-            self._cells_by_continent[c] = cells.tolist()
-            self._cum_by_continent[c] = cum.tolist()
             self._cell_cum.append((cum, cells))
 
     def sample_cells(self, u: np.ndarray) -> tuple[list[int], list[int]]:

@@ -16,6 +16,7 @@ import math
 import random
 from bisect import bisect_right
 from collections import deque
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -313,17 +314,32 @@ def sample_destination(src: int, rng: random.Random) -> int:
     return 5
 
 
+@lru_cache(maxsize=8)
+def grid_tables(grid: DemandGrid) -> tuple[list, list, list, list]:
+    """The grid's sampling tables as lists of Python numbers: the cumulative
+    weight over every cell, each cell's continent, and per continent the
+    cumulative weight over its cells and those cells' flat indices."""
+    return (
+        grid._src_cum.tolist(),
+        grid.continents.ravel().tolist(),
+        [cum.tolist() for cum, _ in grid._cell_cum],
+        [cells.tolist() for _, cells in grid._cell_cum],
+    )
+
+
 def sample_source_cell(grid: DemandGrid, rng: random.Random) -> int:
     """Flat cell index drawn proportionally to demand weight."""
-    return bisect_right(grid._cum_all, rng.random() * grid._cum_all[-1])
+    cum = grid_tables(grid)[0]
+    return bisect_right(cum, rng.random() * cum[-1])
 
 
 def sample_cell_in_continent(grid: DemandGrid, continent: int, rng: random.Random) -> int:
     """Flat cell index within a continent (a `Continent` or its value),
     weight-proportional (uniform if the continent carries zero demand)."""
-    cum = grid._cum_by_continent[continent]
+    _, _, cum_by_continent, cells_by_continent = grid_tables(grid)
+    cum = cum_by_continent[continent]
     k = min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
-    return grid._cells_by_continent[continent][k]
+    return cells_by_continent[continent][k]
 
 
 def sample_class(mix_cum: Sequence[float], rng: random.Random) -> TrafficClass:
@@ -337,7 +353,7 @@ def sample_class(mix_cum: Sequence[float], rng: random.Random) -> TrafficClass:
 def make_background(gen: ArrivalGenerator, pkt_id: int, t: float, rng: random.Random) -> Packet:
     grid = gen.grid
     src_cell = sample_source_cell(grid, rng)
-    dst_cont = sample_destination(grid.continent_flat[src_cell], rng)
+    dst_cont = sample_destination(grid_tables(grid)[1][src_cell], rng)
     dst_cell = sample_cell_in_continent(grid, dst_cont, rng)
     tos = sample_class(gen.class_mix_cum, rng)
     return Packet(pkt_id, tos, src_cell, dst_cell, t)

@@ -1,6 +1,7 @@
 """End-to-end engine runs, pinned to the sha256 of their exports, the
-schedule of periodic events, the per-slot backup rows and the FIFO wait-queue
-drain.
+schedule of periodic events, the dispatch order of the two event lanes, the
+access rows that forwarding reads, the per-slot backup rows and the FIFO
+wait-queue drain.
 
 Each run covers 5 s at seed 42 with the packet trace and the route-table dump
 switched on, so every export file is part of the digest. A change to the
@@ -14,7 +15,7 @@ satellite is delivered over the primary or backup table instead of parked.
 
 import hashlib
 import heapq
-from collections import Counter
+from collections import Counter, deque
 from itertools import count
 from pathlib import Path
 from typing import Optional
@@ -22,7 +23,7 @@ from typing import Optional
 import pytest
 
 from leoqsim import engine, stats
-from leoqsim.constellation import OrbitGeometry
+from leoqsim.constellation import AccessResolver, OrbitGeometry
 from leoqsim.routing import compute_backup_table
 from leoqsim.scenario import loads_scenario
 from leoqsim.scheduling import TrafficClass
@@ -144,10 +145,10 @@ def test_resolver_and_geometry_index_the_generators_terminals():
 
 # -- periodic events ----------------------------------------------------------
 
-PERIODIC = (engine._EV_SLOT, engine._EV_TICK, engine._EV_SWEEP)
+PERIODIC = (engine._EV_ACCESS, engine._EV_SLOT, engine._EV_TICK, engine._EV_SWEEP)
 
-# Slots, stats ticks and sweeps coincide at every even second, and the horizon
-# is a multiple of none of their periods.
+# Access refreshes, slots, stats ticks and sweeps coincide at every even
+# second, and the horizon is a multiple of none of their periods.
 COINCIDING_SCENARIO = (
     "[traffic]\nbackground_rate = 50\n[routing]\nslot_length_s = 2\n"
     "[run]\nduration_s = 7.3\nstats_interval_s = 1\nstate_check_interval_s = 0.5\n"
@@ -172,10 +173,11 @@ def record_pops(monkeypatch, observe):
 def test_periodic_events_pop_with_the_keys_of_an_all_up_front_schedule(monkeypatch):
     popped = record_pops(monkeypatch, lambda heap: None)
     engine.Simulation(loads_scenario(COINCIDING_SCENARIO)).run()
-    # Every periodic event pushed at t = 0: slots, then ticks, then sweeps.
+    # Every periodic event pushed at t = 0: access refreshes, then slots,
+    # ticks and sweeps.
     seq = count(1)
     up_front = [(k * period, next(seq), kind)
-                for kind, period in zip(PERIODIC, (2.0, 1.0, 0.5))
+                for kind, period in zip(PERIODIC, (1.0, 2.0, 1.0, 0.5))
                 for k in range(1, int(7.3 / period) + 1)]
     assert [event[:3] for event in popped if event[2] in PERIODIC] == sorted(up_front)
     first_source = next(event for event in popped if event[2] == engine._EV_SOURCE)
@@ -183,7 +185,8 @@ def test_periodic_events_pop_with_the_keys_of_an_all_up_front_schedule(monkeypat
 
 
 def test_the_heap_holds_at_most_one_periodic_event_of_each_kind(monkeypatch):
-    # Default periods over an hour: 60 slots, 60 stats ticks and 7,200 sweeps.
+    # Default periods over an hour: 3,600 access refreshes, 60 slots, 60 stats
+    # ticks and 7,200 sweeps; the horizon sentinel is in the heap throughout.
     most = Counter()
 
     def observe(heap):
@@ -194,9 +197,10 @@ def test_the_heap_holds_at_most_one_periodic_event_of_each_kind(monkeypatch):
     sim = engine.Simulation(
         loads_scenario("[traffic]\nbackground_rate = 0\n[run]\nduration_s = 3600\n"))
     sim.run()
-    assert most == {kind: 1 for kind in PERIODIC}
+    assert most == {kind: 1 for kind in PERIODIC + (engine._EV_END,)}
     assert Counter(event[2] for event in popped) == {
-        engine._EV_SLOT: 60, engine._EV_TICK: 60, engine._EV_SWEEP: 7200}
+        engine._EV_ACCESS: 3600, engine._EV_SLOT: 60, engine._EV_TICK: 60,
+        engine._EV_SWEEP: 7200, engine._EV_END: 1}
     assert sim.stats.generated_total() == 0
 
 
@@ -209,6 +213,82 @@ def test_a_periodic_event_at_exactly_the_horizon_runs(monkeypatch, duration_s, s
         f"[traffic]\nbackground_rate = 0\n"
         f"[run]\nduration_s = {duration_s}\nstate_check_interval_s = 0.1\n")).run()
     assert sum(event[2] == engine._EV_SWEEP for event in popped) == sweeps
+
+
+class RecordingDeque(deque):
+    """A deque that appends every event popped from its left to `log`."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def popleft(self):
+        event = super().popleft()
+        self.log.append(event)
+        return event
+
+
+def test_both_lanes_dispatch_in_strictly_increasing_key_order(monkeypatch):
+    # A congested run: service completions come from the FIFO lane, every
+    # other event from the heap, and together they run in (time, seq) order.
+    dispatched = record_pops(monkeypatch, lambda heap: None)
+    sim = engine.Simulation(loads_scenario(scenario_text(HOTSPOT_FLOW, "composite")))
+    sim._svc = RecordingDeque(dispatched)
+    report = sim.run()
+    assert report.state_log
+    keys = [event[:2] for event in dispatched]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    kinds = Counter(event[2] for event in dispatched)
+    assert kinds[engine._EV_SERVICE] > kinds[engine._EV_LINK] > 0
+    assert dispatched[-1][2] == engine._EV_END
+
+
+def test_every_forwarding_decision_reads_the_access_row_of_its_time():
+    sim = engine.Simulation(loads_scenario(scenario_text(HOTSPOT_FLOW, "composite")))
+    oracle = AccessResolver(sim.params, sim.generator.terminals, quantum_s=1.0)
+    route = sim._route
+    decisions = []
+
+    def checked_route(t, pkt, sat):
+        decisions.append(sim.access[pkt.dst_user] == oracle.access_index(pkt.dst_user, t))
+        route(t, pkt, sat)
+
+    sim._route = checked_route
+    sim.run()
+    assert len(decisions) > 20_000
+    assert all(decisions)
+
+
+def test_a_slot_drain_at_a_quantum_boundary_reads_that_quantums_row():
+    # 3 * 0.7 is the third slot boundary and the third access quantum, though
+    # int(3 * 0.7 / 0.7) == 2: a time is in the largest quantum k with
+    # k * 0.7 <= t, in the engine's refreshes and in `access_index` alike.
+    sim = engine.Simulation(loads_scenario(
+        "[traffic]\nbackground_rate = 50\n[routing]\nslot_length_s = 0.7\n"
+        "[run]\nduration_s = 2.5\naccess_refresh_s = 0.7\n"))
+    solved = {}
+    row = sim.resolver.row
+
+    def recording_row(k):
+        solved[k] = row(k)
+        return solved[k]
+
+    drained = []
+    drain = sim._drain_wait_queues
+
+    def recording_drain(t):
+        drained.append((t, sim.access))
+        drain(t)
+
+    sim.resolver.row = recording_row
+    sim._drain_wait_queues = recording_drain
+    sim.run()
+    assert int(3 * 0.7 / 0.7) == 2
+    assert [t for t, _ in drained] == [0.7, 2 * 0.7, 3 * 0.7]
+    assert drained[2][1] is solved[3]
+    solved.clear()
+    sim.resolver.access_index(0, 3 * 0.7)
+    assert list(solved) == [3]
 
 
 # -- backup rows --------------------------------------------------------------
@@ -261,6 +341,7 @@ def busy_drain_setup():
     the backup table is built for that busy set."""
     sim = engine.Simulation(loads_scenario(DRAIN_SCENARIO))
     sim._rebuild_for_slot(0.0, 0)
+    sim.access = sim.resolver.row(0)
     busy = {j for j, _ in sim.snapshot.neighbor_table[HERE]}
     for i in busy:
         sim.busy_flags[i] = True

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from leoqsim import traffic
 from leoqsim.constellation import AccessResolver, ConstellationParams, GeoPosition, SatelliteId
 from leoqsim.scheduling import ALL_CLASSES, TrafficClass
 from leoqsim.traffic import (
@@ -18,6 +19,7 @@ from leoqsim.traffic import (
     _RATIOS_CUM,
 )
 from oracles import (
+    grid_tables,
     sample_cell_in_continent,
     sample_destination,
     sample_source_cell,
@@ -193,6 +195,35 @@ class TestArrivalGenerator:
         gen = ArrivalGenerator([flow], grid, 0.0, (0.0, 0.0, 1.0, 0.0), 3)
         assert {p.tos for _, p in gen.stream(5.0)} == {TrafficClass.B1}
 
+    def test_gaps_are_taken_with_math_log(self, grid, monkeypatch):
+        # Each gap is -math.log(1 - u) / rate, as `expovariate` computes it.
+        # Vectorized numpy.log differs from math.log in the last bit on some
+        # uniforms: every uniform of the block is such a one here. The first
+        # arrival is at 0 and the rate is 1, so the second arrival is the
+        # first gap itself, and no larger sum can absorb a one-ulp error.
+        rng = random.Random(0)
+        probes = np.array([rng.random() for _ in range(20_000)])
+        exact = np.array([math.log(1.0 - x) for x in probes.tolist()])
+        differs = np.flatnonzero(np.log(1.0 - probes) != exact)
+        if not len(differs):
+            pytest.skip("numpy.log agrees with math.log on every probe on this platform")
+        u = float(probes[differs[0]])
+
+        class FirstGapZero:
+            def random(self):
+                return 0.0
+
+        monkeypatch.setattr(traffic, "_uniforms", lambda rng, n: np.full(n, u))
+        flow = FlowSpec(GeoPosition(-56.0, 26.0), GeoPosition(65.2, -58.0), 1.0)
+        gen = self.make(grid, background=0.0, flows=[flow])
+        monkeypatch.setattr(gen, "_rng", lambda stream: FirstGapZero())
+        times = [row[0] for row in next(gen._blocks(1, 1.0, 0, 1e9))]
+        expected = [0.0]
+        for _ in range(traffic._BLOCK - 1):
+            expected.append(expected[-1] + -math.log(1.0 - u) / 1.0)
+        assert times[1] == -math.log(1.0 - u)
+        assert times == expected
+
     def test_memory_does_not_grow_with_the_horizon(self, grid):
         # Each stream holds one block of draws, so consuming ten times the
         # packets peaks at the same traced memory.
@@ -211,16 +242,17 @@ class TestArrivalGenerator:
 
 
 def test_sampling_tables_hold_python_floats(grid):
-    # Every draw compares and scales these entries; numpy scalars would make
-    # each of those a numpy operation. The weightless continent gets the
-    # uniform table.
+    # The scalar samplers in the oracles compare and scale these entries on
+    # every draw; numpy scalars would make each of those a numpy operation.
+    # The weightless continent gets the uniform table.
     weights = grid.weights.copy()
     weights[grid.continents == Continent.OCEANIA] = 0.0
     no_oceania = DemandGrid(weights, grid.continents)
     gen = ArrivalGenerator([], grid, 1.0, (0.1, 0.2, 0.3, 0.4), 1)
     tables = [*_RATIOS_CUM, gen.class_mix_cum]
     for g in (grid, no_oceania):
-        tables += [g._cum_all, *g._cum_by_continent.values()]
+        cum_all, _, cum_by_continent, _ = grid_tables(g)
+        tables += [cum_all, *cum_by_continent]
     assert all(type(x) is float for table in tables for x in table)
 
 
