@@ -9,6 +9,11 @@ satellite (hop += 1) -> ... -> downlink when the current satellite is the
 destination's access satellite. Every event is ordered by (time, sequence),
 so a (scenario, seed) pair fully determines every output.
 
+A packet that reaches an idle satellite goes into service at once
+(`PqwrrScheduler.start`): an idle satellite's queues are all empty, so PQWRR
+has nothing to choose among and only its round-robin cursor moves. With a
+`buffer_capacity` of 0 the packet is tail-dropped instead, idle or not.
+
 The engine owns the event loop and the per-satellite state only. Orbit
 geometry and link delays come from `constellation.OrbitGeometry`, the link
 graph from `constellation.build_topology_snapshot`, the forwarding rule from
@@ -273,6 +278,7 @@ class Simulation:
         ccfg = cfg.congestion
         service_period = self._service_period
         count_uplink = self._count_uplink
+        idle_start = cfg.scheduler.buffer_capacity > 0  # with no buffer, every arrival drops
         svc_pop = svc.popleft
         svc_push = svc.append
         while True:
@@ -303,16 +309,16 @@ class Simulation:
                     if notif is not None:
                         self._apply_notification(notif)
                         self._rebuild_backup(t)
-                scheduler = node.scheduler
-                drop = scheduler.enqueue(a, t)
-                if drop is not None:
-                    stats.record_drop(drop)
-                    if trace is not None:
-                        self._trace(t, "drop", a, b)
-                elif node.in_service is None:
-                    pkt = scheduler.dequeue()
-                    node.in_service = pkt
-                    svc_push((t + service_period, seq(), _EV_SERVICE, b, pkt))
+                if node.in_service is None and idle_start:
+                    node.scheduler.start(a)
+                    node.in_service = a
+                    svc_push((t + service_period, seq(), _EV_SERVICE, b, a))
+                else:
+                    drop = node.scheduler.enqueue(a, t)
+                    if drop is not None:
+                        stats.record_drop(drop)
+                        if trace is not None:
+                            self._trace(t, "drop", a, b)
             elif kind == _EV_SOURCE:
                 stats.record_generated(a)
                 src = access[a.src_user]

@@ -66,6 +66,13 @@ class PqwrrScheduler:
     visited in B2, B1, B0 order; a queue found empty forfeits its remaining
     credits for the round. Credits persist across class-A preemption. WRR is
     count-based, which is exact for fixed-size packets.
+
+    The round's state is a cursor, as in Deficit Round Robin: `_k`, the B
+    queue whose turn it is, and `_c`, the credits left at it. The queues
+    before `_k` have spent or forfeited theirs and those after it still hold
+    their full weights, so the pair stands for the credit vector
+    `[0] * _k + [_c] + weights[_k + 1:]`. The start state, `_k = 2` with no
+    credit, is the vector `[0, 0, 0]`.
     """
 
     def __init__(
@@ -77,12 +84,9 @@ class PqwrrScheduler:
         self._qa = self.queues[TrafficClass.A]
         self._bqueues = [self.queues[c] for c in B_CLASSES]
         self._wlist = cfg.weights
-        self._credits = [0, 0, 0]  # parallel to B_CLASSES
+        self._k, self._c = 2, 0  # round-robin cursor: B queue index, credits left
         self.size = 0  # packets queued, all classes
         self._per_queue = cfg.buffer_scope == "per_queue"
-
-    def queue_length(self, cls: TrafficClass) -> int:
-        return len(self.queues[cls])
 
     def enqueue(self, pkt, t: float) -> Optional[DropRecord]:
         """Append to the packet's class queue; returns a DropRecord on tail drop."""
@@ -96,20 +100,41 @@ class PqwrrScheduler:
         return None
 
     def dequeue(self):
-        """Next packet to serve, or None when every queue is empty."""
+        """Next packet to serve, or None when every queue is empty.
+
+        The cursor serves at `_k` while it holds credit and its queue is
+        backlogged; otherwise it moves to the next B queue, from B0 back to
+        B2 for a new round, with that queue's full weight. A backlogged queue
+        is met within four positions. An empty scheduler spends two rounds
+        forfeiting every credit and refills them, so the cursor is left at
+        B2 with its full weight."""
         qa = self._qa
         if qa:
             self.size -= 1
             return qa.popleft()
-        credits = self._credits
-        for _ in (0, 1):  # current round, then at most one fresh round
-            for k in (0, 1, 2):
-                if credits[k] > 0:
-                    q = self._bqueues[k]
-                    if q:
-                        credits[k] -= 1
-                        self.size -= 1
-                        return q.popleft()
-                    credits[k] = 0  # forfeit: empty at its turn
-            credits[0], credits[1], credits[2] = self._wlist  # new round
-        return None
+        if not self.size:
+            self._k, self._c = 0, self._wlist[0]
+            return None
+        k, c = self._k, self._c
+        queues = self._bqueues
+        if not (c and queues[k]):
+            k = k + 1 if k < 2 else 0
+            while not queues[k]:
+                k = k + 1 if k < 2 else 0
+            c = self._wlist[k]
+        self._k, self._c = k, c - 1
+        self.size -= 1
+        return queues[k].popleft()
+
+    def start(self, pkt) -> None:
+        """Take `pkt` straight into service on an empty scheduler: the state
+        `enqueue(pkt)` then `dequeue()` would leave, without touching a queue.
+        A B packet spends a credit at the cursor when it is that queue's turn
+        and credit is left; otherwise every credit before it is forfeited,
+        within this round or the next, and it spends one of its full weight."""
+        j = pkt.tos - 1  # index in B_CLASSES; -1 for class A, which holds no credit
+        if j >= 0:
+            if j == self._k and self._c:
+                self._c -= 1
+            else:
+                self._k, self._c = j, self._wlist[j] - 1

@@ -218,12 +218,14 @@ def export(report: StatsCollector, out_dir) -> None:
                 mean_ms = report.delay_sum_bucket[cls][b] / n * MS_PER_S
                 f.write(f"{b},{cls.name},{n},{_fmt(mean_ms)}\n")
 
+    p90_ms = {}  # from the sorted samples the CDF file is written from
     for cls in ALL_CLASSES:
+        cdf = report.delay_cdf(cls)
+        n = len(cdf)
+        p90_ms[cls] = cdf.quantile(0.9) * MS_PER_S if n else None
         with open(out / f"delay_cdf_{cls.name}.csv", "w", encoding="utf-8", newline="\n") as f:
             f.write("delay_ms,cum_prob\n")
-            samples = sorted(report.delay_samples[cls])
-            n = len(samples)
-            for k, s in enumerate(samples):
+            for k, s in enumerate(cdf.samples):
                 f.write(f"{_fmt(s * MS_PER_S)},{_fmt((k + 1) / n)}\n")
 
     with open(out / "throughput.csv", "w", encoding="utf-8", newline="\n") as f:
@@ -257,8 +259,7 @@ def export(report: StatsCollector, out_dir) -> None:
         for cls in ALL_CLASSES:
             ratio = report.throughput_ratio(cls)
             mean_d = report.mean_delay_s(cls)
-            cdf = report.delay_cdf(cls)
-            p90 = cdf.quantile(0.9) * MS_PER_S if len(cdf) else None
+            p90 = p90_ms[cls]
             hops = report.mean_hops(cls)
             fg_d = report.mean_delay_s(cls, foreground=True)
             fg_h = report.mean_hops(cls, foreground=True)

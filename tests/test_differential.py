@@ -1,6 +1,7 @@
 """The per-hop layers against their references in `oracles`: busy/idle
 classification and PQWRR queue selection must give the same labels, rates,
-notifications and service order as the straightforward versions, the
+notifications, service order and round-robin credits as the straightforward
+versions (a packet started at an idle scheduler included), the
 access resolver the same access satellites, and the arrival generator the
 same packets at the same times."""
 
@@ -84,21 +85,45 @@ SCHEDULER_CONFIGS = st.builds(
     buffer_capacity=st.integers(0, 6),
     buffer_scope=st.sampled_from(["per_queue", "per_node"]),
 )
-# One scheduler operation: enqueue a packet of that class, or dequeue (None).
-OPERATIONS = st.lists(st.one_of(st.none(), st.sampled_from(ALL_CLASSES)), max_size=300)
+# One scheduler operation: enqueue a packet of that class, dequeue (None), or
+# start a packet of that class at an idle scheduler (("start", class)).
+OPERATIONS = st.lists(
+    st.one_of(st.none(), st.sampled_from(ALL_CLASSES),
+              st.tuples(st.just("start"), st.sampled_from(ALL_CLASSES))),
+    max_size=300,
+)
+
+
+def credit_vector(sched):
+    """The per-queue credits that the scheduler's round-robin cursor stands for."""
+    k, c = sched._k, sched._c
+    return [0] * k + [c] + list(sched._wlist[k + 1:])
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(cfg=SCHEDULER_CONFIGS, ops=OPERATIONS)
 def test_service_order_matches_the_reference(cfg, ops):
     sched, ref = PqwrrScheduler(cfg), PqwrrReference(cfg)
-    for k, tos in enumerate(ops):
-        if tos is None:
+    for k, op in enumerate(ops):
+        if op is None:
             assert sched.dequeue() is ref.dequeue()  # dequeues on empty included
+        elif isinstance(op, tuple):
+            # The engine starts a packet only at an empty scheduler with a
+            # buffer. Drained without an empty dequeue, so the round's credits
+            # stay as they were; the reference enqueues and dequeues.
+            if cfg.buffer_capacity == 0:
+                continue
+            while sched.size:
+                assert sched.dequeue() is ref.dequeue()
+            p = pkt(op[1], tag=k)
+            sched.start(p)
+            assert ref.enqueue(p, float(k)) is None
+            assert ref.dequeue() is p
         else:
-            p = pkt(tos, tag=k)
+            p = pkt(op, tag=k)
             assert sched.enqueue(p, float(k)) == ref.enqueue(p, float(k))
         assert sched.size == ref.size
+        assert credit_vector(sched) == ref._credits
 
 
 

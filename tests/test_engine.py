@@ -112,6 +112,27 @@ def test_conservation_audit_holds(runs, name):
     assert engine.conservation_audit(report)
 
 
+def test_with_no_buffer_every_packet_that_reaches_a_satellite_drops():
+    # Every satellite is idle all run long, yet an arrival with no buffer to
+    # enter is tail-dropped, not taken straight into service.
+    text = "[scheduler]\nbuffer_capacity = 0\n[run]\nduration_s = 2\nseed = 42\ntrace = true\n"
+    sim = engine.Simulation(loads_scenario(text))
+    report = sim.run()
+    reached = [row[2] for row in report.trace_rows if row[1] == "generated"]
+    dropped = [row[2] for row in report.trace_rows if row[1] == "drop"]
+    assert len(reached) > 1000
+    assert len(set(dropped)) == len(dropped) and set(dropped) <= set(reached)
+    assert len(reached) - len(dropped) == report.residual  # uplinks still in flight
+    by_reason = Counter()
+    for (_, reason), n in report.dropped_by_reason.items():
+        by_reason[reason] += n
+    assert by_reason["buffer_overflow"] == len(dropped)
+    assert set(by_reason) <= {"buffer_overflow", "access_blocked"}
+    assert report.delivered_total() == 0
+    assert engine.conservation_audit(report)
+    assert all(node.in_service is None for node in sim.nodes)
+
+
 def test_hotspot_detours_over_the_backup_table(runs):
     composite, _ = runs["hotspot"]
     pqwrr_only, _ = runs["hotspot_pqwrr_only"]

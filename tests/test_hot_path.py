@@ -23,13 +23,15 @@ HOTSPOT = SCENARIOS / "hotspot.ini"
 PACKAGE = str(Path(leoqsim.__file__).resolve().parent)
 
 # Package calls made by one 5 s seed-42 baseline run() of 3,971 packets:
-# 128,432 (32.3 per packet), since forwarding reads the access row that a
-# periodic event refreshes. Before that `access_index` made it 149,577 (37.7
-# per packet), and before arrival streams were drawn a block at a time the
-# scalar samplers 169,419 (42.7); before the forwarding decision moved into
+# 116,771 (29.4 per packet), since a packet that finds its satellite idle
+# starts service without an enqueue and a dequeue. Before that 128,432 (32.3
+# per packet), since forwarding reads the access row that a periodic event
+# refreshes. Before that `access_index` made it 149,577 (37.7 per packet),
+# and before arrival streams were drawn a block at a time the scalar
+# samplers 169,419 (42.7); before the forwarding decision moved into
 # `Simulation._route` 186,608 (47.0); before the per-hop pipeline was
 # flattened 331,207 (83.4).
-MAX_CALLS = 128_432
+MAX_CALLS = 116_771
 
 # Backup tables built by one 10 s seed-42 hotspot run(): its 32 busy/idle
 # notifications meet 20 distinct busy sets in its one routing slot, and each

@@ -82,7 +82,7 @@ class TestDequeue:
         for _ in range(500):
             s.enqueue(pkt(rng.choice(ALL_CLASSES)), 0.0)
         while True:
-            a_backlog = s.queue_length(TrafficClass.A)
+            a_backlog = len(s.queues[TrafficClass.A])
             p = s.dequeue()
             if p is None:
                 break
