@@ -4,13 +4,30 @@ Each satellite estimates its packet arrival rate over a sliding window and is
 labelled Idle below the idle threshold, Busy above the busy threshold, and
 Transition in between. Only Busy/Idle crossings are broadcast; the transition
 band acts as hysteresis so neighbours and the route center never see flapping.
+
+An arrival only appends its time. The rule (`evaluate`: prune the window,
+divide, classify, notify) runs when the arrival makes the node hold more than
+`limit` times. While the last notified label is Idle, `limit` is the largest
+count whose rate is not above beta; while it is Busy, `limit` is -1 and every
+arrival runs the rule. This notifies exactly when running the rule on every
+arrival would:
+- the held times are the window's times plus, perhaps, stale ones, so a node
+  holding at most `limit` has a rate of at most beta (float division is
+  monotone), and an Idle-notified node at that rate is Idle or Transition,
+  neither of which is broadcast;
+- the rule prunes before it counts, so it sees the same window whether or not
+  stale times were left behind.
+Between calls a node holds at most `limit` times, or its window count when
+that is larger, so memory stays bounded without sweeps.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .constellation import SatelliteId
@@ -23,8 +40,11 @@ class CongestionLabel(Enum):
 
 
 # Module names for the members: reading an attribute of an Enum class costs
-# several times a global lookup, and the labels are compared on every arrival.
+# several times a global lookup, and the labels are compared on every rule run.
 _IDLE, _TRANSITION, _BUSY = CongestionLabel.IDLE, CongestionLabel.TRANSITION, CongestionLabel.BUSY
+
+# Counts past this are never held, so `idle_limit` stops here.
+_MAX_LIMIT = 1 << 52
 
 
 @dataclass(frozen=True)
@@ -34,10 +54,24 @@ class CongestionConfig:
     window_s: float = 1.0  # rate-estimation horizon
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.window_s))):
+            raise ValueError("alpha, beta and window_s must be finite")
         if not 0.0 < self.alpha < self.beta:
             raise ValueError("thresholds must satisfy 0 < alpha < beta")
         if self.window_s <= 0.0:
             raise ValueError("window_s must be > 0")
+
+    @cached_property
+    def idle_limit(self) -> int:
+        """The largest arrival count n with `n / window_s <= beta`, in the
+        float division the rule uses (at most 2**52)."""
+        window, beta = self.window_s, self.beta
+        n = int(min(beta * window, _MAX_LIMIT))  # the product may overflow to inf
+        while n / window > beta:
+            n -= 1
+        while n < _MAX_LIMIT and (n + 1) / window <= beta:
+            n += 1
+        return n
 
 
 class Notification(NamedTuple):
@@ -48,40 +82,44 @@ class Notification(NamedTuple):
 
 
 class NodeCongestionState:
-    """Arrival timestamps within the window plus the hysteresis labels.
+    """Arrival timestamps plus the hysteresis labels.
 
-    `label` tracks the instantaneous classification; `last_notified` is the
-    externally visible busy/idle view that routing reacts to.
+    `last_notified` is the externally visible busy/idle view that routing
+    reacts to. `rate` and `label` are the rate and classification of the last
+    rule run, which need not be the latest arrival (see the module
+    docstring).
     """
 
-    __slots__ = ("satellite", "rate", "label", "last_notified", "_arrivals")
+    __slots__ = ("satellite", "rate", "label", "last_notified", "limit", "_arrivals")
 
     def __init__(self, satellite: Optional[SatelliteId] = None):
         self.satellite = satellite
         self.rate = 0.0
         self.label = _IDLE
         self.last_notified = _IDLE
+        self.limit = -1  # held times above which an arrival runs the rule
         self._arrivals: deque[float] = deque()
 
-    @property
-    def is_busy(self) -> bool:
-        return self.last_notified is _BUSY
+    def record_arrival(self, t: float, cfg: CongestionConfig) -> Optional[Notification]:
+        """Count one arrival at time t; t must be non-decreasing. Runs the
+        rule when the node then holds more than `limit` times, and returns its
+        notification."""
+        arrivals = self._arrivals
+        arrivals.append(t)
+        if len(arrivals) > self.limit:
+            return self.evaluate(t, cfg)
+        return None
 
-    def record_arrival(
-        self, t: float, cfg: CongestionConfig, arrived: bool = True
-    ) -> Optional[Notification]:
-        """Count one arrival at time t, then refresh the rate estimate; t must
-        be non-decreasing. Returns a notification on a busy/idle crossing.
+    def evaluate(self, t: float, cfg: CongestionConfig) -> Optional[Notification]:
+        """Run the rule at time t, counting no arrival; returns a
+        notification on a busy/idle crossing.
 
         The rate is the number of arrivals in (t - window_s, t] over
         window_s. It is classified Busy above beta, Idle below alpha and
         Transition otherwise (both boundaries included). Only a Busy or Idle
-        label that differs from the last notified one is broadcast. With
-        `arrived` False nothing is counted: that is `evaluate`.
+        label that differs from the last notified one is broadcast.
         """
         arrivals = self._arrivals
-        if arrived:
-            arrivals.append(t)
         window = cfg.window_s
         cutoff = t - window
         while arrivals and arrivals[0] <= cutoff:
@@ -96,16 +134,9 @@ class NodeCongestionState:
             label = _TRANSITION
         self.label = label
         if label is self.last_notified or label is _TRANSITION:
-            return None
-        self.last_notified = label
-        return Notification(t, self.satellite, label, rate)
-
-    # The same rule under a name of its own, so that `evaluate` reaches it
-    # without going through `record_arrival`, which the benchmark's per-layer
-    # wrappers count as an arrival.
-    _refresh = record_arrival
-
-    def evaluate(self, t: float, cfg: CongestionConfig) -> Optional[Notification]:
-        """Refresh the rate estimate at time t without counting an arrival;
-        returns a notification on a busy/idle crossing."""
-        return self._refresh(t, cfg, False)
+            notif = None
+        else:
+            self.last_notified = label
+            notif = Notification(t, self.satellite, label, rate)
+        self.limit = cfg.idle_limit if self.last_notified is _IDLE else -1
+        return notif

@@ -13,7 +13,16 @@ Each gap is `-math.log(1 - u) / rate`, as `expovariate` computes it
 inputs), and arrival times add the gaps one at a time. `numpy.random` is
 never imported: loading it costs about 6 MB of resident memory. Each stream
 holds one block of `_BLOCK` packets, so memory does not grow with the
-horizon."""
+horizon.
+
+A packet's `src_user` and `dst_user` are terminal handles: indices into
+`ArrivalGenerator.terminals`. The terminals are the places traffic can start
+or end, so access is solved for no other. They are the grid cells a sample
+can return (`DemandGrid.terminal_cells`: every cell with demand, and every
+cell of a continent with none), then the foreground flow endpoints. The
+sampling tables still span all cells, since dropping the zero cells would
+regroup numpy's pairwise sums and change the draws; each block maps its
+sampled cells to handles with one index array."""
 
 from __future__ import annotations
 
@@ -148,9 +157,12 @@ class DemandGrid:
         self.continents = continents
         flat = self.weights.ravel()
         # The cumulative sampling tables: over every cell, and per continent
-        # over its cells, with those cells' flat indices.
+        # over its cells, with those cells' flat indices. A cell without
+        # weight adds nothing to a cumulative sum, so a sample never returns
+        # it unless its continent is sampled uniformly.
         self._src_cum = np.cumsum(flat)
         self._cell_cum: list[tuple[np.ndarray, np.ndarray]] = []
+        reachable = flat > 0
         for c in range(6):
             cells = np.flatnonzero(continents.ravel() == c)
             if not len(cells):
@@ -160,13 +172,20 @@ class DemandGrid:
                 cum = np.cumsum(w / w.sum())
             else:
                 cum = np.cumsum(np.full(len(cells), 1.0 / len(cells)))
+                reachable[cells] = True
             self._cell_cum.append((cum, cells))
+        # Flat indices of the cells a sample can return, and the position of
+        # each in that list; the other cells map past every position.
+        self.terminal_cells = np.flatnonzero(reachable)
+        self._handles = np.full(flat.size, np.iinfo(np.intp).max, dtype=np.intp)
+        self._handles[self.terminal_cells] = np.arange(len(self.terminal_cells))
 
     def sample_cells(self, u: np.ndarray) -> tuple[list[int], list[int]]:
-        """Source and destination cells, one pair per row of uniforms `u`: the
-        source weight-proportional from column 0, the destination continent
-        from the source's row of the ratio table by column 1, and a cell in
-        that continent from column 2 (uniform if it carries zero demand)."""
+        """Source and destination cells, one pair per row of uniforms `u`, as
+        positions in `terminal_cells`: the source weight-proportional from
+        column 0, the destination continent from the source's row of the
+        ratio table by column 1, and a cell in that continent from column 2
+        (uniform if it carries zero demand)."""
         src_cum = self._src_cum
         src = np.searchsorted(src_cum, u[:, 0] * src_cum[-1], side="right")
         src_cont = self.continents.ravel()[src]
@@ -180,14 +199,12 @@ class DemandGrid:
             rows = np.flatnonzero(dst_cont == c)
             k = np.searchsorted(cum, u[rows, 2] * cum[-1], side="right")
             dst[rows] = cells[np.minimum(k, len(cum) - 1)]
-        return src.tolist(), dst.tolist()
+        handles = self._handles
+        return handles[src].tolist(), handles[dst].tolist()
 
     @staticmethod
     def cell_center(row: int, col: int) -> GeoPosition:
         return GeoPosition(82.5 - 15.0 * row, -172.5 + 15.0 * col)
-
-    def continent_of(self, row: int, col: int) -> Continent:
-        return Continent(int(self.continents[row, col]))
 
     @classmethod
     def from_text(cls, text: str) -> "DemandGrid":
@@ -223,11 +240,11 @@ class DemandGrid:
 class ArrivalGenerator:
     """Merged, time-ordered packet arrival stream.
 
-    `terminals[h]` is the position of terminal handle h: handles 0..287 are
-    the grid cell centers; foreground flow endpoints (source, destination)
-    are appended after them. Background and flow packets alike draw
-    their class from `class_mix`. Every stream owns a derived RNG, so the
-    generated sequence is independent of consumption interleaving.
+    `terminals[h]` is the position of terminal handle h: first the centres
+    of the grid's `terminal_cells`, then the foreground flow endpoints
+    (source, destination) of each flow. Background and flow packets alike
+    draw their class from `class_mix`. Every stream owns a derived RNG, so
+    the generated sequence is independent of consumption interleaving.
     """
 
     def __init__(
@@ -245,7 +262,7 @@ class ArrivalGenerator:
         self.seed = seed
         self._class_cum = np.array(self.class_mix_cum)
         self.terminals: list[GeoPosition] = [
-            grid.cell_center(r, c) for r in range(GRID_ROWS) for c in range(GRID_COLS)
+            grid.cell_center(*divmod(cell, GRID_COLS)) for cell in grid.terminal_cells.tolist()
         ]
         self._flow_terminals: list[tuple[int, int]] = []
         for spec in self.flows:

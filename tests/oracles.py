@@ -327,6 +327,17 @@ def grid_tables(grid: DemandGrid) -> tuple[list, list, list, list]:
     )
 
 
+@lru_cache(maxsize=8)
+def terminal_cells(grid: DemandGrid) -> list[int]:
+    """Flat indices, in order, of the cells a sample can return: each cell
+    with demand, and each cell of a continent with none."""
+    weights = grid.weights.ravel().tolist()
+    continents = grid.continents.ravel().tolist()
+    weightless = {c for c in range(6)
+                  if not any(w > 0 for w, k in zip(weights, continents) if k == c)}
+    return [i for i, (w, c) in enumerate(zip(weights, continents)) if w > 0 or c in weightless]
+
+
 def sample_source_cell(grid: DemandGrid, rng: random.Random) -> int:
     """Flat cell index drawn proportionally to demand weight."""
     cum = grid_tables(grid)[0]
@@ -356,13 +367,15 @@ def make_background(gen: ArrivalGenerator, pkt_id: int, t: float, rng: random.Ra
     dst_cont = sample_destination(grid_tables(grid)[1][src_cell], rng)
     dst_cell = sample_cell_in_continent(grid, dst_cont, rng)
     tos = sample_class(gen.class_mix_cum, rng)
-    return Packet(pkt_id, tos, src_cell, dst_cell, t)
+    cells = terminal_cells(grid)
+    return Packet(pkt_id, tos, cells.index(src_cell), cells.index(dst_cell), t)
 
 
 def arrival_stream(gen: ArrivalGenerator, horizon: float) -> Iterator[tuple[float, Packet]]:
     """`ArrivalGenerator.stream` as first written: one heap entry per stream,
     and each packet's fields and next gap drawn from the stream's RNG, in that
-    order, as it is popped."""
+    order, as it is popped. A background packet's cells are named by their
+    position in `terminal_cells`."""
     rngs: list[random.Random] = []
     rates: list[float] = []
     kinds: list[int] = []  # -1 background, else flow index

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -42,6 +43,38 @@ def test_config_validation():
         CongestionConfig(alpha=0.0, beta=450.0)
     with pytest.raises(ValueError):
         CongestionConfig(window_s=0.0)
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "window_s"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        CongestionConfig(**{field: value})
+
+
+@pytest.mark.parametrize("cfg", [
+    CFG,
+    CongestionConfig(alpha=250.0, beta=450.0, window_s=0.3),  # 135 / 0.3 > 450
+    CongestionConfig(alpha=1.0, beta=2.0, window_s=1e-300),
+    CongestionConfig(alpha=1.0, beta=1e300, window_s=1e10),
+])
+def test_idle_limit_is_the_largest_count_not_above_beta(cfg):
+    n = cfg.idle_limit
+    assert n / cfg.window_s <= cfg.beta
+    assert n == 2**52 or (n + 1) / cfg.window_s > cfg.beta
+
+
+def test_a_steady_sub_beta_rate_holds_at_most_the_limit():
+    # An hour at 440 arrivals/s and no sweeps: stale times are pruned
+    # whenever they would push the node past its limit, and it never
+    # notifies.
+    st = NodeCongestionState()
+    held = 0
+    for k in range(440 * 3600):
+        assert st.record_arrival(k / 440.0, CFG) is None
+        held = max(held, len(st._arrivals))
+    assert st.limit == CFG.idle_limit == 450
+    assert held == 450
 
 
 class TestClassify:
@@ -133,7 +166,7 @@ class TestNotifications:
                 seen.append(n)
         assert len(seen) == 1
         assert seen[0].label is CongestionLabel.BUSY
-        assert st.is_busy
+        assert st.last_notified is CongestionLabel.BUSY
         # staying busy produces no duplicates
         for k in range(600):
             n = st.record_arrival(1.0 + k / 600.0, CFG)
@@ -149,7 +182,7 @@ class TestNotifications:
         n = st.evaluate(5.0, CFG)
         seen.append(n)
         assert [x.label for x in seen] == [CongestionLabel.BUSY, CongestionLabel.IDLE]
-        assert not st.is_busy
+        assert st.last_notified is CongestionLabel.IDLE
 
     def test_notifications_alternate(self):
         # Under an arbitrary rate trace the notification stream must alternate.

@@ -1,9 +1,10 @@
 """The per-hop layers against their references in `oracles`: busy/idle
-classification and PQWRR queue selection must give the same labels, rates,
-notifications, service order and round-robin credits as the straightforward
-versions (a packet started at an idle scheduler included), the
-access resolver the same access satellites, and the arrival generator the
-same packets at the same times."""
+classification and PQWRR queue selection must give the same notifications,
+labels, rates, service order and round-robin credits as the straightforward
+versions (a packet started at an idle scheduler included, and a rate and
+label wherever the rule runs), the access resolver the same access
+satellites, the demand grid's terminal handles the cells the scalar samplers
+pick, and the arrival generator the same packets at the same times."""
 
 import random
 from pathlib import Path
@@ -17,7 +18,16 @@ from leoqsim.congestion import CongestionConfig, CongestionLabel, NodeCongestion
 from leoqsim.constellation import AccessResolver, ConstellationParams, GeoPosition
 from leoqsim.scheduling import ALL_CLASSES, PqwrrScheduler, SchedulerConfig, TrafficClass
 from leoqsim.traffic import _BLOCK, ArrivalGenerator, Continent, DemandGrid, FlowSpec, _uniforms
-from oracles import CongestionReference, PqwrrReference, access_row, arrival_stream
+from oracles import (
+    CongestionReference,
+    PqwrrReference,
+    access_row,
+    arrival_stream,
+    sample_cell_in_continent,
+    sample_destination,
+    sample_source_cell,
+    terminal_cells,
+)
 from test_scheduling import pkt
 
 GRID_PATH = Path(__file__).resolve().parents[1] / "src" / "leoqsim" / "data" / "default_grid.txt"
@@ -35,6 +45,8 @@ CONGESTION_CONFIGS = [
 
 
 def observed(state):
+    """What a rule run leaves: the rate and label it found, and the label
+    last broadcast."""
     return state.rate, state.label, state.last_notified
 
 
@@ -49,7 +61,9 @@ def same_notification(got, want):
 def test_classification_matches_the_reference_at_every_count(cfg):
     # Arrivals all at one instant, evaluated at that instant after each one
     # with either label last notified: every count from idle to well past
-    # busy, the threshold counts included.
+    # busy, the threshold counts included. An arrival need not run the rule,
+    # so after one only the notification and the label last broadcast are
+    # compared.
     state, ref = NodeCongestionState(), CongestionReference()
     for _ in range(int(3 * cfg.beta * cfg.window_s) + 2):
         for notified in (CongestionLabel.IDLE, CongestionLabel.BUSY):
@@ -57,7 +71,7 @@ def test_classification_matches_the_reference_at_every_count(cfg):
             assert same_notification(state.evaluate(1.0, cfg), ref.evaluate(1.0, cfg))
             assert observed(state) == observed(ref)
         assert same_notification(state.record_arrival(1.0, cfg), ref.record_arrival(1.0, cfg))
-        assert observed(state) == observed(ref)
+        assert state.last_notified is ref.last_notified
 
 
 # One step of a congestion trace: (time advance in 1/16 s, arrival or evaluation).
@@ -72,11 +86,67 @@ def test_congestion_traces_match_the_reference(cfg, steps):
     for advance, arrival in steps:
         t += advance / 16
         if arrival:
-            got, want = state.record_arrival(t, cfg), ref.record_arrival(t, cfg)
+            assert same_notification(state.record_arrival(t, cfg), ref.record_arrival(t, cfg))
+            assert state.last_notified is ref.last_notified
         else:
-            got, want = state.evaluate(t, cfg), ref.evaluate(t, cfg)
-        assert same_notification(got, want)
-        assert observed(state) == observed(ref)
+            assert same_notification(state.evaluate(t, cfg), ref.evaluate(t, cfg))
+            assert observed(state) == observed(ref)
+
+
+def largest_count_not_above_beta(cfg):
+    """The largest count n with n / window_s <= beta, by trying each count."""
+    n = 0
+    while (n + 1) / cfg.window_s <= cfg.beta:
+        n += 1
+    return n
+
+
+class CountedState(NodeCongestionState):
+    """A node that counts its rule runs, the ones its arrivals start included."""
+
+    __slots__ = ("runs",)
+
+    def __init__(self):
+        super().__init__()
+        self.runs = 0
+
+    def evaluate(self, t, cfg):
+        self.runs += 1
+        return super().evaluate(t, cfg)
+
+
+# One step of an arrivals-only trace: (time advance in sixteenths of the
+# window, arrivals at that time in sixteenths of the busy count). Around 100
+# steps hold several windows' worth of arrivals, so stale times pile up past
+# the limit, and the mean load sits near the transition band.
+BURSTS = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 8)), min_size=40, max_size=120)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cfg=st.sampled_from(CONGESTION_CONFIGS), steps=BURSTS)
+def test_arrivals_alone_run_the_rule_only_where_a_crossing_is_possible(cfg, steps):
+    # No sweep in between: the node runs the rule on an arrival exactly when
+    # an Idle-notified node then holds more than the largest count not above
+    # beta (or on its first arrival, which sets the limit), and on every
+    # arrival while Busy. It notifies as the reference, which runs the rule
+    # on every arrival, and each rule run finds the reference's rate and label.
+    limit = largest_count_not_above_beta(cfg)
+    unit = max(1, (limit + 1) // 16)
+    state, ref = CountedState(), CongestionReference()
+    t = 0.0
+    for advance, burst in steps:
+        t += advance * cfg.window_s / 16
+        for _ in range(burst * unit):
+            held = len(state._arrivals) + 1
+            must_run = (state.runs == 0 or state.last_notified is CongestionLabel.BUSY
+                        or held > limit)
+            runs = state.runs
+            assert same_notification(state.record_arrival(t, cfg), ref.record_arrival(t, cfg))
+            assert state.last_notified is ref.last_notified
+            assert state.runs - runs == must_run
+            if must_run:
+                assert observed(state) == observed(ref)
+            assert state.limit == (limit if state.last_notified is CongestionLabel.IDLE else -1)
 
 
 SCHEDULER_CONFIGS = st.builds(
@@ -138,12 +208,12 @@ ACCESS_SHELLS = {
 
 @pytest.mark.parametrize("shell", sorted(ACCESS_SHELLS))
 def test_access_rows_match_the_reference_at_every_quantum(shell):
-    # Terminals as the engine builds them: the grid cell centres, then the
-    # endpoints of a foreground flow.
+    # Every grid cell centre, then the endpoints of a foreground flow: a
+    # superset of the terminals the engine solves for.
     params = ACCESS_SHELLS[shell]
-    flow = FlowSpec(GeoPosition(40.0, -100.0), GeoPosition(50.0, 10.0), 600.0)
-    terminals = ArrivalGenerator([flow], DemandGrid.load(GRID_PATH), 800.0,
-                                 (0.25, 0.25, 0.25, 0.25), 42).terminals
+    terminals = [DemandGrid.cell_center(r, c) for r in range(12) for c in range(24)]
+    terminals += [GeoPosition(40.0, -100.0), GeoPosition(50.0, 10.0)]
+    assert len(terminals) == 290
     resolver = AccessResolver(params, terminals, quantum_s=1.0)
     blocked = 0
     for q in range(121):
@@ -209,9 +279,47 @@ def test_arrival_stream_matches_the_reference_on_a_weightless_continent(grid):
     gen = ArrivalGenerator([], DemandGrid(weights, grid.continents), 3000.0,
                            (0.25, 0.25, 0.25, 0.25), 11)
     got = assert_same_stream(gen, 10.0)
+    cells = gen.grid.terminal_cells
     oceania = set(np.flatnonzero(grid.continents.ravel() == Continent.OCEANIA).tolist())
-    assert not {row[3] for row in got} & oceania  # src_user
-    assert {row[4] for row in got} >= oceania  # dst_user
+    assert not {cells[row[3]] for row in got} & oceania  # src_user
+    assert {cells[row[4]] for row in got} >= oceania  # dst_user
+
+
+def random_grid(rng):
+    """A random demand grid with zero cells among weighted ones, and one
+    continent whose cells all carry zero demand, so it is sampled uniformly."""
+    continents = np.array([rng.randrange(6) for _ in range(288)]).reshape(12, 24)
+    continents.ravel()[:6] = range(6)  # every continent has a cell
+    weights = np.array([rng.choice([0.0, 0.0, rng.random(), rng.randrange(1, 50)])
+                        for _ in range(288)]).reshape(12, 24)
+    weights[continents == rng.randrange(6)] = 0.0
+    if not weights.any():
+        weights[continents == continents.ravel()[0]] = 1.0
+    return DemandGrid(weights, continents)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sampled_handles_name_the_cells_the_scalar_samplers_pick(seed):
+    grid = random_grid(random.Random(seed))
+    cells = grid.terminal_cells.tolist()
+    assert cells == terminal_cells(grid)
+    flat_continents = grid.continents.ravel()
+    flat_weights = grid.weights.ravel()
+    weightless = [c for c in range(6) if not flat_weights[flat_continents == c].any()]
+    assert weightless  # the grid has a continent without demand
+    uniform_cells = set(np.flatnonzero(np.isin(flat_continents, weightless)).tolist())
+    assert uniform_cells <= set(cells)
+    n = 2000
+    u = _uniforms(random.Random(seed), 3 * n).reshape(n, 3)
+    src, dst = grid.sample_cells(u)
+    rng = random.Random(seed)
+    for s, d in zip(src, dst):
+        src_cell = sample_source_cell(grid, rng)
+        dst_cell = sample_cell_in_continent(
+            grid, sample_destination(int(flat_continents[src_cell]), rng), rng)
+        assert (cells[s], cells[d]) == (src_cell, dst_cell)
+    assert {cells[d] for d in dst} & uniform_cells
 
 
 @pytest.mark.parametrize("last", [_BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 1500])

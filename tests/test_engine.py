@@ -20,6 +20,7 @@ from itertools import count
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
 import pytest
 
 from leoqsim import engine, stats
@@ -144,10 +145,14 @@ def test_hotspot_detours_over_the_backup_table(runs):
 def test_resolver_and_geometry_index_the_generators_terminals():
     # Handle h means the same ground position to the traffic generator, the
     # access resolver and the slant-delay geometry, flow endpoints included.
+    # The terminals are the cells that carry demand (the default grid has no
+    # weightless continent), then the flow's endpoints.
     sim = engine.Simulation(loads_scenario(scenario_text(HOTSPOT_FLOW, "composite")))
     terminals = sim.generator.terminals
     flow = sim.cfg.traffic.flows[0]
-    cells = [sim.generator.grid.cell_center(r, c) for r in range(12) for c in range(24)]
+    grid = sim.generator.grid
+    cells = [grid.cell_center(r, c) for r, c in np.argwhere(grid.weights > 0).tolist()]
+    assert len(cells) == 56
     assert terminals == cells + [flow.src, flow.dst]
     flow_ends = {(p.src_user, p.dst_user) for _, p in sim.generator.stream(0.1) if p.flow == 0}
     assert flow_ends == {(len(terminals) - 2, len(terminals) - 1)}

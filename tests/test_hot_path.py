@@ -7,14 +7,17 @@ Counts the Python-level calls into `leoqsim` code (`call` events from
 on the code and the scenario, not on the host, so it is checked exactly
 against a ceiling: a change that adds a call to the per-hop pipeline shows up
 here long before it shows up in a wall-time benchmark. The same holds for the
-number of backup tables a 10 s seed-42 run of the hotspot scenario builds.
+busy/idle rule runs of that baseline run and for the number of backup tables
+a 10 s seed-42 run of the hotspot scenario builds.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import leoqsim
 from leoqsim import engine
+from leoqsim.congestion import NodeCongestionState
 from leoqsim.scenario import apply_overrides, loads_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
@@ -23,15 +26,23 @@ HOTSPOT = SCENARIOS / "hotspot.ini"
 PACKAGE = str(Path(leoqsim.__file__).resolve().parent)
 
 # Package calls made by one 5 s seed-42 baseline run() of 3,971 packets:
-# 116,771 (29.4 per packet), since a packet that finds its satellite idle
-# starts service without an enqueue and a dequeue. Before that 128,432 (32.3
-# per packet), since forwarding reads the access row that a periodic event
-# refreshes. Before that `access_index` made it 149,577 (37.7 per packet),
-# and before arrival streams were drawn a block at a time the scalar
-# samplers 169,419 (42.7); before the forwarding decision moved into
-# `Simulation._route` 186,608 (47.0); before the per-hop pipeline was
-# flattened 331,207 (83.4).
-MAX_CALLS = 116_771
+# 116,173 (29.3 per packet), since an arrival runs the busy/idle rule only
+# when it can cross a threshold. Before that 116,771 (29.4 per packet), since
+# a packet that finds its satellite idle starts service without an enqueue
+# and a dequeue. Before that 128,432 (32.3 per packet), since forwarding
+# reads the access row that a periodic event refreshes. Before that
+# `access_index` made it 149,577 (37.7 per packet), and before arrival
+# streams were drawn a block at a time the scalar samplers 169,419 (42.7);
+# before the forwarding decision moved into `Simulation._route` 186,608
+# (47.0); before the per-hop pipeline was flattened 331,207 (83.4).
+MAX_CALLS = 116_173
+
+# Busy/idle rule runs (`NodeCongestionState.evaluate`) in that run: its ten
+# sweeps evaluate each of the 66 satellites, and 61 of its 17,191 satellite
+# arrivals find their node holding more times than its limit. Running the
+# rule on every arrival made it 17,191 + 660.
+SWEEP_RULE_RUNS = 660
+MAX_ARRIVAL_RULE_RUNS = 61
 
 # Backup tables built by one 10 s seed-42 hotspot run(): its 32 busy/idle
 # notifications meet 20 distinct busy sets in its one routing slot, and each
@@ -64,6 +75,23 @@ def test_baseline_run_makes_no_more_package_calls_than_pinned():
     calls = package_calls(sim)
     assert sim.stats.generated_total() == 3971
     assert calls <= MAX_CALLS
+
+
+def test_baseline_run_runs_the_busy_idle_rule_no_more_than_pinned(monkeypatch):
+    runs = Counter()
+    rule = NodeCongestionState.evaluate
+
+    def counted(state, t, cfg):
+        runs[sys._getframe(1).f_code.co_name] += 1
+        return rule(state, t, cfg)
+
+    monkeypatch.setattr(NodeCongestionState, "evaluate", counted)
+    text = apply_overrides(BASELINE.read_text(encoding="utf-8"),
+                           ["run.seed=42", "run.duration_s=5"])
+    engine.Simulation(loads_scenario(text)).run()
+    assert runs.keys() <= {"run", "record_arrival"}
+    assert runs["run"] == SWEEP_RULE_RUNS
+    assert runs["record_arrival"] <= MAX_ARRIVAL_RULE_RUNS
 
 
 def test_hotspot_run_builds_no_more_backup_tables_than_pinned(monkeypatch):

@@ -77,7 +77,7 @@ class TestDemandGrid:
         assert grid.continents.max() <= 5
         for r in range(12):
             for c in range(24):
-                assert grid.continent_of(r, c) in Continent
+                assert grid.continents[r, c] in list(Continent)
 
     def test_cell_centers(self, grid):
         assert grid.cell_center(0, 0) == GeoPosition(82.5, -172.5)
@@ -170,9 +170,10 @@ class TestArrivalGenerator:
         gen = self.make(grid, background=4000.0, seed=21)
         by_src = {c: Counter() for c in range(6)}
         totals = Counter()
+        continent_of = grid.continents.ravel()[grid.terminal_cells].tolist()
         for _, p in gen.stream(50.0):
-            src_c = int(grid.continents.ravel()[p.src_user])
-            dst_c = int(grid.continents.ravel()[p.dst_user])
+            src_c = continent_of[p.src_user]
+            dst_c = continent_of[p.dst_user]
             by_src[src_c][dst_c] += 1
             totals[src_c] += 1
         for src in Continent:
@@ -275,7 +276,8 @@ class TestResolveEndpoints:
         flow = FlowSpec(GeoPosition(-56.0, 26.0), GeoPosition(65.2, -58.0), 1.0)
         gen = ArrivalGenerator([flow], grid, 0.0, (0.25, 0.25, 0.25, 0.25), 1)
         resolver = resolver_for(gen)
-        pkt = Packet(0, TrafficClass.A, 288, 289, 0.0)
+        _, pkt = next(gen.stream(3600.0))  # a flow packet: there is no background
+        assert (pkt.src_user, pkt.dst_user) == (len(gen.terminals) - 2, len(gen.terminals) - 1)
         period = PARAMS.period_s
         for t in np.linspace(0.0, period, 121):
             assert resolver.access_index(pkt.src_user, float(t)) >= 0
