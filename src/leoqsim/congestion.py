@@ -6,19 +6,31 @@ Transition in between. Only Busy/Idle crossings are broadcast; the transition
 band acts as hysteresis so neighbours and the route center never see flapping.
 
 An arrival only appends its time. The rule (`evaluate`: prune the window,
-divide, classify, notify) runs when the arrival makes the node hold more than
-`limit` times. While the last notified label is Idle, `limit` is the largest
-count whose rate is not above beta; while it is Busy, `limit` is -1 and every
-arrival runs the rule. This notifies exactly when running the rule on every
-arrival would:
-- the held times are the window's times plus, perhaps, stale ones, so a node
-  holding at most `limit` has a rate of at most beta (float division is
-  monotone), and an Idle-notified node at that rate is Idle or Transition,
-  neither of which is broadcast;
-- the rule prunes before it counts, so it sees the same window whether or not
-  stale times were left behind.
-Between calls a node holds at most `limit` times, or its window count when
-that is larger, so memory stays bounded without sweeps.
+divide, classify, notify) runs on an arrival only when a crossing is
+possible, and it then notifies exactly when running it on every arrival
+would. The rule prunes before it counts, so it sees the same window whether
+or not stale times were left behind. Each rule run sets the two bounds that
+the next arrivals test:
+- While the last notified label is Idle, `limit` is the largest count whose
+  rate is not above beta. The held times are the window's times plus,
+  perhaps, stale ones, so a node holding at most `limit` has a rate of at
+  most beta (float division is monotone), and an Idle-notified node at that
+  rate is Idle or Transition, neither of which is broadcast. `keep` is -inf.
+- While it is Busy, `limit` is -1 and `keep` is the m-th most recent time
+  held after the run, where m (`busy_floor`) is the smallest count whose
+  rate is at least alpha; `keep` is -inf when fewer than m are held. An
+  arrival at t with `t - window_s < keep` cannot leave Busy: the rule's
+  cutoff is that same expression and is monotone in t, so it would keep
+  `keep` and the m - 1 times after it, a rate of at least alpha. That is
+  Busy or Transition, neither of which is broadcast. The test must be made
+  on the cutoff itself: `t < keep + window_s` rounds differently, and with
+  a 0.3 s window it skips the arrival at 0.8709129450392924 that prunes
+  0.5709129450392925.
+Between calls an Idle-notified node holds at most `limit` times, or its
+window count when that is larger. A Busy-notified node holds at most the
+times of two windows: `keep` lies in the window of its last rule run, and
+the first arrival a window after `keep` runs the rule again. Memory stays
+bounded without sweeps.
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ class CongestionLabel(Enum):
 # several times a global lookup, and the labels are compared on every rule run.
 _IDLE, _TRANSITION, _BUSY = CongestionLabel.IDLE, CongestionLabel.TRANSITION, CongestionLabel.BUSY
 
-# Counts past this are never held, so `idle_limit` stops here.
+# Counts past this are never held, so `idle_limit` and `busy_floor` stop here.
 _MAX_LIMIT = 1 << 52
 
 
@@ -73,6 +85,18 @@ class CongestionConfig:
             n += 1
         return n
 
+    @cached_property
+    def busy_floor(self) -> int:
+        """The smallest arrival count m >= 1 with `m / window_s >= alpha`, in
+        the float division the rule uses (at most 2**52)."""
+        window, alpha = self.window_s, self.alpha
+        m = int(min(max(alpha * window, 1.0), _MAX_LIMIT))  # the product may overflow to inf
+        while m > 1 and (m - 1) / window >= alpha:
+            m -= 1
+        while m < _MAX_LIMIT and m / window < alpha:
+            m += 1
+        return m
+
 
 class Notification(NamedTuple):
     time: float
@@ -90,7 +114,7 @@ class NodeCongestionState:
     docstring).
     """
 
-    __slots__ = ("satellite", "rate", "label", "last_notified", "limit", "_arrivals")
+    __slots__ = ("satellite", "rate", "label", "last_notified", "limit", "keep", "_arrivals")
 
     def __init__(self, satellite: Optional[SatelliteId] = None):
         self.satellite = satellite
@@ -98,15 +122,16 @@ class NodeCongestionState:
         self.label = _IDLE
         self.last_notified = _IDLE
         self.limit = -1  # held times above which an arrival runs the rule
+        self.keep = -math.inf  # a time whose presence in the window rules out Idle
         self._arrivals: deque[float] = deque()
 
     def record_arrival(self, t: float, cfg: CongestionConfig) -> Optional[Notification]:
         """Count one arrival at time t; t must be non-decreasing. Runs the
-        rule when the node then holds more than `limit` times, and returns its
-        notification."""
+        rule when the node then holds more than `limit` times and the rule's
+        cutoff has reached `keep`, and returns its notification."""
         arrivals = self._arrivals
         arrivals.append(t)
-        if len(arrivals) > self.limit:
+        if len(arrivals) > self.limit and t - cfg.window_s >= self.keep:
             return self.evaluate(t, cfg)
         return None
 
@@ -138,5 +163,11 @@ class NodeCongestionState:
         else:
             self.last_notified = label
             notif = Notification(t, self.satellite, label, rate)
-        self.limit = cfg.idle_limit if self.last_notified is _IDLE else -1
+        if self.last_notified is _IDLE:
+            self.limit = cfg.idle_limit
+            self.keep = -math.inf
+        else:
+            self.limit = -1
+            m = cfg.busy_floor
+            self.keep = arrivals[-m] if len(arrivals) >= m else -math.inf
         return notif

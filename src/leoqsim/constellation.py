@@ -63,6 +63,10 @@ class ConstellationParams:
     phase_offset_deg: float = 360.0 / (2 * 11)
 
     def __post_init__(self) -> None:
+        floats = (self.altitude_km, self.inclination_deg, self.lat_threshold_deg,
+                  self.min_elevation_deg, self.raan_spread_deg, self.phase_offset_deg)
+        if not all(map(math.isfinite, floats)):
+            raise ValueError("altitude_km and the *_deg angles must be finite")
         if self.planes < 1 or self.sats_per_plane < 3:
             raise ValueError("constellation needs >= 1 plane and >= 3 satellites per plane")
         if self.altitude_km <= 0:

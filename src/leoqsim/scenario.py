@@ -40,6 +40,8 @@ class RoutingConfig:
     dump_routes: bool = False
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.slot_length_s):
+            raise ScenarioError("[routing] slot_length_s: must be finite")
         if self.slot_length_s <= 0:
             raise ScenarioError("[routing] slot_length_s: must be > 0")
         if self.strategy not in STRATEGIES:
@@ -57,6 +59,8 @@ class TrafficSection:
     count_uplink_in_rate: bool = True
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.background_rate, *self.class_mix))):
+            raise ScenarioError("[traffic] background_rate and class_mix: must be finite")
         if self.background_rate < 0:
             raise ScenarioError("[traffic] background_rate: must be >= 0")
         if abs(sum(self.class_mix) - 1.0) > 1e-9:
@@ -75,6 +79,11 @@ class RunConfig:
     trace: bool = False
 
     def __post_init__(self) -> None:
+        times = (self.duration_s, self.stats_interval_s, self.access_refresh_s,
+                 self.state_check_interval_s)
+        if not all(map(math.isfinite, times)):
+            raise ScenarioError("[run] duration_s, stats_interval_s, access_refresh_s and"
+                                " state_check_interval_s: must be finite")
         if self.duration_s <= 0:
             raise ScenarioError("[run] duration_s: must be > 0")
         if self.stats_interval_s <= 0:

@@ -4,6 +4,7 @@ tail drop."""
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -45,6 +46,8 @@ class SchedulerConfig:
     channel_rate: float = 10_000.0  # per-link transmitter, packets/s
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.service_rate, self.channel_rate))):
+            raise ValueError("service_rate and channel_rate: must be finite")
         if self.service_rate <= 0:
             raise ValueError("service_rate: must be > 0")
         w2, w1, w0 = self.weights

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from heapq import merge
 from itertools import chain, repeat
-from math import log
+from math import isfinite, log
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -130,6 +130,8 @@ class FlowSpec:
     rate: float  # packets/s
 
     def __post_init__(self) -> None:
+        if not all(map(isfinite, (*self.src, *self.dst, self.rate))):
+            raise ValueError("flow endpoints and rate must be finite")
         if self.rate < 0:
             raise ValueError("flow rate must be >= 0")
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from leoqsim.congestion import CongestionConfig, CongestionLabel, NodeCongestionState
+from oracles import CongestionReference
 
 CFG = CongestionConfig(alpha=250.0, beta=450.0, window_s=1.0)
 
@@ -62,6 +63,57 @@ def test_idle_limit_is_the_largest_count_not_above_beta(cfg):
     n = cfg.idle_limit
     assert n / cfg.window_s <= cfg.beta
     assert n == 2**52 or (n + 1) / cfg.window_s > cfg.beta
+
+
+@pytest.mark.parametrize("cfg", [
+    CFG,
+    CongestionConfig(alpha=10.0, beta=20.0, window_s=0.3),  # 3 / 0.3 > 10
+    CongestionConfig(alpha=250.0, beta=450.0, window_s=0.3),
+    CongestionConfig(alpha=1.0, beta=2.0, window_s=1e-300),
+    CongestionConfig(alpha=1.0, beta=1e300, window_s=1e10),
+    CongestionConfig(alpha=1e300, beta=2e300, window_s=1e10),
+])
+def test_busy_floor_is_the_smallest_count_not_below_alpha(cfg):
+    m = cfg.busy_floor
+    assert m >= 1
+    assert m == 2**52 or m / cfg.window_s >= cfg.alpha
+    assert m == 1 or (m - 1) / cfg.window_s < cfg.alpha
+
+
+def test_a_busy_node_runs_the_rule_where_its_cutoff_passes_keep():
+    # With a 0.3 s window, t - window_s reaches tau although t < tau +
+    # window_s, so the rule prunes tau at t: a deadline of tau + window_s
+    # would skip this arrival and miss its Idle notification.
+    cfg = CongestionConfig(alpha=10.0, beta=20.0, window_s=0.3)
+    tau = 0.5709129450392925
+    t = 0.8709129450392924
+    assert t - cfg.window_s >= tau and t < tau + cfg.window_s
+    st, ref = NodeCongestionState(), CongestionReference()
+    seen = []
+    for time in [tau] * 6 + [tau + 0.001, t]:
+        n, want = st.record_arrival(time, cfg), ref.record_arrival(time, cfg)
+        assert (n and n._replace(satellite=None)) == want
+        assert st.last_notified is ref.last_notified
+        seen.append(n and (n.label, n.rate))
+    assert seen[:6] == [None] * 6
+    assert seen[6] == (CongestionLabel.BUSY, 23.333333333333336)
+    assert seen[7] == (CongestionLabel.IDLE, 6.666666666666667)
+
+
+def test_a_steady_busy_rate_holds_at_most_two_windows():
+    # An hour at 600 arrivals/s and no sweeps: the node is notified Busy once,
+    # and times are pruned whenever the rule's cutoff passes `keep`.
+    st = NodeCongestionState()
+    seen = []
+    held = 0
+    for k in range(600 * 3600):
+        n = st.record_arrival(k / 600.0, CFG)
+        if n:
+            seen.append(n.label)
+        held = max(held, len(st._arrivals))
+    assert seen == [CongestionLabel.BUSY]
+    assert CFG.busy_floor == 250
+    assert held <= 1200
 
 
 def test_a_steady_sub_beta_rate_holds_at_most_the_limit():

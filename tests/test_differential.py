@@ -6,6 +6,7 @@ label wherever the rule runs), the access resolver the same access
 satellites, the demand grid's terminal handles the cells the scalar samplers
 pick, and the arrival generator the same packets at the same times."""
 
+import math
 import random
 from pathlib import Path
 
@@ -101,6 +102,14 @@ def largest_count_not_above_beta(cfg):
     return n
 
 
+def smallest_count_not_below_alpha(cfg):
+    """The smallest count m >= 1 with m / window_s >= alpha, by trying each count."""
+    m = 1
+    while m / cfg.window_s < cfg.alpha:
+        m += 1
+    return m
+
+
 class CountedState(NodeCongestionState):
     """A node that counts its rule runs, the ones its arrivals start included."""
 
@@ -116,37 +125,63 @@ class CountedState(NodeCongestionState):
 
 
 # One step of an arrivals-only trace: (time advance in sixteenths of the
-# window, arrivals at that time in sixteenths of the busy count). Around 100
-# steps hold several windows' worth of arrivals, so stale times pile up past
-# the limit, and the mean load sits near the transition band.
-BURSTS = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 8)), min_size=40, max_size=120)
+# window, arrivals at that time in sixteenths of the busy count, edge). Around
+# 100 steps hold several windows' worth of arrivals, so stale times pile up
+# past the limit, and the mean load sits near the transition band. An edge of
+# k moves the time, when that is later, to k ulps from the m-th most recent
+# time of the last rule run plus window_s: both sides of the rounding
+# boundary of the Busy bound, at times that are no multiple of a sixteenth.
+BURSTS = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(0, 8), st.none() | st.integers(-2, 2)),
+    min_size=40, max_size=120,
+)
+
+
+def ulps_from(x, k):
+    """x moved k ulps, up for k > 0 and down for k < 0."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(cfg=st.sampled_from(CONGESTION_CONFIGS), steps=BURSTS)
 def test_arrivals_alone_run_the_rule_only_where_a_crossing_is_possible(cfg, steps):
     # No sweep in between: the node runs the rule on an arrival exactly when
-    # an Idle-notified node then holds more than the largest count not above
-    # beta (or on its first arrival, which sets the limit), and on every
-    # arrival while Busy. It notifies as the reference, which runs the rule
-    # on every arrival, and each rule run finds the reference's rate and label.
+    # it is the first (which sets the bounds), when an Idle-notified node then
+    # holds more than the largest count not above beta, or when fewer than m
+    # of the times held at a Busy-notified node's last rule run are above the
+    # rule's cutoff, m being the smallest count not below alpha. It notifies
+    # as the reference, which runs the rule on every arrival, and each rule
+    # run finds the reference's rate and label.
     limit = largest_count_not_above_beta(cfg)
+    m = smallest_count_not_below_alpha(cfg)
     unit = max(1, (limit + 1) // 16)
     state, ref = CountedState(), CongestionReference()
+    window = []  # the times held after the node's last rule run
     t = 0.0
-    for advance, burst in steps:
+    for advance, burst, edge in steps:
         t += advance * cfg.window_s / 16
+        if edge is not None and len(window) >= m:
+            t = max(t, ulps_from(window[-m] + cfg.window_s, edge))
         for _ in range(burst * unit):
-            held = len(state._arrivals) + 1
-            must_run = (state.runs == 0 or state.last_notified is CongestionLabel.BUSY
-                        or held > limit)
+            cutoff = t - cfg.window_s
+            if state.runs == 0:
+                must_run = True
+            elif state.last_notified is CongestionLabel.BUSY:
+                must_run = sum(x > cutoff for x in window) < m
+            else:
+                must_run = len(state._arrivals) + 1 > limit
             runs = state.runs
             assert same_notification(state.record_arrival(t, cfg), ref.record_arrival(t, cfg))
             assert state.last_notified is ref.last_notified
             assert state.runs - runs == must_run
             if must_run:
                 assert observed(state) == observed(ref)
-            assert state.limit == (limit if state.last_notified is CongestionLabel.IDLE else -1)
+                window = list(ref._arrivals)
+            busy = state.last_notified is CongestionLabel.BUSY
+            assert state.limit == (-1 if busy else limit)
+            assert state.keep == (window[-m] if busy and len(window) >= m else -math.inf)
 
 
 SCHEDULER_CONFIGS = st.builds(

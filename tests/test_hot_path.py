@@ -7,8 +7,13 @@ Counts the Python-level calls into `leoqsim` code (`call` events from
 on the code and the scenario, not on the host, so it is checked exactly
 against a ceiling: a change that adds a call to the per-hop pipeline shows up
 here long before it shows up in a wall-time benchmark. The same holds for the
-busy/idle rule runs of that baseline run and for the number of backup tables
-a 10 s seed-42 run of the hotspot scenario builds.
+busy/idle rule runs of that baseline run, and for the busy/idle rule runs and
+the number of backup tables of a 10 s seed-42 run of the hotspot scenario.
+
+History of the hotspot's rule runs started by arrivals: 15,851, nearly all
+at Busy-notified nodes, while such a node ran the rule on every arrival; 438
+since it runs the rule only once its rule cutoff has passed the m-th most
+recent time of its last run (m the smallest count not below alpha).
 """
 
 import sys
@@ -44,6 +49,13 @@ MAX_CALLS = 116_173
 SWEEP_RULE_RUNS = 660
 MAX_ARRIVAL_RULE_RUNS = 61
 
+# Busy/idle rule runs in one 10 s seed-42 hotspot run(): its 20 sweeps
+# evaluate each of the 66 satellites, and 438 of its satellite arrivals find
+# an Idle-notified node past its limit or a Busy-notified node whose window
+# may have fallen below alpha.
+HOTSPOT_SWEEP_RULE_RUNS = 1320
+MAX_HOTSPOT_ARRIVAL_RULE_RUNS = 438
+
 # Backup tables built by one 10 s seed-42 hotspot run(): its 32 busy/idle
 # notifications meet 20 distinct busy sets in its one routing slot, and each
 # is built once. Rebuilding on every notification made 32.
@@ -77,7 +89,9 @@ def test_baseline_run_makes_no_more_package_calls_than_pinned():
     assert calls <= MAX_CALLS
 
 
-def test_baseline_run_runs_the_busy_idle_rule_no_more_than_pinned(monkeypatch):
+def rule_runs(monkeypatch, scenario: Path, duration_s: int) -> Counter:
+    """Busy/idle rule runs of one seed-42 run, by caller: the engine's sweeps
+    ("run") and arrivals ("record_arrival")."""
     runs = Counter()
     rule = NodeCongestionState.evaluate
 
@@ -86,12 +100,23 @@ def test_baseline_run_runs_the_busy_idle_rule_no_more_than_pinned(monkeypatch):
         return rule(state, t, cfg)
 
     monkeypatch.setattr(NodeCongestionState, "evaluate", counted)
-    text = apply_overrides(BASELINE.read_text(encoding="utf-8"),
-                           ["run.seed=42", "run.duration_s=5"])
+    text = apply_overrides(scenario.read_text(encoding="utf-8"),
+                           ["run.seed=42", f"run.duration_s={duration_s}"])
     engine.Simulation(loads_scenario(text)).run()
     assert runs.keys() <= {"run", "record_arrival"}
+    return runs
+
+
+def test_baseline_run_runs_the_busy_idle_rule_no_more_than_pinned(monkeypatch):
+    runs = rule_runs(monkeypatch, BASELINE, 5)
     assert runs["run"] == SWEEP_RULE_RUNS
     assert runs["record_arrival"] <= MAX_ARRIVAL_RULE_RUNS
+
+
+def test_hotspot_run_runs_the_busy_idle_rule_no_more_than_pinned(monkeypatch):
+    runs = rule_runs(monkeypatch, HOTSPOT, 10)
+    assert runs["run"] == HOTSPOT_SWEEP_RULE_RUNS
+    assert runs["record_arrival"] <= MAX_HOTSPOT_ARRIVAL_RULE_RUNS
 
 
 def test_hotspot_run_builds_no_more_backup_tables_than_pinned(monkeypatch):

@@ -3,6 +3,7 @@ inputs are rejected with a message naming the section and the key, and the
 serialize/parse round trip."""
 
 import configparser
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -133,6 +134,34 @@ def test_bad_input_is_rejected_naming_section_and_key(case):
     message = str(err.value)
     assert message.startswith(f"[{section}]")
     assert needle in message
+
+
+# Sections built directly, not parsed: each rejects a non-finite float itself.
+NON_FINITE = [
+    (SchedulerConfig, "service_rate", math.nan),
+    (SchedulerConfig, "channel_rate", math.inf),
+    (RunConfig, "duration_s", math.nan),
+    (RunConfig, "state_check_interval_s", math.inf),
+    (RoutingConfig, "slot_length_s", math.nan),
+    (TrafficSection, "class_mix", (math.nan, 0.0, 0.0, 1.0)),
+    (TrafficSection, "background_rate", math.inf),
+    (ConstellationParams, "altitude_km", math.inf),
+    (ConstellationParams, "min_elevation_deg", math.nan),
+]
+
+
+@pytest.mark.parametrize("cls, key, value", NON_FINITE,
+                         ids=[f"{cls.__name__}.{key}" for cls, key, _ in NON_FINITE])
+def test_sections_reject_non_finite_values(cls, key, value):
+    with pytest.raises(ValueError, match="finite"):
+        cls(**{key: value})
+
+
+def test_flows_reject_non_finite_values():
+    with pytest.raises(ValueError, match="finite"):
+        FlowSpec(GeoPosition(40.0, math.nan), HOTSPOT.dst, HOTSPOT.rate)
+    with pytest.raises(ValueError, match="finite"):
+        FlowSpec(HOTSPOT.src, HOTSPOT.dst, math.inf)
 
 
 SECTIONS = {f.name: f.default_factory for f in fields(ScenarioConfig) if f.name != "base_dir"}
