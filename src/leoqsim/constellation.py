@@ -9,8 +9,8 @@ elevation computations.
 
 Each geometric concept has one implementation here:
 
-- `OrbitGeometry`: the scalar per-event path (one satellite position, one
-  link delay, one uplink/downlink delay) that the event loop calls;
+- `OrbitGeometry`: the scalar per-event path (one link delay, one
+  uplink/downlink delay) that the event loop calls;
 - `satellite_positions`: all satellites at once, for whole-constellation
   passes (`build_topology_snapshot`, `AccessResolver`);
 - `TopologySnapshot.neighbor_table`: the link graph of one routing slot;
@@ -138,75 +138,78 @@ def satellite_positions(params: ConstellationParams, t: float) -> np.ndarray:
 
 
 class OrbitGeometry:
-    """Scalar geometry for the event loop: one satellite's position and the
-    propagation delay of one inter-satellite link or one ground link per call.
+    """Scalar geometry for the event loop: the propagation delay of one
+    inter-satellite link or one ground link per call.
 
     Per-satellite RAAN trigonometry and initial phases are fixed at
     construction; only the phase advances with time. Ground terminals are
     fixed Earth points given at construction and addressed by their position
-    in that sequence. The floating-point operation order of these methods is
-    part of every exported delay, so keep it when editing them.
+    in that sequence.
+
+    `link_delay` and `slant_delay` are closures built once per instance over
+    these constants and over `math.cos`, `math.sin` and `math.sqrt`, so a
+    call looks up no attribute. Their floating-point operation order is part
+    of every exported delay and is frozen: a change that is exact in real
+    arithmetic need not be in floats (`x ** 2 != x * x` for about one double
+    in 1,200 on x86-64 with glibc's `pow`). The order they were written in
+    is kept by `tests/oracles.OrbitGeometryReference`, and a test checks
+    them against it with `==`.
     """
 
     def __init__(self, params: ConstellationParams, ground: Sequence[GeoPosition]):
         n = params.num_sats
-        self._orb_a = params.orbit_radius_km
-        self._orb_n = params.mean_motion_rad_s
-        self._orb_ci = math.cos(math.radians(params.inclination_deg))
-        self._orb_si = math.sin(math.radians(params.inclination_deg))
-        self._raan_cos = [math.cos(params.raan_rad(i // params.sats_per_plane)) for i in range(n)]
-        self._raan_sin = [math.sin(params.raan_rad(i // params.sats_per_plane)) for i in range(n)]
-        self._phase0 = [params.initial_phase_rad(params.sid_of(i)) for i in range(n)]
-        self._ground_xyz = []
+        orb_a = params.orbit_radius_km
+        orb_n = params.mean_motion_rad_s
+        ci = math.cos(math.radians(params.inclination_deg))
+        si = math.sin(math.radians(params.inclination_deg))
+        raan_cos = [math.cos(params.raan_rad(i // params.sats_per_plane)) for i in range(n)]
+        raan_sin = [math.sin(params.raan_rad(i // params.sats_per_plane)) for i in range(n)]
+        phase0 = [params.initial_phase_rad(params.sid_of(i)) for i in range(n)]
+        ground_xyz = []
         for pos in ground:
             lat = math.radians(pos.lat_deg)
             lon = math.radians(pos.lon_deg)
             r = EARTH_RADIUS_KM
             cl = math.cos(lat)
-            self._ground_xyz.append(
-                (r * cl * math.cos(lon), r * cl * math.sin(lon), r * math.sin(lat))
-            )
+            ground_xyz.append((r * cl * math.cos(lon), r * cl * math.sin(lon), r * math.sin(lat)))
+        cos, sin, sqrt = math.cos, math.sin, math.sqrt
+        c_km_s = SPEED_OF_LIGHT_KM_S
+        rotation = EARTH_ROTATION_RAD_S
 
-    def sat_xyz(self, idx: int, t: float) -> tuple[float, float, float]:
-        """Inertial position (km) of satellite `idx` at time t."""
-        u = self._phase0[idx] + self._orb_n * t
-        cu, su = math.cos(u), math.sin(u)
-        co, so = self._raan_cos[idx], self._raan_sin[idx]
-        a, ci = self._orb_a, self._orb_ci
-        return (
-            a * (co * cu - so * su * ci),
-            a * (so * cu + co * su * ci),
-            a * su * self._orb_si,
-        )
+        def link_delay(i: int, j: int, t: float) -> float:
+            """Propagation delay (s) between satellites i and j at time t."""
+            nt = orb_n * t
+            u = phase0[i] + nt
+            cu, su = cos(u), sin(u)
+            co, so = raan_cos[i], raan_sin[i]
+            xi = co * cu - so * su * ci
+            yi = so * cu + co * su * ci
+            zi = su * si
+            u = phase0[j] + nt
+            cu, su = cos(u), sin(u)
+            co, so = raan_cos[j], raan_sin[j]
+            dx = xi - (co * cu - so * su * ci)
+            dy = yi - (so * cu + co * su * ci)
+            dz = zi - su * si
+            return orb_a * sqrt(dx * dx + dy * dy + dz * dz) / c_km_s
 
-    def link_delay(self, i: int, j: int, t: float) -> float:
-        """Propagation delay (s) between satellites i and j at time t."""
-        cos, sin = math.cos, math.sin
-        nt = self._orb_n * t
-        ci, si, a = self._orb_ci, self._orb_si, self._orb_a
-        u = self._phase0[i] + nt
-        cu, su = cos(u), sin(u)
-        co, so = self._raan_cos[i], self._raan_sin[i]
-        xi = co * cu - so * su * ci
-        yi = so * cu + co * su * ci
-        zi = su * si
-        u = self._phase0[j] + nt
-        cu, su = cos(u), sin(u)
-        co, so = self._raan_cos[j], self._raan_sin[j]
-        dx = xi - (co * cu - so * su * ci)
-        dy = yi - (so * cu + co * su * ci)
-        dz = zi - su * si
-        return a * math.sqrt(dx * dx + dy * dy + dz * dz) / SPEED_OF_LIGHT_KM_S
+        def slant_delay(terminal: int, sat: int, t: float) -> float:
+            """Uplink/downlink propagation delay (s) between a terminal and a satellite."""
+            gx, gy, gz = ground_xyz[terminal]
+            theta = rotation * t
+            c, s = cos(theta), sin(theta)
+            ux, uy = gx * c - gy * s, gx * s + gy * c
+            u = phase0[sat] + orb_n * t
+            cu, su = cos(u), sin(u)
+            co, so = raan_cos[sat], raan_sin[sat]
+            sx = orb_a * (co * cu - so * su * ci)
+            sy = orb_a * (so * cu + co * su * ci)
+            sz = orb_a * su * si
+            d = sqrt((sx - ux) ** 2 + (sy - uy) ** 2 + (sz - gz) ** 2)
+            return d / c_km_s
 
-    def slant_delay(self, terminal: int, sat: int, t: float) -> float:
-        """Uplink/downlink propagation delay (s) between a terminal and a satellite."""
-        gx, gy, gz = self._ground_xyz[terminal]
-        theta = EARTH_ROTATION_RAD_S * t
-        c, s = math.cos(theta), math.sin(theta)
-        ux, uy = gx * c - gy * s, gx * s + gy * c
-        sx, sy, sz = self.sat_xyz(sat, t)
-        d = math.sqrt((sx - ux) ** 2 + (sy - uy) ** 2 + (sz - gz) ** 2)
-        return d / SPEED_OF_LIGHT_KM_S
+        self.link_delay = link_delay
+        self.slant_delay = slant_delay
 
 
 def periods_elapsed(t: float, period: float) -> int:

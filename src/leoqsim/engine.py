@@ -19,13 +19,17 @@ geometry and link delays come from `constellation.OrbitGeometry`, the link
 graph from `constellation.build_topology_snapshot`, the forwarding rule from
 `routing.decide_next_index`, and satellite names from `SatelliteId`.
 
-Pending events sit in two lanes. Every service completion falls one fixed
+Pending events sit in three lanes. Every service completion falls one fixed
 service period after the event that starts it, and event times never
 decrease, so completions are created in (time, seq) order: they queue in a
-FIFO. Everything else goes through a binary heap, which also holds a horizon
-sentinel `(end, 1 << 62, _EV_END)`. The loop takes the FIFO's head when it
-sorts before the heap's top and otherwise pops the heap, and it stops when
-it pops the sentinel, so an event at exactly the horizon still runs.
+FIFO. The next source arrival waits alone in its own lane, under the key it
+would have in the heap: its seq is drawn when the previous source is
+handled, and an exhausted stream leaves a key that sorts after the horizon.
+Everything else goes through a binary heap, which also holds a horizon
+sentinel `(end, 1 << 62, _EV_END)`. The loop takes whichever of the three
+heads sorts first, so the events run in the same (time, seq) order as from
+one heap, and it stops when it pops the sentinel, so an event at exactly the
+horizon still runs.
 
 The access satellite of every terminal is a row, refreshed by a periodic
 event at each `access_refresh_s` quantum (`AccessResolver.row`). Refreshes
@@ -59,7 +63,7 @@ from .traffic import ArrivalGenerator, Packet
 _EV_SERVICE = 0  # service completion, in the FIFO lane; a = sat index, b = packet
 _EV_LINK = 1  # packet reaches the next satellite; a = packet, b = sat index
 _EV_UPLINK = 2  # packet reaches its source access satellite; a = packet, b = sat index
-_EV_SOURCE = 3  # a packet is created at its source user; b unused
+_EV_SOURCE = 3  # a packet is created at its source user, in the source lane; b unused
 _EV_DELIVERY = 4  # downlink completes at the destination user; b unused
 _EV_SLOT = 5  # routing slot boundary; a = slot index
 _EV_SWEEP = 6  # periodic arrival-rate re-evaluation of every satellite
@@ -266,9 +270,9 @@ class Simulation:
         self._next_seq = seq = count(first_seq).__next__
 
         stream = self.generator.stream(end)
+        exhausted = (end, 1 << 63, _EV_SOURCE, None, None)  # sorts after the sentinel
         first = next(stream, None)
-        if first is not None:
-            heappush(heap, (first[0], seq(), _EV_SOURCE, first[1], None))
+        source = exhausted if first is None else (first[0], seq(), _EV_SOURCE, first[1], None)
 
         stats = self.stats
         nodes = self.nodes
@@ -282,7 +286,10 @@ class Simulation:
         svc_pop = svc.popleft
         svc_push = svc.append
         while True:
-            if svc and svc[0] < heap[0]:  # _EV_SERVICE: packet b leaves satellite a
+            head = heap[0]
+            if source < head:
+                head = source
+            if svc and svc[0] < head:  # _EV_SERVICE: packet b leaves satellite a
                 t, _, _, a, b = svc_pop()
                 node = nodes[a]
                 scheduler = node.scheduler
@@ -295,6 +302,22 @@ class Simulation:
                 if trace is not None:
                     self._trace(t, "service", b, a)
                 route(t, b, a)
+                continue
+
+            if head is source:  # _EV_SOURCE: packet a is created
+                t, _, _, a, _ = source
+                stats.record_generated(a)
+                src = access[a.src_user]
+                if src < 0:
+                    rec = DropRecord(t, None, a.tos, DropReason.ACCESS_BLOCKED)
+                    stats.record_drop(rec)
+                else:
+                    delay = slant_delay(a.src_user, src, t)
+                    heappush(heap, (t + delay, seq(), _EV_UPLINK, a, src))
+                    if trace is not None:
+                        self._trace(t, "generated", a, src)
+                nxt = next(stream, None)
+                source = exhausted if nxt is None else (nxt[0], seq(), _EV_SOURCE, nxt[1], None)
                 continue
 
             t, s, kind, a, b = heappop(heap)
@@ -319,20 +342,6 @@ class Simulation:
                         stats.record_drop(drop)
                         if trace is not None:
                             self._trace(t, "drop", a, b)
-            elif kind == _EV_SOURCE:
-                stats.record_generated(a)
-                src = access[a.src_user]
-                if src < 0:
-                    rec = DropRecord(t, None, a.tos, DropReason.ACCESS_BLOCKED)
-                    stats.record_drop(rec)
-                else:
-                    delay = slant_delay(a.src_user, src, t)
-                    heappush(heap, (t + delay, seq(), _EV_UPLINK, a, src))
-                    if trace is not None:
-                        self._trace(t, "generated", a, src)
-                nxt = next(stream, None)
-                if nxt is not None:
-                    heappush(heap, (nxt[0], seq(), _EV_SOURCE, nxt[1], None))
             elif kind == _EV_DELIVERY:
                 stats.record_delivery(a, t)
                 if trace is not None:

@@ -12,22 +12,28 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from bisect import bisect_right
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from .congestion import Notification
 from .constellation import SatelliteId
 from .scheduling import ALL_CLASSES, DropRecord, TrafficClass
 
 MS_PER_S = 1000.0
+CDF_CHUNK_ROWS = 1024  # rows of a delay CDF file formatted per write
 
 
 class DelayCdf:
-    """Empirical distribution over delay samples (seconds)."""
+    """Empirical distribution over delay samples (seconds), held as a sorted
+    float64 copy. For finite floats `np.sort` gives the same order as
+    `sorted()`; queries return plain Python floats, since numpy 2 prints a
+    bare `np.float64` as `np.float64(...)`."""
 
     def __init__(self, samples):
-        self.samples = sorted(samples)
+        self.samples = np.array(samples, dtype=np.float64)
+        self.samples.sort()
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -36,15 +42,15 @@ class DelayCdf:
         """Smallest sample s with CDF(s) >= q; requires 0 < q <= 1."""
         if not 0.0 < q <= 1.0:
             raise ValueError("q must be in (0, 1]")
-        if not self.samples:
+        if not len(self.samples):
             raise ValueError("no samples")
         k = math.ceil(q * len(self.samples)) - 1
-        return self.samples[max(k, 0)]
+        return float(self.samples[max(k, 0)])
 
     def cdf(self, x: float) -> float:
-        if not self.samples:
+        if not len(self.samples):
             return 0.0
-        return bisect_right(self.samples, x) / len(self.samples)
+        return int(np.searchsorted(self.samples, x, side="right")) / len(self.samples)
 
 
 class StatsCollector:
@@ -225,8 +231,14 @@ def export(report: StatsCollector, out_dir) -> None:
         p90_ms[cls] = cdf.quantile(0.9) * MS_PER_S if n else None
         with open(out / f"delay_cdf_{cls.name}.csv", "w", encoding="utf-8", newline="\n") as f:
             f.write("delay_ms,cum_prob\n")
-            for k, s in enumerate(cdf.samples):
-                f.write(f"{_fmt(s * MS_PER_S)},{_fmt((k + 1) / n)}\n")
+            # Row k holds sample k in ms and (k + 1) / n: numpy's float64
+            # product and quotient round as Python's do, and `tolist` gives
+            # Python floats whose repr is `_fmt`'s.
+            for lo in range(0, n, CDF_CHUNK_ROWS):
+                hi = min(lo + CDF_CHUNK_ROWS, n)
+                delays = (cdf.samples[lo:hi] * MS_PER_S).tolist()
+                probs = (np.arange(lo + 1, hi + 1) / n).tolist()
+                f.write("".join([f"{d!r},{p!r}\n" for d, p in zip(delays, probs)]))
 
     with open(out / "throughput.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("bucket,class,generated,delivered,throughput_pkt_s,ratio\n")

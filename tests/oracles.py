@@ -1,12 +1,13 @@
 """Reference implementations that tests compare the package against.
 
 They favour directness over speed: exact per-call geometry for access, the
-access resolver's vectorized solve as first written, one heap Dijkstra per
-destination for route tables, a plain single-server loop for PQWRR service,
-busy/idle classification and PQWRR queue selection as first written (one
-method per step), strict priority as the discipline PQWRR is measured
-against, and the arrival stream as first written (one `random()` call per
-draw, one scalar sampler per packet field).
+access resolver's vectorized solve as first written, the scalar orbit
+geometry as first written (one satellite position per call), one heap
+Dijkstra per destination for route tables, a plain single-server loop for
+PQWRR service, busy/idle classification and PQWRR queue selection as first
+written (one method per step), strict priority as the discipline PQWRR is
+measured against, and the arrival stream as first written (one `random()`
+call per draw, one scalar sampler per packet field).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from leoqsim.constellation import (
     EARTH_RADIUS_KM,
     EARTH_ROTATION_RAD_S,
+    SPEED_OF_LIGHT_KM_S,
     ConstellationParams,
     GeoPosition,
     SatelliteId,
@@ -107,6 +109,73 @@ def access_row(params: ConstellationParams, ground: list[GeoPosition], t: float)
     best = np.argmax(sin_e, axis=1)
     ok = sin_e[np.arange(len(best)), best] >= math.sin(math.radians(params.min_elevation_deg))
     return [int(b) if good else -1 for b, good in zip(best, ok)]
+
+
+class OrbitGeometryReference:
+    """`constellation.OrbitGeometry` as first written: constants held as
+    attributes, `slant_delay` calling `sat_xyz`. Its floating-point
+    operation order is the one every exported delay is pinned to, so the
+    package's bound delays must equal these exactly."""
+
+    def __init__(self, params: ConstellationParams, ground: Sequence[GeoPosition]):
+        n = params.num_sats
+        self._orb_a = params.orbit_radius_km
+        self._orb_n = params.mean_motion_rad_s
+        self._orb_ci = math.cos(math.radians(params.inclination_deg))
+        self._orb_si = math.sin(math.radians(params.inclination_deg))
+        self._raan_cos = [math.cos(params.raan_rad(i // params.sats_per_plane)) for i in range(n)]
+        self._raan_sin = [math.sin(params.raan_rad(i // params.sats_per_plane)) for i in range(n)]
+        self._phase0 = [params.initial_phase_rad(params.sid_of(i)) for i in range(n)]
+        self._ground_xyz = []
+        for pos in ground:
+            lat = math.radians(pos.lat_deg)
+            lon = math.radians(pos.lon_deg)
+            r = EARTH_RADIUS_KM
+            cl = math.cos(lat)
+            self._ground_xyz.append(
+                (r * cl * math.cos(lon), r * cl * math.sin(lon), r * math.sin(lat))
+            )
+
+    def sat_xyz(self, idx: int, t: float) -> tuple[float, float, float]:
+        """Inertial position (km) of satellite `idx` at time t."""
+        u = self._phase0[idx] + self._orb_n * t
+        cu, su = math.cos(u), math.sin(u)
+        co, so = self._raan_cos[idx], self._raan_sin[idx]
+        a, ci = self._orb_a, self._orb_ci
+        return (
+            a * (co * cu - so * su * ci),
+            a * (so * cu + co * su * ci),
+            a * su * self._orb_si,
+        )
+
+    def link_delay(self, i: int, j: int, t: float) -> float:
+        """Propagation delay (s) between satellites i and j at time t."""
+        cos, sin = math.cos, math.sin
+        nt = self._orb_n * t
+        ci, si, a = self._orb_ci, self._orb_si, self._orb_a
+        u = self._phase0[i] + nt
+        cu, su = cos(u), sin(u)
+        co, so = self._raan_cos[i], self._raan_sin[i]
+        xi = co * cu - so * su * ci
+        yi = so * cu + co * su * ci
+        zi = su * si
+        u = self._phase0[j] + nt
+        cu, su = cos(u), sin(u)
+        co, so = self._raan_cos[j], self._raan_sin[j]
+        dx = xi - (co * cu - so * su * ci)
+        dy = yi - (so * cu + co * su * ci)
+        dz = zi - su * si
+        return a * math.sqrt(dx * dx + dy * dy + dz * dz) / SPEED_OF_LIGHT_KM_S
+
+    def slant_delay(self, terminal: int, sat: int, t: float) -> float:
+        """Uplink/downlink propagation delay (s) between a terminal and a satellite."""
+        gx, gy, gz = self._ground_xyz[terminal]
+        theta = EARTH_ROTATION_RAD_S * t
+        c, s = math.cos(theta), math.sin(theta)
+        ux, uy = gx * c - gy * s, gx * s + gy * c
+        sx, sy, sz = self.sat_xyz(sat, t)
+        d = math.sqrt((sx - ux) ** 2 + (sy - uy) ** 2 + (sz - gz) ** 2)
+        return d / SPEED_OF_LIGHT_KM_S
 
 
 def _dijkstra_to(dst: int, neighbor_table, excluded: list[bool]) -> list[int]:

@@ -9,6 +9,7 @@ from leoqsim.constellation import (
     MU_EARTH_KM3_S2,
     PICOSECONDS_PER_SECOND,
     SPEED_OF_LIGHT_KM_S,
+    SIDEREAL_DAY_S,
     AccessResolver,
     ConstellationParams,
     GeoPosition,
@@ -17,14 +18,14 @@ from leoqsim.constellation import (
     build_topology_snapshot,
     satellite_positions,
 )
-from oracles import access_satellite, elevation_deg, subsatellite_point
+from oracles import OrbitGeometryReference, access_satellite, elevation_deg, subsatellite_point
 
 PARAMS = ConstellationParams()
-GEOMETRY = OrbitGeometry(PARAMS, [])
+REFERENCE = OrbitGeometryReference(PARAMS, [])
 LARGE_SHELL = ConstellationParams(planes=24, sats_per_plane=40, phase_offset_deg=4.5)
 
 
-def sat_xyz(sid, t, geometry=GEOMETRY, params=PARAMS):
+def sat_xyz(sid, t, geometry=REFERENCE, params=PARAMS):
     return np.array(geometry.sat_xyz(params.index_of(sid), t))
 
 
@@ -97,7 +98,7 @@ def test_vectorized_positions_match_scalar():
     # compute the same orbits in different operation orders.
     rng = random.Random(19)
     for params in (PARAMS, LARGE_SHELL):
-        geometry = OrbitGeometry(params, [])
+        geometry = OrbitGeometryReference(params, [])
         for _ in range(10):
             t = rng.uniform(0, 3 * params.period_s)
             pos = satellite_positions(params, t)
@@ -237,6 +238,33 @@ def test_pair_delay_consistent_with_snapshot():
             for i, row in enumerate(snap.neighbor_table):
                 for j, ps in row:
                     assert abs(geometry.link_delay(i, j, t) * PICOSECONDS_PER_SECOND - ps) <= 1
+
+
+# Ground terminals every 20 degrees of latitude and 45 of longitude.
+LATTICE = [GeoPosition(lat, lon) for lat in range(-80, 81, 20) for lon in range(-180, 180, 45)]
+
+
+@pytest.mark.parametrize("params", [PARAMS, LARGE_SHELL], ids=["default", "large_shell"])
+def test_bound_delays_equal_the_reference_exactly(params):
+    # The closures keep the reference's operation order, so every delay is
+    # the same double: over every link of several snapshots, and over every
+    # (terminal, satellite) pair at t = 0 and about a sidereal day on. Fewer
+    # pairs would not do: writing `x * x` for `x ** 2` changes 3 of these
+    # 14,256 slant delays on the default shell and 59 of 207,360 on the
+    # large one.
+    geometry = OrbitGeometry(params, LATTICE)
+    reference = OrbitGeometryReference(params, LATTICE)
+    rng = random.Random(41)
+    for t in [0.0] + [rng.uniform(0, 3 * params.period_s) for _ in range(4)]:
+        snap = build_topology_snapshot(params, t)
+        for i, row in enumerate(snap.neighbor_table):
+            for j, _ in row:
+                assert geometry.link_delay(i, j, t) == reference.link_delay(i, j, t)
+    for t in (0.0, SIDEREAL_DAY_S - 0.25, SIDEREAL_DAY_S + rng.random()):
+        for terminal in range(len(LATTICE)):
+            for sat in range(params.num_sats):
+                assert geometry.slant_delay(terminal, sat, t) == \
+                    reference.slant_delay(terminal, sat, t)
 
 
 def test_ground_slant_delay_bounds():

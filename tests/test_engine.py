@@ -1,5 +1,5 @@
 """End-to-end engine runs, pinned to the sha256 of their exports, the
-schedule of periodic events, the dispatch order of the two event lanes, the
+schedule of periodic events, the dispatch order of the three event lanes, the
 access rows that forwarding reads, the per-slot backup rows and the FIFO
 wait-queue drain.
 
@@ -26,12 +26,13 @@ import pytest
 from leoqsim import engine, stats
 from leoqsim.constellation import AccessResolver, OrbitGeometry
 from leoqsim.routing import compute_backup_table
-from leoqsim.scenario import loads_scenario
+from leoqsim.scenario import apply_overrides, loads_scenario
 from leoqsim.scheduling import TrafficClass
 from leoqsim.traffic import Packet
 from oracles import access_satellite
 
 HOTSPOT_FLOW = "40,-100 -> 50,10 @ 600"
+HOTSPOT = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "hotspot.ini"
 
 # Every knob the per-hop pipeline branches on, set away from its default.
 KNOBS = {
@@ -206,8 +207,13 @@ def test_periodic_events_pop_with_the_keys_of_an_all_up_front_schedule(monkeypat
                 for kind, period in zip(PERIODIC, (1.0, 2.0, 1.0, 0.5))
                 for k in range(1, int(7.3 / period) + 1)]
     assert [event[:3] for event in popped if event[2] in PERIODIC] == sorted(up_front)
-    first_source = next(event for event in popped if event[2] == engine._EV_SOURCE)
-    assert first_source[1] == len(up_front) + 1
+    # Sources wait in their own lane, never in the heap. The first source
+    # kept the seq after the periodic events: the uplink its handler pushes
+    # takes the next one.
+    assert all(event[2] != engine._EV_SOURCE for event in popped)
+    first_uplink = next(event for event in popped if event[2] == engine._EV_UPLINK)
+    assert first_uplink[3].id == 0
+    assert first_uplink[1] == len(up_front) + 2
 
 
 def test_the_heap_holds_at_most_one_periodic_event_of_each_kind(monkeypatch):
@@ -256,7 +262,8 @@ class RecordingDeque(deque):
 
 def test_both_lanes_dispatch_in_strictly_increasing_key_order(monkeypatch):
     # A congested run: service completions come from the FIFO lane, every
-    # other event from the heap, and together they run in (time, seq) order.
+    # event but those and sources from the heap, and together they run in
+    # (time, seq) order.
     dispatched = record_pops(monkeypatch, lambda heap: None)
     sim = engine.Simulation(loads_scenario(scenario_text(HOTSPOT_FLOW, "composite")))
     sim._svc = RecordingDeque(dispatched)
@@ -267,6 +274,20 @@ def test_both_lanes_dispatch_in_strictly_increasing_key_order(monkeypatch):
     kinds = Counter(event[2] for event in dispatched)
     assert kinds[engine._EV_SERVICE] > kinds[engine._EV_LINK] > 0
     assert dispatched[-1][2] == engine._EV_END
+
+
+def test_traced_events_never_go_back_in_time():
+    # All three lanes, sources included, in a congested run of the benchmark's
+    # hotspot. A "forward" row carries the time its link frees up, which can
+    # lie ahead of the events after it; every other row carries the time of
+    # the event that wrote it.
+    text = apply_overrides(HOTSPOT.read_text(encoding="utf-8"),
+                           ["run.seed=42", "run.duration_s=10", "run.trace=true"])
+    report = engine.Simulation(loads_scenario(text)).run()
+    assert report.state_log
+    times = [row[0] for row in report.trace_rows if row[1] != "forward"]
+    assert len(times) > 150_000
+    assert all(a <= b for a, b in zip(times, times[1:]))
 
 
 def test_every_forwarding_decision_reads_the_access_row_of_its_time():

@@ -31,16 +31,18 @@ HOTSPOT = SCENARIOS / "hotspot.ini"
 PACKAGE = str(Path(leoqsim.__file__).resolve().parent)
 
 # Package calls made by one 5 s seed-42 baseline run() of 3,971 packets:
-# 116,173 (29.3 per packet), since an arrival runs the busy/idle rule only
-# when it can cross a threshold. Before that 116,771 (29.4 per packet), since
-# a packet that finds its satellite idle starts service without an enqueue
-# and a dequeue. Before that 128,432 (32.3 per packet), since forwarding
-# reads the access row that a periodic event refreshes. Before that
-# `access_index` made it 149,577 (37.7 per packet), and before arrival
-# streams were drawn a block at a time the scalar samplers 169,419 (42.7);
-# before the forwarding decision moved into `Simulation._route` 186,608
-# (47.0); before the per-hop pipeline was flattened 331,207 (83.4).
-MAX_CALLS = 116_173
+# 108,286 (27.3 per packet), since the uplink and downlink delays compute the
+# satellite position in line. Before that 116,173 (29.3 per packet), since an
+# arrival runs the busy/idle rule only when it can cross a threshold. Before
+# that 116,771 (29.4 per packet), since a packet that finds its satellite
+# idle starts service without an enqueue and a dequeue. Before that 128,432
+# (32.3 per packet), since forwarding reads the access row that a periodic
+# event refreshes. Before that `access_index` made it 149,577 (37.7 per
+# packet), and before arrival streams were drawn a block at a time the scalar
+# samplers 169,419 (42.7); before the forwarding decision moved into
+# `Simulation._route` 186,608 (47.0); before the per-hop pipeline was
+# flattened 331,207 (83.4).
+MAX_CALLS = 108_286
 
 # Busy/idle rule runs (`NodeCongestionState.evaluate`) in that run: its ten
 # sweeps evaluate each of the 66 satellites, and 61 of its 17,191 satellite
