@@ -106,20 +106,17 @@ class Notification(NamedTuple):
 
 
 class NodeCongestionState:
-    """Arrival timestamps plus the hysteresis labels.
+    """Arrival timestamps plus the hysteresis state.
 
     `last_notified` is the externally visible busy/idle view that routing
-    reacts to. `rate` and `label` are the rate and classification of the last
-    rule run, which need not be the latest arrival (see the module
-    docstring).
+    reacts to. A rule run's rate and label are not kept: they leave the node
+    only in the notification of a crossing.
     """
 
-    __slots__ = ("satellite", "rate", "label", "last_notified", "limit", "keep", "_arrivals")
+    __slots__ = ("satellite", "last_notified", "limit", "keep", "_arrivals")
 
     def __init__(self, satellite: Optional[SatelliteId] = None):
         self.satellite = satellite
-        self.rate = 0.0
-        self.label = _IDLE
         self.last_notified = _IDLE
         self.limit = -1  # held times above which an arrival runs the rule
         self.keep = -math.inf  # a time whose presence in the window rules out Idle
@@ -150,14 +147,12 @@ class NodeCongestionState:
         while arrivals and arrivals[0] <= cutoff:
             arrivals.popleft()
         rate = len(arrivals) / window
-        self.rate = rate
         if rate > cfg.beta:
             label = _BUSY
         elif rate < cfg.alpha:
             label = _IDLE
         else:
             label = _TRANSITION
-        self.label = label
         if label is self.last_notified or label is _TRANSITION:
             notif = None
         else:

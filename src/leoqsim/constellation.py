@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,20 +88,11 @@ class ConstellationParams:
     def mean_motion_rad_s(self) -> float:
         return math.sqrt(MU_EARTH_KM3_S2 / self.orbit_radius_km**3)
 
-    @property
-    def period_s(self) -> float:
-        return 2.0 * math.pi / self.mean_motion_rad_s
-
     def index_of(self, sid: SatelliteId) -> int:
         return sid.plane * self.sats_per_plane + sid.slot
 
     def sid_of(self, index: int) -> SatelliteId:
         return SatelliteId(index // self.sats_per_plane, index % self.sats_per_plane)
-
-    def satellite_ids(self) -> Iterator[SatelliteId]:
-        for p in range(self.planes):
-            for s in range(self.sats_per_plane):
-                yield SatelliteId(p, s)
 
     # Per-satellite orbital elements: ascending node and initial phase.
     def raan_rad(self, plane: int) -> float:
@@ -230,14 +221,11 @@ class TopologySnapshot:
     sorted by neighbour index; delays are integer picoseconds.
     """
 
-    slot_index: int
     params: ConstellationParams
     neighbor_table: list[list[tuple[int, int]]] = field(repr=False)
 
 
-def build_topology_snapshot(
-    params: ConstellationParams, t: float, slot_index: int = 0
-) -> TopologySnapshot:
+def build_topology_snapshot(params: ConstellationParams, t: float) -> TopologySnapshot:
     """Derive the link graph at time t.
 
     Intra-plane links are permanent ring edges. Inter-plane links join
@@ -267,7 +255,7 @@ def build_topology_snapshot(
 
     for row in neighbor_table:
         row.sort()
-    return TopologySnapshot(slot_index, params, neighbor_table)
+    return TopologySnapshot(params, neighbor_table)
 
 
 class AccessResolver:
@@ -283,9 +271,8 @@ class AccessResolver:
     boundary (`int(3 * 0.7 / 0.7) == 2`).
 
     The event loop holds the current quantum's `row` and refreshes it every
-    quantum. `access_index` looks up one terminal and keeps only the latest
-    quantum's row, so memory stays O(terminals) at any horizon, and an
-    earlier time is simply solved again.
+    quantum. `access_index` solves the row of one time and reads one
+    terminal from it; the event loop never calls it.
     """
 
     def __init__(
@@ -300,17 +287,11 @@ class AccessResolver:
         cl = np.cos(lats)
         # (T, 3) unit vectors, Earth-fixed
         self._unit_ecef = np.stack([cl * np.cos(lons), cl * np.sin(lons), np.sin(lats)], axis=1)
-        self._quantum: int | None = None  # quantum of `_row`
-        self._row: list[int] = []  # best sat index per terminal (-1 none)
         self._min_sin_e = math.sin(math.radians(params.min_elevation_deg))
 
     def access_index(self, terminal: int, t: float) -> int:
         """Best satellite index for a terminal in the quantum of time t, or -1."""
-        q = periods_elapsed(t, self.quantum_s)
-        if q != self._quantum:
-            self._row = self.row(q)
-            self._quantum = q
-        return self._row[terminal]
+        return self.row(periods_elapsed(t, self.quantum_s))[terminal]
 
     def row(self, q: int) -> list[int]:
         """Best satellite index (-1 none) of every terminal in quantum q."""

@@ -140,7 +140,7 @@ class Simulation:
     # -- routing state -------------------------------------------------------
 
     def _rebuild_for_slot(self, t: float, slot: int) -> None:
-        self.snapshot = build_topology_snapshot(self.params, t, slot)
+        self.snapshot = build_topology_snapshot(self.params, t)
         primary = compute_shortest_path_table(self.snapshot)
         self.primary = primary.next_idx
         self._backups = {}

@@ -46,22 +46,16 @@ Rows = list[array]  # next_idx[cur][dst]: next satellite index, -1 when unreacha
 class RouteTable:
     """All-pairs next-hop map for one topology snapshot.
 
-    Internally index-based: `next_idx[cur][dst]` is the next satellite index
-    (-1 when dst is unreachable from cur), one `array` row per source, and the
-    int64 array `cost_ps[cur, dst]` the total path delay in picoseconds (-1
-    when unreachable).
+    Index-based: `next_idx[cur][dst]` is the next satellite index (-1 when
+    dst is unreachable from cur or is cur itself), one `array` row per
+    source, and the int64 array `cost_ps[cur, dst]` the total path delay in
+    picoseconds (-1 when unreachable). The forwarding rule reads `next_idx`
+    alone; `entries` names both for the route dump.
     """
 
-    slot_index: int
     params: ConstellationParams
     next_idx: Rows = field(repr=False)
     cost_ps: np.ndarray = field(repr=False)
-
-    def next_hop(self, cur: SatelliteId, dst: SatelliteId) -> Optional[SatelliteId]:
-        if cur == dst:
-            return None
-        n = self.next_idx[self.params.index_of(cur)][self.params.index_of(dst)]
-        return None if n == _UNREACHABLE else self.params.sid_of(n)
 
     def entries(self) -> Iterator[tuple[SatelliteId, SatelliteId, Optional[SatelliteId], Optional[float]]]:
         """(src, dst, next_hop, cost_seconds) for every src != dst pair."""
@@ -155,7 +149,7 @@ def compute_shortest_path_table(snapshot: TopologySnapshot) -> RouteTable:
     """
     excluded = [False] * snapshot.params.num_sats
     next_idx, cost_ps = _build_table(snapshot, excluded)
-    return RouteTable(snapshot.slot_index, snapshot.params, next_idx, cost_ps)
+    return RouteTable(snapshot.params, next_idx, cost_ps)
 
 
 def compute_backup_table(snapshot: TopologySnapshot, busy: list[bool]) -> RouteTable:
@@ -169,7 +163,7 @@ def compute_backup_table(snapshot: TopologySnapshot, busy: list[bool]) -> RouteT
     flags do not change it.
     """
     next_idx, cost_ps = _build_table(snapshot, busy)
-    return RouteTable(snapshot.slot_index, snapshot.params, next_idx, cost_ps)
+    return RouteTable(snapshot.params, next_idx, cost_ps)
 
 
 def decide_next_index(

@@ -47,11 +47,6 @@ class DelayCdf:
         k = math.ceil(q * len(self.samples)) - 1
         return float(self.samples[max(k, 0)])
 
-    def cdf(self, x: float) -> float:
-        if not len(self.samples):
-            return 0.0
-        return int(np.searchsorted(self.samples, x, side="right")) / len(self.samples)
-
 
 class StatsCollector:
     """One run's statistics; after `finalize` it is the run's report."""
@@ -153,21 +148,11 @@ class StatsCollector:
     def delay_cdf(self, cls: TrafficClass) -> DelayCdf:
         return DelayCdf(self.delay_samples[cls])
 
-    def throughput_ratio(
-        self, cls: TrafficClass, window: Optional[tuple[float, float]] = None
-    ) -> Optional[float]:
-        """Delivered/generated for a class over a bucket-aligned window
-        (whole run by default); None when nothing was generated."""
-        if window is None:
-            gen, dlv = self.generated[cls], self.delivered[cls]
-        else:
-            b0 = max(0, int(window[0] / self.bucket_s))
-            b1 = min(self.n_buckets, math.ceil(window[1] / self.bucket_s))
-            gen = sum(self.generated_bucket[cls][b0:b1])
-            dlv = sum(self.delivered_bucket[cls][b0:b1])
-        if gen == 0:
-            return None
-        return dlv / gen
+    def throughput_ratio(self, cls: TrafficClass) -> Optional[float]:
+        """Delivered/generated for a class over the run; None when nothing
+        was generated."""
+        gen = self.generated[cls]
+        return self.delivered[cls] / gen if gen else None
 
     def mean_delay_s(self, cls: TrafficClass, foreground: bool = False) -> Optional[float]:
         if foreground:

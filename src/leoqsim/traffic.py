@@ -64,8 +64,7 @@ CONTINENT_RATIOS = (
     (25.63, 43.34, 17.33, 3.53, 7.95, 2.22),
     (26.48, 10.58, 29.22, 2.11, 1.49, 30.12),
 )
-_RATIOS_CUM = [np.cumsum(row).tolist() for row in CONTINENT_RATIOS]
-_RATIOS_CUM_ARRAYS = [np.array(row) for row in _RATIOS_CUM]
+_RATIOS_CUM = [np.cumsum(row) for row in CONTINENT_RATIOS]
 _CLASSES = np.array(ALL_CLASSES, dtype=object)
 
 # Packets drawn per stream at a time. Each stream holds one block, so memory
@@ -192,7 +191,7 @@ class DemandGrid:
         src = np.searchsorted(src_cum, u[:, 0] * src_cum[-1], side="right")
         src_cont = self.continents.ravel()[src]
         dst_cont = np.empty(len(u), dtype=np.intp)
-        for c, cum in enumerate(_RATIOS_CUM_ARRAYS):
+        for c, cum in enumerate(_RATIOS_CUM):
             rows = np.flatnonzero(src_cont == c)
             dst_cont[rows] = np.searchsorted(cum, u[rows, 1] * cum[-1], side="right")
         np.minimum(dst_cont, 5, out=dst_cont)
@@ -260,9 +259,8 @@ class ArrivalGenerator:
         self.flows = list(flows)
         self.grid = grid
         self.background_rate = background_rate
-        self.class_mix_cum = np.cumsum(class_mix).tolist()
         self.seed = seed
-        self._class_cum = np.array(self.class_mix_cum)
+        self._class_cum = np.cumsum(class_mix)
         self.terminals: list[GeoPosition] = [
             grid.cell_center(*divmod(cell, GRID_COLS)) for cell in grid.terminal_cells.tolist()
         ]

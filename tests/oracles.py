@@ -44,6 +44,16 @@ from leoqsim.scheduling import (
 )
 from leoqsim.traffic import _RATIOS_CUM, ArrivalGenerator, DemandGrid, Packet
 
+# The package's cumulative tables as lists of Python floats, which the scalar
+# samplers below compare and scale on every draw. `tolist` keeps each float64
+# exactly, so the samplers pick what the package's array lookups pick.
+RATIOS_CUM = [row.tolist() for row in _RATIOS_CUM]
+
+
+def orbital_period_s(params: ConstellationParams) -> float:
+    """Time of one orbit of the shell."""
+    return 2.0 * math.pi / params.mean_motion_rad_s
+
 
 def ground_position_eci(user: GeoPosition, t: float) -> np.ndarray:
     """Inertial position of an Earth-fixed point at time t (Earth rotates beneath orbits)."""
@@ -375,7 +385,7 @@ class StrictPriorityReference(_ReferenceQueues):
 def sample_destination(src: int, rng: random.Random) -> int:
     """Destination continent (its `Continent` value) drawn from row `src` of
     the ratio table."""
-    cum = _RATIOS_CUM[src]
+    cum = RATIOS_CUM[src]
     u = rng.random() * cum[-1]
     for j, c in enumerate(cum):
         if u < c:
@@ -422,6 +432,12 @@ def sample_cell_in_continent(grid: DemandGrid, continent: int, rng: random.Rando
     return cells_by_continent[continent][k]
 
 
+@lru_cache(maxsize=8)
+def class_mix_cum(gen: ArrivalGenerator) -> list[float]:
+    """The generator's cumulative class mix as Python floats."""
+    return gen._class_cum.tolist()
+
+
 def sample_class(mix_cum: Sequence[float], rng: random.Random) -> TrafficClass:
     u = rng.random()
     for cls, c in zip(ALL_CLASSES, mix_cum):
@@ -435,7 +451,7 @@ def make_background(gen: ArrivalGenerator, pkt_id: int, t: float, rng: random.Ra
     src_cell = sample_source_cell(grid, rng)
     dst_cont = sample_destination(grid_tables(grid)[1][src_cell], rng)
     dst_cell = sample_cell_in_continent(grid, dst_cont, rng)
-    tos = sample_class(gen.class_mix_cum, rng)
+    tos = sample_class(class_mix_cum(gen), rng)
     cells = terminal_cells(grid)
     return Packet(pkt_id, tos, cells.index(src_cell), cells.index(dst_cell), t)
 
@@ -470,7 +486,7 @@ def arrival_stream(gen: ArrivalGenerator, horizon: float) -> Iterator[tuple[floa
             pkt = make_background(gen, pkt_id, t, rng)
         else:
             src_h, dst_h = gen._flow_terminals[kinds[s]]
-            tos = sample_class(gen.class_mix_cum, rng)
+            tos = sample_class(class_mix_cum(gen), rng)
             pkt = Packet(pkt_id, tos, src_h, dst_h, t, flow=kinds[s])
         pkt_id += 1
         yield t, pkt

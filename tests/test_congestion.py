@@ -20,12 +20,32 @@ def loaded_state(rate, cfg=CFG):
 
 def classify(rate):
     """The label a satellite gets at `rate` arrivals/s, measured over a 10 s
-    window so that rates with one decimal are whole arrival counts."""
+    window so that rates with one decimal are whole arrival counts. A label
+    leaves the node only in a notification, so the rule runs once as last
+    notified Idle and once as Busy: Busy is broadcast from the first, Idle
+    from the second, and Transition from neither."""
     cfg = CongestionConfig(alpha=CFG.alpha, beta=CFG.beta, window_s=10.0)
-    st = loaded_state(rate, cfg)
-    st.evaluate(cfg.window_s, cfg)
-    assert st.rate == rate
-    return st.label
+    sent = []
+    for last_notified in (CongestionLabel.IDLE, CongestionLabel.BUSY):
+        st = loaded_state(rate, cfg)
+        st.last_notified = last_notified
+        n = st.evaluate(cfg.window_s, cfg)
+        if n is not None:
+            assert n.rate == rate
+            sent.append(n.label)
+    assert len(sent) <= 1
+    return sent[0] if sent else CongestionLabel.TRANSITION
+
+
+# Thresholds no rate in these tests reaches: every rule run finds Idle, so a
+# node last notified Busy broadcasts the rate it measured.
+RATE_CFG = CongestionConfig(alpha=1e9, beta=2e9, window_s=1.0)
+
+
+def measured_rate(st, t):
+    """The rate `st`'s rule measures at time t under RATE_CFG."""
+    st.last_notified = CongestionLabel.BUSY
+    return st.evaluate(t, RATE_CFG).rate
 
 
 def notification(last_notified, rate):
@@ -155,23 +175,20 @@ class TestClassify:
 class TestRateWindow:
     def test_no_arrivals_means_zero(self):
         st = NodeCongestionState()
-        st.record_arrival(0.5, CFG)
-        st.evaluate(2.0, CFG)
-        assert st.rate == 0.0
+        st.record_arrival(0.5, RATE_CFG)
+        assert measured_rate(st, 2.0) == 0.0
 
     def test_k_arrivals_in_window(self):
         st = NodeCongestionState()
         for k in range(10):
-            st.record_arrival(5.0 + k * 0.1, CFG)
-        st.evaluate(5.95, CFG)
-        assert st.rate == 10.0
+            st.record_arrival(5.0 + k * 0.1, RATE_CFG)
+        assert measured_rate(st, 5.95) == 10.0
 
     def test_window_is_half_open(self):
         # An arrival exactly window seconds ago has left the window.
         st = NodeCongestionState()
-        st.record_arrival(1.0, CFG)
-        st.evaluate(2.0, CFG)
-        assert st.rate == 0.0
+        st.record_arrival(1.0, RATE_CFG)
+        assert measured_rate(st, 2.0) == 0.0
 
     def test_poisson_rate_estimate(self):
         # Monte-Carlo: Poisson arrivals at 400/s, estimates averaged over 100
@@ -184,29 +201,31 @@ class TestRateWindow:
         while t < 100.0:
             t += rng.expovariate(400.0)
             while next_eval <= t and len(estimates) < 100:
-                st.evaluate(next_eval, CFG)
-                estimates.append(st.rate)
+                estimates.append(measured_rate(st, next_eval))
                 next_eval += 1.0
-            st.record_arrival(t, CFG)
+            st.record_arrival(t, RATE_CFG)
         mean = sum(estimates) / len(estimates)
         assert abs(mean - 400.0) <= 3 * 400.0**0.5
 
 
 class TestNotifications:
     def test_idle_transition_idle_is_silent(self):
-        st = NodeCongestionState()
+        # ~300/s for one second (transition band), then silence: the
+        # reference, run alongside, classifies the last rule run Idle.
+        st, ref = NodeCongestionState(), CongestionReference()
         seen = []
-        t = 0.0
-        # ~300/s for one second (transition band), then silence
         for k in range(300):
             t = k / 300.0
             n = st.record_arrival(t, CFG)
+            assert ref.record_arrival(t, CFG) is None
             if n:
                 seen.append(n)
         n = st.evaluate(3.0, CFG)
+        assert ref.evaluate(3.0, CFG) is None
         if n:
             seen.append(n)
-        assert st.label is CongestionLabel.IDLE
+        assert ref.label is CongestionLabel.IDLE
+        assert st.last_notified is CongestionLabel.IDLE
         assert seen == []
 
     def test_busy_crossing_notifies_once(self):

@@ -18,11 +18,21 @@ from leoqsim.constellation import (
     build_topology_snapshot,
     satellite_positions,
 )
-from oracles import OrbitGeometryReference, access_satellite, elevation_deg, subsatellite_point
+from oracles import (
+    OrbitGeometryReference,
+    access_satellite,
+    elevation_deg,
+    orbital_period_s,
+    subsatellite_point,
+)
 
 PARAMS = ConstellationParams()
 REFERENCE = OrbitGeometryReference(PARAMS, [])
 LARGE_SHELL = ConstellationParams(planes=24, sats_per_plane=40, phase_offset_deg=4.5)
+
+
+def satellite_ids(params):
+    return [params.sid_of(i) for i in range(params.num_sats)]
 
 
 def sat_xyz(sid, t, geometry=REFERENCE, params=PARAMS):
@@ -52,7 +62,7 @@ def test_orbital_period_matches_kepler():
     a = EARTH_RADIUS_KM + 780.0
     expected = 2.0 * math.pi * math.sqrt(a**3 / MU_EARTH_KM3_S2)
     assert expected == pytest.approx(6018.0, abs=1.0)
-    assert PARAMS.period_s == pytest.approx(expected, rel=1e-12)
+    assert 2.0 * math.pi / PARAMS.mean_motion_rad_s == pytest.approx(expected, rel=1e-12)
 
 
 def test_initial_phase_convention():
@@ -86,7 +96,7 @@ def test_raan_spread_even():
 
 
 def test_periodicity():
-    T = PARAMS.period_s
+    T = orbital_period_s(PARAMS)
     for sid in (SatelliteId(0, 0), SatelliteId(3, 7), SatelliteId(5, 10)):
         p0 = sat_xyz(sid, 123.0)
         p1 = sat_xyz(sid, 123.0 + T)
@@ -100,7 +110,7 @@ def test_vectorized_positions_match_scalar():
     for params in (PARAMS, LARGE_SHELL):
         geometry = OrbitGeometryReference(params, [])
         for _ in range(10):
-            t = rng.uniform(0, 3 * params.period_s)
+            t = rng.uniform(0, 3 * orbital_period_s(params))
             pos = satellite_positions(params, t)
             for i in range(params.num_sats):
                 assert np.allclose(pos[i], geometry.sat_xyz(i, t), rtol=0, atol=1e-9)
@@ -110,7 +120,7 @@ class TestTopologySnapshot:
     def test_isl_ring_always_present(self):
         for t in (0.0, 900.0, 3333.3):
             snap = build_topology_snapshot(PARAMS, t)
-            for sid in PARAMS.satellite_ids():
+            for sid in satellite_ids(PARAMS):
                 isl = intra_plane(snap, sid)
                 assert len(isl) == 2
                 expect = {
@@ -142,9 +152,9 @@ class TestTopologySnapshot:
                 assert (i, ps) in snap.neighbor_table[j]
 
     def test_no_iol_across_seam(self):
-        for t in np.linspace(0, PARAMS.period_s, 23):
+        for t in np.linspace(0, orbital_period_s(PARAMS), 23):
             snap = build_topology_snapshot(PARAMS, float(t))
-            for sid in PARAMS.satellite_ids():
+            for sid in satellite_ids(PARAMS):
                 for n in inter_plane(snap, sid):
                     assert abs(sid.plane - n.plane) == 1
                     assert sid.slot == n.slot
@@ -152,7 +162,7 @@ class TestTopologySnapshot:
     def test_no_iol_above_latitude_threshold(self):
         # Scan for a satellite above 60 degrees and check it carries no IOL.
         found_high = False
-        for t in np.linspace(0, PARAMS.period_s, 40):
+        for t in np.linspace(0, orbital_period_s(PARAMS), 40):
             snap = build_topology_snapshot(PARAMS, float(t))
             pos = satellite_positions(PARAMS, float(t))
             lats = np.degrees(np.arcsin(pos[:, 2] / PARAMS.orbit_radius_km))
@@ -165,13 +175,13 @@ class TestTopologySnapshot:
     def test_iol_count_at_most_two(self):
         for t in (0.0, 700.0, 2900.0):
             snap = build_topology_snapshot(PARAMS, t)
-            for sid in PARAMS.satellite_ids():
+            for sid in satellite_ids(PARAMS):
                 assert len(inter_plane(snap, sid)) <= 2
 
     def test_connected_at_sampled_times(self):
         rng = random.Random(11)
         for _ in range(100):
-            t = rng.uniform(0, 2 * PARAMS.period_s)
+            t = rng.uniform(0, 2 * orbital_period_s(PARAMS))
             snap = build_topology_snapshot(PARAMS, t)
             seen = {0}
             stack = [0]
@@ -208,13 +218,12 @@ class TestAccess:
         for _ in range(1000):
             lat = math.degrees(math.asin(rng.uniform(-1, 1)))  # uniform on the sphere
             lon = rng.uniform(-180, 180)
-            t = rng.uniform(0, 2 * PARAMS.period_s)
+            t = rng.uniform(0, 2 * orbital_period_s(PARAMS))
             assert access_satellite(GeoPosition(lat, lon), PARAMS, t) is not None
 
     def test_resolver_matches_direct_computation(self):
         users = [GeoPosition(-56.0, 26.0), GeoPosition(65.2, -58.0), GeoPosition(0.0, 0.0)]
         resolver = AccessResolver(PARAMS, users, quantum_s=1.0)
-        # Only the latest quantum is kept, so the last (earlier) time is solved again.
         for t in (0.0, 17.0, 600.0, 1799.0, 17.0):
             for h, u in enumerate(users):
                 assert PARAMS.sid_of(resolver.access_index(h, t)) == access_satellite(u, PARAMS, t)
@@ -233,7 +242,7 @@ def test_pair_delay_consistent_with_snapshot():
     for params in (PARAMS, LARGE_SHELL):
         geometry = OrbitGeometry(params, [])
         for _ in range(5):
-            t = rng.uniform(0, 2 * params.period_s)
+            t = rng.uniform(0, 2 * orbital_period_s(params))
             snap = build_topology_snapshot(params, t)
             for i, row in enumerate(snap.neighbor_table):
                 for j, ps in row:
@@ -255,7 +264,7 @@ def test_bound_delays_equal_the_reference_exactly(params):
     geometry = OrbitGeometry(params, LATTICE)
     reference = OrbitGeometryReference(params, LATTICE)
     rng = random.Random(41)
-    for t in [0.0] + [rng.uniform(0, 3 * params.period_s) for _ in range(4)]:
+    for t in [0.0] + [rng.uniform(0, 3 * orbital_period_s(params)) for _ in range(4)]:
         snap = build_topology_snapshot(params, t)
         for i, row in enumerate(snap.neighbor_table):
             for j, _ in row:

@@ -24,12 +24,12 @@ import numpy as np
 import pytest
 
 from leoqsim import engine, stats
-from leoqsim.constellation import AccessResolver, OrbitGeometry
+from leoqsim.constellation import OrbitGeometry, build_topology_snapshot
 from leoqsim.routing import compute_backup_table
 from leoqsim.scenario import apply_overrides, loads_scenario
 from leoqsim.scheduling import TrafficClass
 from leoqsim.traffic import Packet
-from oracles import access_satellite
+from oracles import access_row, access_satellite
 
 HOTSPOT_FLOW = "40,-100 -> 50,10 @ 600"
 HOTSPOT = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "hotspot.ini"
@@ -291,13 +291,17 @@ def test_traced_events_never_go_back_in_time():
 
 
 def test_every_forwarding_decision_reads_the_access_row_of_its_time():
+    # With 1 s quanta, time t falls in quantum int(t).
     sim = engine.Simulation(loads_scenario(scenario_text(HOTSPOT_FLOW, "composite")))
-    oracle = AccessResolver(sim.params, sim.generator.terminals, quantum_s=1.0)
+    rows = {}
     route = sim._route
     decisions = []
 
     def checked_route(t, pkt, sat):
-        decisions.append(sim.access[pkt.dst_user] == oracle.access_index(pkt.dst_user, t))
+        q = int(t)
+        if q not in rows:
+            rows[q] = access_row(sim.params, sim.generator.terminals, float(q))
+        decisions.append(sim.access[pkt.dst_user] == rows[q][pkt.dst_user])
         route(t, pkt, sat)
 
     sim._route = checked_route
@@ -343,13 +347,19 @@ def test_a_slot_drain_at_a_quantum_boundary_reads_that_quantums_row():
 
 def record_backup_builds(monkeypatch):
     """Make the engine's compute_backup_table append (slot, busy flags) to the
-    returned list on each call."""
-    builds = []
+    returned list on each call. Each slot builds one snapshot, so the slot
+    is the number of snapshots built before the latest."""
+    builds, snapshots = [], []
+
+    def build_snapshot(params, t):
+        snapshots.append(t)
+        return build_topology_snapshot(params, t)
 
     def build(snapshot, busy):
-        builds.append((snapshot.slot_index, tuple(busy)))
+        builds.append((len(snapshots) - 1, tuple(busy)))
         return compute_backup_table(snapshot, busy)
 
+    monkeypatch.setattr(engine, "build_topology_snapshot", build_snapshot)
     monkeypatch.setattr(engine, "compute_backup_table", build)
     return builds
 

@@ -2,7 +2,6 @@ import csv
 import random
 import tracemalloc
 from array import array
-from bisect import bisect_right
 from collections import Counter
 
 import pytest
@@ -51,20 +50,6 @@ class TestDelayCdf:
         with pytest.raises(ValueError):
             DelayCdf([1.0]).quantile(0.0)
 
-    def test_cdf_reaches_one(self):
-        cdf = DelayCdf([3.0, 1.0, 2.0])
-        assert cdf.cdf(3.0) == 1.0
-        assert cdf.cdf(0.5) == 0.0
-
-    def test_cdf_counts_ties_like_bisect_right(self):
-        rng = random.Random(12)
-        samples = [rng.choice((0.01, 0.02, 0.025, 0.1)) + rng.choice((0.0, 0.0, 1e-9))
-                   for _ in range(200)]
-        ordered = sorted(samples)
-        cdf = DelayCdf(array("d", samples))
-        for x in set(samples) | {0.0, 0.015, 0.0250000005, 1.0}:
-            assert cdf.cdf(x) == bisect_right(ordered, x) / len(ordered)
-
     @pytest.mark.parametrize("n", [1, 9, 10, 11])
     def test_quantile_is_a_plain_float(self, n):
         cdf = DelayCdf(array("d", [0.001 * (k % 7) + 0.05 for k in range(n)]))
@@ -99,7 +84,7 @@ class TestCollector:
         r = c.finalize(residual=0)
         assert r.delivered_bucket[TrafficClass.B1][0] / r.bucket_s == 2.0
 
-    def test_throughput_ratio_windows(self):
+    def test_throughput_ratio_over_the_run(self):
         c = make_collector()
         for i in range(10):
             p = pkt(TrafficClass.B2, created=5.0, pid=i)
@@ -108,7 +93,6 @@ class TestCollector:
                 c.record_delivery(p, 20.0)
         r = c.finalize(residual=0)
         assert r.throughput_ratio(TrafficClass.B2) == pytest.approx(0.8)
-        assert r.throughput_ratio(TrafficClass.B2, window=(0.0, 60.0)) == pytest.approx(0.8)
         assert r.throughput_ratio(TrafficClass.A) is None
 
     def test_per_satellite_drops_sum_to_global(self):

@@ -16,10 +16,12 @@ from leoqsim.traffic import (
     DemandGrid,
     FlowSpec,
     Packet,
-    _RATIOS_CUM,
 )
 from oracles import (
+    RATIOS_CUM,
+    class_mix_cum,
     grid_tables,
+    orbital_period_s,
     sample_cell_in_continent,
     sample_destination,
     sample_source_cell,
@@ -250,7 +252,7 @@ def test_sampling_tables_hold_python_floats(grid):
     weights[grid.continents == Continent.OCEANIA] = 0.0
     no_oceania = DemandGrid(weights, grid.continents)
     gen = ArrivalGenerator([], grid, 1.0, (0.1, 0.2, 0.3, 0.4), 1)
-    tables = [*_RATIOS_CUM, gen.class_mix_cum]
+    tables = [*RATIOS_CUM, class_mix_cum(gen)]
     for g in (grid, no_oceania):
         cum_all, _, cum_by_continent, _ = grid_tables(g)
         tables += [cum_all, *cum_by_continent]
@@ -278,7 +280,7 @@ class TestResolveEndpoints:
         resolver = resolver_for(gen)
         _, pkt = next(gen.stream(3600.0))  # a flow packet: there is no background
         assert (pkt.src_user, pkt.dst_user) == (len(gen.terminals) - 2, len(gen.terminals) - 1)
-        period = PARAMS.period_s
+        period = orbital_period_s(PARAMS)
         for t in np.linspace(0.0, period, 121):
             assert resolver.access_index(pkt.src_user, float(t)) >= 0
             assert resolver.access_index(pkt.dst_user, float(t)) >= 0
