@@ -14,6 +14,18 @@ A packet that reaches an idle satellite goes into service at once
 has nothing to choose among and only its round-robin cursor moves. With a
 `buffer_capacity` of 0 the packet is tail-dropped instead, idle or not.
 
+A packet that finishes service is forwarded inside `run`'s service branch,
+over local names rather than attributes: the access row, the two tables'
+rows, the busy flags, the forwarding rule and the delay geometry. `run`
+rebinds the access row at each refresh, and the table rows after every slot
+rebuild and backup build, before anything routes with them. A parked packet
+is re-routed by `_route`, the one other copy of the decision. A drain runs
+inside the event that starts it (for an arrival's notification, before that
+packet is admitted), so drained packets are routed there and then: routing
+them later would reorder the sequence numbers drawn and the trace rows
+written. Each satellite keeps a list, indexed by neighbour, of the time its
+link to that neighbour is next free (N^2 entries in all).
+
 The engine owns the event loop and the per-satellite state only. Orbit
 geometry and link delays come from `constellation.OrbitGeometry`, the link
 graph from `constellation.build_topology_snapshot`, the forwarding rule from
@@ -71,17 +83,18 @@ _EV_TICK = 7  # stats bucket boundary
 _EV_ACCESS = 8  # access row refresh; a = quantum index
 _EV_END = 9  # horizon sentinel
 _IN_FLIGHT = (_EV_LINK, _EV_UPLINK, _EV_DELIVERY)  # a packet on a link
+_WAIT = (-1, False)  # the decision for a destination no satellite serves
 
 
 class _SatNode:
     __slots__ = ("scheduler", "cong", "wait_queue", "in_service", "chan_free")
 
-    def __init__(self, scheduler: PqwrrScheduler, cong: NodeCongestionState):
+    def __init__(self, scheduler: PqwrrScheduler, cong: NodeCongestionState, n: int):
         self.scheduler = scheduler
         self.cong = cong
         self.wait_queue: deque = deque()
         self.in_service: Optional[Packet] = None
-        self.chan_free: dict[int, float] = {}
+        self.chan_free = [0.0] * n  # per neighbour index: when its link is next free
 
 
 class Simulation:
@@ -105,7 +118,8 @@ class Simulation:
         self.resolver = AccessResolver(params, ground, quantum_s=cfg.run.access_refresh_s)
         self.geometry = OrbitGeometry(params, ground)
         self.nodes = [
-            _SatNode(PqwrrScheduler(cfg.scheduler, self.sids[i]), NodeCongestionState(self.sids[i]))
+            _SatNode(PqwrrScheduler(cfg.scheduler, self.sids[i]), NodeCongestionState(self.sids[i]),
+                     self.n)
             for i in range(self.n)
         ]
         self.stats = StatsCollector(
@@ -192,10 +206,11 @@ class Simulation:
     # -- packet pipeline -----------------------------------------------------
 
     def _route(self, t: float, pkt: Packet, sat: int) -> None:
-        """Forwarding decision for a packet that finished service (or left the
-        routing wait queue) at satellite `sat`, and its transmission. The next
-        hop is `sat` itself for the downlink, -1 to wait, and `via_backup` says
-        whether it comes from the backup table."""
+        """Forwarding decision for a packet that leaves the routing wait queue
+        at satellite `sat`, and its transmission. The next hop is `sat` itself
+        for the downlink, -1 to wait, and `via_backup` says whether it comes
+        from the backup table. `run` makes the same decision in line for a
+        packet that finishes service."""
         dst = self.access[pkt.dst_user]
         if dst < 0 or dst == sat:
             nxt, via_backup = dst, False
@@ -215,7 +230,7 @@ class Simulation:
                 self.stats.backup_forwards += 1
                 pkt.detoured = True
             chan_free = self.nodes[sat].chan_free
-            free = chan_free.get(nxt, 0.0)
+            free = chan_free[nxt]
             depart = t if t >= free else free
             chan_free[nxt] = depart + self._chan_period
             prop = self.geometry.link_delay(sat, nxt, depart)
@@ -244,6 +259,7 @@ class Simulation:
         heap = self._heap
         svc = self._svc
         self._rebuild_for_slot(0.0, 0)
+        primary, backup = self.primary, self.backup
         access_row = self.resolver.row
         self.access = access = access_row(0)
 
@@ -277,8 +293,12 @@ class Simulation:
         stats = self.stats
         nodes = self.nodes
         trace = self.trace
-        route = self._route
+        decide = decide_next_index  # read here, so a replaced module global takes effect
+        busy_flags = self.busy_flags
+        backup_forwards = 0
         slant_delay = self.geometry.slant_delay
+        link_delay = self.geometry.link_delay
+        chan_period = self._chan_period
         ccfg = cfg.congestion
         service_period = self._service_period
         count_uplink = self._count_uplink
@@ -301,7 +321,28 @@ class Simulation:
                     node.in_service = None
                 if trace is not None:
                     self._trace(t, "service", b, a)
-                route(t, b, a)
+                # The forwarding decision and transmission of `_route`, in line.
+                dst = access[b.dst_user]
+                if dst == a:
+                    heappush(heap, (t + slant_delay(b.dst_user, a, t), seq(), _EV_DELIVERY, b, None))
+                    if trace is not None:
+                        self._trace(t, "downlink", b, a)
+                    continue
+                nxt, via_backup = _WAIT if dst < 0 else decide(
+                    b.tos, a, dst, primary, backup, busy_flags, b.detoured)
+                if nxt < 0:
+                    self._wait(t, b, a)
+                    continue
+                if via_backup:
+                    backup_forwards += 1
+                    b.detoured = True
+                chan_free = node.chan_free
+                free = chan_free[nxt]
+                depart = t if t >= free else free
+                chan_free[nxt] = depart + chan_period
+                heappush(heap, (depart + link_delay(a, nxt, depart), seq(), _EV_LINK, b, nxt))
+                if trace is not None:
+                    self._trace(depart, "forward", b, a)
                 continue
 
             if head is source:  # _EV_SOURCE: packet a is created
@@ -332,6 +373,7 @@ class Simulation:
                     if notif is not None:
                         self._apply_notification(notif)
                         self._rebuild_backup(t)
+                        backup = self.backup
                 if node.in_service is None and idle_start:
                     node.scheduler.start(a)
                     node.in_service = a
@@ -365,8 +407,10 @@ class Simulation:
                         self._apply_notification(n)
                     if notifs:
                         self._rebuild_backup(t)
+                        backup = self.backup
                 if kind == _EV_SLOT:
                     self._rebuild_for_slot(t, a)
+                    primary, backup = self.primary, self.backup
                     self._drain_wait_queues(t)
                 elif self.busy_count:  # a sweep or a stats tick
                     stats.note_busy(t)
@@ -376,6 +420,7 @@ class Simulation:
             residual += node.scheduler.size + len(node.wait_queue)
             if node.in_service is not None:
                 residual += 1
+        stats.backup_forwards += backup_forwards
         stats.route_dump = self.route_dump
         stats.trace_rows = self.trace
         return stats.finalize(residual)

@@ -19,10 +19,12 @@ import numpy as np
 
 from .congestion import Notification
 from .constellation import SatelliteId
-from .scheduling import ALL_CLASSES, DropRecord, TrafficClass
+from .scheduling import ALL_CLASSES, DropReason, DropRecord, TrafficClass
 
 MS_PER_S = 1000.0
 CDF_CHUNK_ROWS = 1024  # rows of a delay CDF file formatted per write
+# Each drop reason's text; a dict lookup is cheaper than the enum's `value`.
+_REASON_TEXT = {reason: reason.value for reason in DropReason}
 
 
 class DelayCdf:
@@ -86,7 +88,7 @@ class StatsCollector:
         b = int(t / self.bucket_s)
         return b if b < self.n_buckets else self.n_buckets - 1
 
-    # The two per-packet recorders compute `bucket_of` in line.
+    # The per-packet recorders compute `bucket_of` in line.
 
     def record_generated(self, pkt) -> None:
         cls = pkt.tos
@@ -116,11 +118,14 @@ class StatsCollector:
         """Count one drop under its bucket, satellite, class and reason; a
         satellite of None marks a source-side (no satellite) drop."""
         cls = rec.tos
+        b = int(rec.time / self.bucket_s)
+        if b >= self.n_buckets:
+            b = self.n_buckets - 1
         self.dropped[cls] += 1
-        reason = rec.reason.value
+        reason = _REASON_TEXT[rec.reason]
         key = (cls, reason)
         self.dropped_by_reason[key] = self.dropped_by_reason.get(key, 0) + 1
-        dkey = (self.bucket_of(rec.time), rec.satellite, cls, reason)
+        dkey = (b, rec.satellite, cls, reason)
         self.drops_detail[dkey] = self.drops_detail.get(dkey, 0) + 1
 
     def note_busy(self, t: float) -> None:

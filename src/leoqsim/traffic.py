@@ -27,12 +27,12 @@ sampled cells to handles with one index array."""
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
-from heapq import merge
-from itertools import chain, repeat
+from itertools import repeat
 from math import isfinite, log
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -70,6 +70,7 @@ _CLASSES = np.array(ALL_CLASSES, dtype=object)
 # Packets drawn per stream at a time. Each stream holds one block, so memory
 # does not grow with the horizon.
 _BLOCK = 1024
+_TIME = itemgetter(0)  # the arrival time of a block row
 
 
 def _uniforms(rng: random.Random, n: int) -> np.ndarray:
@@ -275,10 +276,10 @@ class ArrivalGenerator:
 
     def _blocks(
         self, stream: int, rate: float, flow: Optional[int], horizon: float
-    ) -> Iterator[Iterator[tuple]]:
-        """One stream's arrivals up to the horizon, as an iterator of
-        (t, stream, tos, src_user, dst_user, flow) tuples per block of
-        `_BLOCK` packets. A background packet takes five draws (source cell,
+    ) -> Iterator[list[tuple]]:
+        """One stream's arrivals up to the horizon, as a nonempty list of
+        (t, tos, src_user, dst_user, flow) rows per block of `_BLOCK`
+        packets. A background packet takes five draws (source cell,
         destination continent, cell in that continent, class, next gap), a
         flow packet two (class, next gap), in the order `random()` would
         return them."""
@@ -299,18 +300,48 @@ class ArrivalGenerator:
                 src, dst = self.grid.sample_cells(u)
             else:
                 src, dst = map(repeat, self._flow_terminals[flow])
-            yield zip(times[:n], repeat(stream), tos, src, dst, repeat(flow))
+            yield list(zip(times[:n], tos, src, dst, repeat(flow)))
 
     def stream(self, horizon: float) -> Iterator[tuple[float, Packet]]:
         """Yield (time, packet) in nondecreasing time order up to the horizon.
         Streams are merged on (time, stream) and packets numbered in that
-        order."""
-        blocks = []
+        order.
+
+        The merge takes a chunk at a time. Of the rows the streams hold, the
+        last of some stream's block sorts first on (time, stream); every row
+        up to that one comes before any row not yet drawn, so those rows go
+        out together, sorted by a stable sort on time over the streams'
+        rows in stream order. That stream then draws its next block."""
+        streams = []
         if self.background_rate > 0:
-            blocks.append(self._blocks(0, self.background_rate, None, horizon))
+            streams.append(self._blocks(0, self.background_rate, None, horizon))
         for i, spec in enumerate(self.flows):
             if spec.rate > 0:
-                blocks.append(self._blocks(i + 1, spec.rate, i, horizon))
-        merged = merge(*map(chain.from_iterable, blocks))
-        for pkt_id, (t, _, tos, src, dst, flow) in enumerate(merged):
-            yield t, Packet(pkt_id, tos, src, dst, t, flow)
+                streams.append(self._blocks(i + 1, spec.rate, i, horizon))
+        held = [[] for _ in streams]  # the rows left of each stream's block
+        pkt_id = 0
+        while True:
+            for i in reversed(range(len(streams))):
+                if not held[i]:
+                    rows = next(streams[i], None)
+                    if rows is None:
+                        del streams[i], held[i]
+                    else:
+                        held[i] = rows
+            if not held:
+                return
+            # The first stream whose last row sorts first; rows of earlier
+            # streams at its time go out, rows of later ones wait.
+            last = min(range(len(held)), key=lambda i: held[i][-1][0])
+            t_cut = held[last][-1][0]
+            chunk = []
+            for i, rows in enumerate(held):
+                k = (bisect_right if i <= last else bisect_left)(rows, t_cut, key=_TIME)
+                chunk += rows[:k]
+                held[i] = rows[k:]
+            if len(held) > 1:  # one stream's rows are in order already
+                chunk.sort(key=_TIME)
+            first, pkt_id = pkt_id, pkt_id + len(chunk)
+            for i, (t, tos, src, dst, flow) in enumerate(chunk, first):
+                yield t, Packet(i, tos, src, dst, t, flow)
+            del chunk  # free the rows before the next block is drawn

@@ -290,24 +290,60 @@ def test_traced_events_never_go_back_in_time():
     assert all(a <= b for a, b in zip(times, times[1:]))
 
 
-def test_every_forwarding_decision_reads_the_access_row_of_its_time():
-    # With 1 s quanta, time t falls in quantum int(t).
-    sim = engine.Simulation(loads_scenario(scenario_text(HOTSPOT_FLOW, "composite")))
+def test_every_forwarding_decision_reads_the_access_row_of_its_time(monkeypatch):
+    # With 1 s quanta, time t falls in quantum int(t). The run's own decisions
+    # are observed: a call of the forwarding rule follows the "service" trace
+    # row of the packet it routes, or the `_route` call of a drained one, and
+    # a downlink writes a "downlink" row. Each must name the satellite that
+    # the oracle's row of its quantum gives the packet's destination, and a
+    # rule call must read the tables in force. In 10 s one terminal changes
+    # its access satellite, at 6 s, and 4 s slots rebuild the tables twice.
+    text = apply_overrides(scenario_text(HOTSPOT_FLOW, "composite"),
+                           ["run.duration_s=10", "routing.slot_length_s=4"])
+    sim = engine.Simulation(loads_scenario(text))
     rows = {}
-    route = sim._route
-    decisions = []
 
-    def checked_route(t, pkt, sat):
+    def access_sat(t, terminal):
         q = int(t)
         if q not in rows:
             rows[q] = access_row(sim.params, sim.generator.terminals, float(q))
-        decisions.append(sim.access[pkt.dst_user] == rows[q][pkt.dst_user])
+        return rows[q][terminal]
+
+    routed = []  # (time, packet, satellite) of each packet leaving a satellite
+    decisions = []
+    moved = 0  # decisions for a terminal whose access satellite has changed
+    trace, route, decide = sim._trace, sim._route, engine.decide_next_index
+
+    def check(t, pkt, dst):
+        nonlocal moved
+        decisions.append(dst == access_sat(t, pkt.dst_user))
+        moved += dst != access_sat(0.0, pkt.dst_user)
+
+    def tracing(t, event, pkt, sat):
+        if event == "service":
+            routed.append((t, pkt, sat))
+        elif event == "downlink":
+            check(t, pkt, sat)
+        trace(t, event, pkt, sat)
+
+    def draining(t, pkt, sat):
+        routed.append((t, pkt, sat))
         route(t, pkt, sat)
 
-    sim._route = checked_route
+    def checked_decide(tos, here, dst, primary, backup, *rest):
+        t, pkt, sat = routed[-1]
+        assert (here, tos) == (sat, pkt.tos)
+        assert primary is sim.primary and backup is sim.backup
+        check(t, pkt, dst)
+        return decide(tos, here, dst, primary, backup, *rest)
+
+    sim._trace = tracing
+    sim._route = draining
+    monkeypatch.setattr(engine, "decide_next_index", checked_decide)
     sim.run()
     assert len(decisions) > 20_000
     assert all(decisions)
+    assert moved
 
 
 def test_a_slot_drain_at_a_quantum_boundary_reads_that_quantums_row():

@@ -3,10 +3,12 @@ on the backup-table builds of a congested run.
 
 Counts the Python-level calls into `leoqsim` code (`call` events from
 `sys.setprofile` whose code object lives in the package) made by `run()` on a
-5 s seed-42 run of the benchmark's baseline scenario. The count depends only
-on the code and the scenario, not on the host, so it is checked exactly
-against a ceiling: a change that adds a call to the per-hop pipeline shows up
-here long before it shows up in a wall-time benchmark. The same holds for the
+5 s seed-42 run of the benchmark's baseline scenario, and of its hotspot
+scenario, whose busy/idle notifications add backup forwards, buffer drops,
+enqueues, dequeues and wait-queue drains. The count depends only on the code
+and the scenario, not on the host, so it is checked exactly against a
+ceiling: a change that adds a call to the per-hop pipeline shows up here long
+before it shows up in a wall-time benchmark. The same holds for the
 busy/idle rule runs of that baseline run, and for the busy/idle rule runs and
 the number of backup tables of a 10 s seed-42 run of the hotspot scenario.
 
@@ -31,8 +33,10 @@ HOTSPOT = SCENARIOS / "hotspot.ini"
 PACKAGE = str(Path(leoqsim.__file__).resolve().parent)
 
 # Package calls made by one 5 s seed-42 baseline run() of 3,971 packets:
-# 108,286 (27.3 per packet), since the uplink and downlink delays compute the
-# satellite position in line. Before that 116,173 (29.3 per packet), since an
+# 91,107 (22.9 per packet), since a packet that finishes service is forwarded
+# inside run() rather than by a `_route` call. Before that 108,286 (27.3 per
+# packet), since the uplink and downlink delays compute the satellite
+# position in line. Before that 116,173 (29.3 per packet), since an
 # arrival runs the busy/idle rule only when it can cross a threshold. Before
 # that 116,771 (29.4 per packet), since a packet that finds its satellite
 # idle starts service without an enqueue and a dequeue. Before that 128,432
@@ -42,9 +46,16 @@ PACKAGE = str(Path(leoqsim.__file__).resolve().parent)
 # samplers 169,419 (42.7); before the forwarding decision moved into
 # `Simulation._route` 186,608 (47.0); before the per-hop pipeline was
 # flattened 331,207 (83.4).
-MAX_CALLS = 108_286
+MAX_CALLS = 91_107
 
-# Busy/idle rule runs (`NodeCongestionState.evaluate`) in that run: its ten
+# Package calls made by one 5 s seed-42 hotspot run() of 6,956 packets, with
+# 8,289 backup forwards, 1,317 buffer drops, 103 wait-queue parks and 15
+# busy/idle notifications: 176,598 (25.4 per packet). Before service
+# completions forwarded in line, drops recorded their bucket in line and
+# arrival streams merged a block at a time, it was 209,190 (30.1).
+MAX_HOTSPOT_CALLS = 176_598
+
+# Busy/idle rule runs (`NodeCongestionState.evaluate`) in the baseline run: its ten
 # sweeps evaluate each of the 66 satellites, and 61 of its 17,191 satellite
 # arrivals find their node holding more times than its limit. Running the
 # rule on every arrival made it 17,191 + 660.
@@ -89,6 +100,17 @@ def test_baseline_run_makes_no_more_package_calls_than_pinned():
     calls = package_calls(sim)
     assert sim.stats.generated_total() == 3971
     assert calls <= MAX_CALLS
+
+
+def test_hotspot_run_makes_no_more_package_calls_than_pinned():
+    text = apply_overrides(HOTSPOT.read_text(encoding="utf-8"),
+                           ["run.seed=42", "run.duration_s=5"])
+    sim = engine.Simulation(loads_scenario(text))
+    calls = package_calls(sim)
+    report = sim.stats
+    assert report.generated_total() == 6956
+    assert (report.backup_forwards, report.wait_enqueues, report.dropped_total()) == (8289, 103, 1317)
+    assert calls <= MAX_HOTSPOT_CALLS
 
 
 def rule_runs(monkeypatch, scenario: Path, duration_s: int) -> Counter:

@@ -227,21 +227,29 @@ class TestArrivalGenerator:
         assert times[1] == -math.log(1.0 - u)
         assert times == expected
 
+    def stream_peak(self, grid, horizon, background, flows=()):
+        """Traced memory peak of consuming one generator's stream."""
+        gen = self.make(grid, background=background, flows=flows)
+        tracemalloc.start()
+        try:
+            for _ in gen.stream(horizon):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_memory_does_not_grow_with_the_horizon(self, grid):
         # Each stream holds one block of draws, so consuming ten times the
         # packets peaks at the same traced memory.
-        def peak(horizon):
-            gen = self.make(grid, background=800.0)
-            tracemalloc.start()
-            try:
-                for _ in gen.stream(horizon):
-                    pass
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        short = self.stream_peak(grid, 60.0, 800.0)
+        assert self.stream_peak(grid, 600.0, 800.0) <= 1.1 * short
 
-        short = peak(60.0)
-        assert peak(600.0) <= 1.1 * short
+    def test_merged_streams_memory_does_not_grow_with_the_horizon(self, grid):
+        # The same with a flow stream merged in, at rates that make each
+        # stream draw several blocks within the shorter horizon.
+        flows = [FlowSpec(GeoPosition(40.0, -100.0), GeoPosition(50.0, 10.0), 60.0)]
+        short = self.stream_peak(grid, 60.0, 100.0, flows)
+        assert self.stream_peak(grid, 600.0, 100.0, flows) <= 1.1 * short
 
 
 def test_sampling_tables_hold_python_floats(grid):
@@ -291,3 +299,24 @@ def test_packet_defaults():
     assert p.hop == 0
     assert p.flow is None
     assert not p.detoured
+
+
+def test_block_merge_orders_ties_by_stream(grid, monkeypatch):
+    # Equal times across streams, some at the end of a block: packets come in
+    # (time, stream) order, each stream's rows in their own order, as a heap
+    # merge of the streams gives. A row is (t, tos, src_user, dst_user, flow);
+    # src_user carries the stream and dst_user the row's place in it.
+    times = {
+        0: [[0.0, 1.0, 2.0], [2.0, 3.0]],
+        1: [[1.0, 2.0], [2.0, 2.0, 4.0]],
+        2: [[2.0], [2.0, 3.0], [5.0]],
+    }
+    blocks = {s: [[(t, TrafficClass.B0, s, sum(map(len, b[:k])) + j, None)
+                   for j, t in enumerate(block)] for k, block in enumerate(b)]
+              for s, b in times.items()}
+    flow = FlowSpec(GeoPosition(0.0, 0.0), GeoPosition(10.0, 10.0), 1.0)
+    gen = ArrivalGenerator([flow, flow], grid, 1.0, (0.25, 0.25, 0.25, 0.25), 1)
+    monkeypatch.setattr(gen, "_blocks", lambda stream, rate, flow, horizon: iter(blocks[stream]))
+    got = [(t, p.id, p.src_user, p.dst_user) for t, p in gen.stream(10.0)]
+    rows = [(t, s, j) for s, b in times.items() for j, t in enumerate(sum(b, []))]
+    assert got == [(t, i, s, j) for i, (t, s, j) in enumerate(sorted(rows))]
