@@ -9,6 +9,7 @@ elevation computations.
 
 Each geometric concept has one implementation here:
 
+- `orbital_elements`: every satellite's ascending node and initial phase;
 - `OrbitGeometry`: the scalar per-event path (one link delay, one
   uplink/downlink delay) that the event loop calls;
 - `satellite_positions`: all satellites at once, for whole-constellation
@@ -94,34 +95,27 @@ class ConstellationParams:
     def sid_of(self, index: int) -> SatelliteId:
         return SatelliteId(index // self.sats_per_plane, index % self.sats_per_plane)
 
-    # Per-satellite orbital elements: ascending node and initial phase.
-    def raan_rad(self, plane: int) -> float:
-        return math.radians(self.raan_spread_deg) * plane / self.planes
 
-    def initial_phase_rad(self, sid: SatelliteId) -> float:
-        return (
-            2.0 * math.pi * sid.slot / self.sats_per_plane
-            + math.radians(self.phase_offset_deg) * sid.plane
-        )
+def orbital_elements(params: ConstellationParams) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending node (RAAN) and initial phase (rad) of every satellite,
+    indexed by plane*S+slot."""
+    planes, slots = np.indices((params.planes, params.sats_per_plane)).reshape(2, -1)
+    raan = np.radians(params.raan_spread_deg) * planes / params.planes
+    phase0 = (2.0 * np.pi * slots / params.sats_per_plane
+              + np.radians(params.phase_offset_deg) * planes)
+    return raan, phase0
 
 
 def satellite_positions(params: ConstellationParams, t: float) -> np.ndarray:
     """Inertial positions of all satellites at time t, shape (N, 3), indexed by plane*S+slot."""
-    n = params.num_sats
-    planes = np.arange(n) // params.sats_per_plane
-    slots = np.arange(n) % params.sats_per_plane
-    omega = np.radians(params.raan_spread_deg) * planes / params.planes
-    u = (
-        2.0 * np.pi * slots / params.sats_per_plane
-        + np.radians(params.phase_offset_deg) * planes
-        + params.mean_motion_rad_s * t
-    )
+    omega, phase0 = orbital_elements(params)
+    u = phase0 + params.mean_motion_rad_s * t
     inc = math.radians(params.inclination_deg)
     a = params.orbit_radius_km
     cu, su = np.cos(u), np.sin(u)
     co, so = np.cos(omega), np.sin(omega)
     ci, si = math.cos(inc), math.sin(inc)
-    out = np.empty((n, 3))
+    out = np.empty((len(u), 3))
     out[:, 0] = a * (co * cu - so * su * ci)
     out[:, 1] = a * (so * cu + co * su * ci)
     out[:, 2] = a * su * si
@@ -148,14 +142,14 @@ class OrbitGeometry:
     """
 
     def __init__(self, params: ConstellationParams, ground: Sequence[GeoPosition]):
-        n = params.num_sats
         orb_a = params.orbit_radius_km
         orb_n = params.mean_motion_rad_s
         ci = math.cos(math.radians(params.inclination_deg))
         si = math.sin(math.radians(params.inclination_deg))
-        raan_cos = [math.cos(params.raan_rad(i // params.sats_per_plane)) for i in range(n)]
-        raan_sin = [math.sin(params.raan_rad(i // params.sats_per_plane)) for i in range(n)]
-        phase0 = [params.initial_phase_rad(params.sid_of(i)) for i in range(n)]
+        raan, phase0 = orbital_elements(params)
+        raan_cos = [math.cos(omega) for omega in raan.tolist()]
+        raan_sin = [math.sin(omega) for omega in raan.tolist()]
+        phase0 = phase0.tolist()
         ground_xyz = []
         for pos in ground:
             lat = math.radians(pos.lat_deg)

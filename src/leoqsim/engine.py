@@ -14,17 +14,24 @@ A packet that reaches an idle satellite goes into service at once
 has nothing to choose among and only its round-robin cursor moves. With a
 `buffer_capacity` of 0 the packet is tail-dropped instead, idle or not.
 
-A packet that finishes service is forwarded inside `run`'s service branch,
-over local names rather than attributes: the access row, the two tables'
-rows, the busy flags, the forwarding rule and the delay geometry. `run`
-rebinds the access row at each refresh, and the table rows after every slot
-rebuild and backup build, before anything routes with them. A parked packet
-is re-routed by `_route`, the one other copy of the decision. A drain runs
-inside the event that starts it (for an arrival's notification, before that
-packet is admitted), so drained packets are routed there and then: routing
-them later would reorder the sequence numbers drawn and the trace rows
-written. Each satellite keeps a list, indexed by neighbour, of the time its
-link to that neighbour is next free (N^2 entries in all).
+Every forwarding decision is made in one block of `run`'s loop, over local
+names rather than attributes: the access row, the two tables' rows, the busy
+flags, the forwarding rule and the delay geometry. `run` rebinds the access
+row at each refresh, and the table rows after every slot rebuild and
+busy/idle notification, before anything routes with them. Two kinds of
+packet reach that block: one that finishes service, and one released from a
+routing wait queue. Each satellite keeps a list, indexed by neighbour, of
+the time its link to that neighbour is next free (N^2 entries in all).
+
+A change of the busy set (a notification, at an arrival or a sweep) or of
+the routing slot releases every parked packet: the wait queues are emptied
+onto a run-local FIFO of (satellite, packet) pairs, in FIFO order per
+satellite and satellites in index order. The loop takes that FIFO before any
+other lane, at the time of the event that filled it, so released packets are
+routed right after that event and before any other; one that must wait again
+is re-parked in its order and cannot overflow its queue. The event finishes
+first: an arrival whose notification releases packets is admitted (taken
+into service, enqueued or dropped) before they are routed.
 
 The engine owns the event loop and the per-satellite state only. Orbit
 geometry and link delays come from `constellation.OrbitGeometry`, the link
@@ -132,13 +139,9 @@ class Simulation:
         self.busy_flags = [False] * self.n
         self.busy_count = 0
         self.snapshot = None
-        self.primary = None  # next-hop rows of the primary table
-        self.backup = None  # next-hop rows of the backup table, or None (pqwrr_only)
-        self.access = None  # access satellite index per terminal (-1 none), this quantum
         self._backups: dict[tuple[bool, ...], list] = {}  # busy flags -> rows, this slot
         self._heap: list = []
         self._svc: deque = deque()  # service completions, in (time, seq) order
-        self._next_seq = count(1).__next__  # event sequence numbers; `run` restarts it
         self._service_period = 1.0 / cfg.scheduler.service_rate
         self._chan_period = 1.0 / cfg.scheduler.channel_rate
         self._count_uplink = cfg.traffic.count_uplink_in_rate
@@ -153,103 +156,58 @@ class Simulation:
 
     # -- routing state -------------------------------------------------------
 
-    def _rebuild_for_slot(self, t: float, slot: int) -> None:
+    def _rebuild_for_slot(self, t: float, slot: int) -> tuple[list, Optional[list]]:
+        """Build the slot's snapshot and primary table; return the primary and
+        backup rows."""
         self.snapshot = build_topology_snapshot(self.params, t)
         primary = compute_shortest_path_table(self.snapshot)
-        self.primary = primary.next_idx
         self._backups = {}
-        self._build_backup()
         if self.route_dump is not None:
             for src, dst, nxt, cost in primary.entries():
                 self.route_dump.append((slot, str(src), str(dst), str(nxt) if nxt else "", cost))
+        return primary.next_idx, self._backup_rows(primary.next_idx)
 
-    def _build_backup(self) -> None:
-        """The backup rows of the composite strategy: built on the first
-        meeting of the busy set in this slot, then reused. With no satellite
-        busy they would equal the primary rows, so those are used."""
-        if self.composite:
-            if self.busy_count:
-                key = tuple(self.busy_flags)
-                rows = self._backups.get(key)
-                if rows is None:
-                    rows = compute_backup_table(self.snapshot, self.busy_flags).next_idx
-                    self._backups[key] = rows
-                self.backup = rows
-            else:
-                self.backup = self.primary
+    def _backup_rows(self, primary: list) -> Optional[list]:
+        """The backup rows of the composite strategy (None under pqwrr_only):
+        built on the first meeting of the busy set in this slot, then reused.
+        With no satellite busy they would equal the primary rows, so those
+        are used."""
+        if not self.composite:
+            return None
+        if not self.busy_count:
+            return primary
+        key = tuple(self.busy_flags)
+        rows = self._backups.get(key)
+        if rows is None:
+            rows = compute_backup_table(self.snapshot, self.busy_flags).next_idx
+            self._backups[key] = rows
+        return rows
 
-    def _rebuild_backup(self, t: float) -> None:
-        self._build_backup()
-        self._drain_wait_queues(t)
+    def _notify(self, notifs, primary: list, released: deque) -> Optional[list]:
+        """Apply busy/idle notifications, release every parked packet and
+        return the backup rows of the new busy set."""
+        busy_flags = self.busy_flags
+        for notif in notifs:
+            idx = self.params.index_of(notif.satellite)
+            now_busy = notif.label is CongestionLabel.BUSY
+            if busy_flags[idx] != now_busy:
+                busy_flags[idx] = now_busy
+                self.busy_count += 1 if now_busy else -1
+            self.stats.note_state_change(notif)
+            if now_busy:
+                self.stats.note_busy(notif.time)
+        self._release(released)
+        return self._backup_rows(primary)
 
-    def _apply_notification(self, notif) -> None:
-        idx = self.params.index_of(notif.satellite)
-        now_busy = notif.label is CongestionLabel.BUSY
-        if self.busy_flags[idx] != now_busy:
-            self.busy_flags[idx] = now_busy
-            self.busy_count += 1 if now_busy else -1
-        self.stats.note_state_change(notif)
-        if now_busy:
-            self.stats.note_busy(notif.time)
-
-    def _drain_wait_queues(self, t: float) -> None:
-        """Re-route every parked packet, in FIFO order per satellite. Each
-        queue is emptied first, so packets that must wait again are re-parked
-        in their order and cannot overflow it."""
+    def _release(self, released: deque) -> None:
+        """Empty every wait queue onto `released` as (satellite, packet)
+        pairs, in FIFO order per satellite and satellites in index order."""
         for i, node in enumerate(self.nodes):
             pending = node.wait_queue
             if pending:
-                node.wait_queue = deque()
                 for pkt in pending:
-                    self._route(t, pkt, i)
-
-    # -- packet pipeline -----------------------------------------------------
-
-    def _route(self, t: float, pkt: Packet, sat: int) -> None:
-        """Forwarding decision for a packet that leaves the routing wait queue
-        at satellite `sat`, and its transmission. The next hop is `sat` itself
-        for the downlink, -1 to wait, and `via_backup` says whether it comes
-        from the backup table. `run` makes the same decision in line for a
-        packet that finishes service."""
-        dst = self.access[pkt.dst_user]
-        if dst < 0 or dst == sat:
-            nxt, via_backup = dst, False
-        else:
-            nxt, via_backup = decide_next_index(
-                pkt.tos, sat, dst, self.primary, self.backup, self.busy_flags, pkt.detoured
-            )
-        if nxt < 0:
-            self._wait(t, pkt, sat)
-        elif nxt == sat:
-            delay = self.geometry.slant_delay(pkt.dst_user, sat, t)
-            heappush(self._heap, (t + delay, self._next_seq(), _EV_DELIVERY, pkt, None))
-            if self.trace is not None:
-                self._trace(t, "downlink", pkt, sat)
-        else:
-            if via_backup:
-                self.stats.backup_forwards += 1
-                pkt.detoured = True
-            chan_free = self.nodes[sat].chan_free
-            free = chan_free[nxt]
-            depart = t if t >= free else free
-            chan_free[nxt] = depart + self._chan_period
-            prop = self.geometry.link_delay(sat, nxt, depart)
-            heappush(self._heap, (depart + prop, self._next_seq(), _EV_LINK, pkt, nxt))
-            if self.trace is not None:
-                self._trace(depart, "forward", pkt, sat)
-
-    def _wait(self, t: float, pkt: Packet, sat: int) -> None:
-        node = self.nodes[sat]
-        if len(node.wait_queue) >= self.cfg.routing.wait_queue_capacity:
-            rec = DropRecord(t, self.sids[sat], pkt.tos, DropReason.ROUTE_WAIT_OVERFLOW)
-            self.stats.record_drop(rec)
-            if self.trace is not None:
-                self._trace(t, "drop", pkt, sat)
-        else:
-            node.wait_queue.append(pkt)
-            self.stats.wait_enqueues += 1
-            if self.trace is not None:
-                self._trace(t, "wait", pkt, sat)
+                    released.append((i, pkt))
+                pending.clear()
 
     # -- main loop -----------------------------------------------------------
 
@@ -258,10 +216,9 @@ class Simulation:
         end = cfg.run.duration_s
         heap = self._heap
         svc = self._svc
-        self._rebuild_for_slot(0.0, 0)
-        primary, backup = self.primary, self.backup
+        primary, backup = self._rebuild_for_slot(0.0, 0)
         access_row = self.resolver.row
-        self.access = access = access_row(0)
+        access = access_row(0)
 
         # Periodic events are pushed one ahead: the first of each kind here,
         # event k + 1 when event k fires, so the heap never holds more than
@@ -283,7 +240,7 @@ class Simulation:
                 heappush(heap, (period, first_seq, kind, 1, None))
             first_seq += last
         heappush(heap, (end, 1 << 62, _EV_END, None, None))
-        self._next_seq = seq = count(first_seq).__next__
+        seq = count(first_seq).__next__
 
         stream = self.generator.stream(end)
         exhausted = (end, 1 << 63, _EV_SOURCE, None, None)  # sorts after the sentinel
@@ -292,10 +249,13 @@ class Simulation:
 
         stats = self.stats
         nodes = self.nodes
+        sids = self.sids
         trace = self.trace
         decide = decide_next_index  # read here, so a replaced module global takes effect
         busy_flags = self.busy_flags
         backup_forwards = 0
+        wait_enqueues = 0
+        wait_capacity = cfg.routing.wait_queue_capacity
         slant_delay = self.geometry.slant_delay
         link_delay = self.geometry.link_delay
         chan_period = self._chan_period
@@ -305,23 +265,30 @@ class Simulation:
         idle_start = cfg.scheduler.buffer_capacity > 0  # with no buffer, every arrival drops
         svc_pop = svc.popleft
         svc_push = svc.append
+        released = deque()  # (satellite, packet) pairs a drain took off the wait queues
+        released_pop = released.popleft
         while True:
             head = heap[0]
             if source < head:
                 head = source
-            if svc and svc[0] < head:  # _EV_SERVICE: packet b leaves satellite a
-                t, _, _, a, b = svc_pop()
-                node = nodes[a]
-                scheduler = node.scheduler
-                if scheduler.size:
-                    pkt = scheduler.dequeue()
-                    node.in_service = pkt
-                    svc_push((t + service_period, seq(), _EV_SERVICE, a, pkt))
-                else:
-                    node.in_service = None
-                if trace is not None:
-                    self._trace(t, "service", b, a)
-                # The forwarding decision and transmission of `_route`, in line.
+            if svc and svc[0] < head or released:  # packet b leaves satellite a
+                if released:  # at the time t of the event that released it
+                    a, b = released_pop()
+                    node = nodes[a]
+                else:  # _EV_SERVICE
+                    t, _, _, a, b = svc_pop()
+                    node = nodes[a]
+                    scheduler = node.scheduler
+                    if scheduler.size:
+                        pkt = scheduler.dequeue()
+                        node.in_service = pkt
+                        svc_push((t + service_period, seq(), _EV_SERVICE, a, pkt))
+                    else:
+                        node.in_service = None
+                    if trace is not None:
+                        self._trace(t, "service", b, a)
+                # The forwarding decision and its transmission: the downlink,
+                # a wait at a, or the link to the next satellite.
                 dst = access[b.dst_user]
                 if dst == a:
                     heappush(heap, (t + slant_delay(b.dst_user, a, t), seq(), _EV_DELIVERY, b, None))
@@ -331,7 +298,16 @@ class Simulation:
                 nxt, via_backup = _WAIT if dst < 0 else decide(
                     b.tos, a, dst, primary, backup, busy_flags, b.detoured)
                 if nxt < 0:
-                    self._wait(t, b, a)
+                    if len(node.wait_queue) < wait_capacity:
+                        node.wait_queue.append(b)
+                        wait_enqueues += 1
+                        if trace is not None:
+                            self._trace(t, "wait", b, a)
+                    else:
+                        stats.record_drop(
+                            DropRecord(t, sids[a], b.tos, DropReason.ROUTE_WAIT_OVERFLOW))
+                        if trace is not None:
+                            self._trace(t, "drop", b, a)
                     continue
                 if via_backup:
                     backup_forwards += 1
@@ -371,9 +347,7 @@ class Simulation:
                 if kind == _EV_LINK or count_uplink:
                     notif = node.cong.record_arrival(t, ccfg)
                     if notif is not None:
-                        self._apply_notification(notif)
-                        self._rebuild_backup(t)
-                        backup = self.backup
+                        backup = self._notify((notif,), primary, released)
                 if node.in_service is None and idle_start:
                     node.scheduler.start(a)
                     node.in_service = a
@@ -395,7 +369,7 @@ class Simulation:
                 if a < last:
                     heappush(heap, ((a + 1) * period, s + 1, kind, a + 1, None))
                 if kind == _EV_ACCESS:
-                    self.access = access = access_row(a)
+                    access = access_row(a)
                     continue
                 if kind == _EV_SWEEP:
                     notifs = []
@@ -403,15 +377,11 @@ class Simulation:
                         n = node.cong.evaluate(t, ccfg)
                         if n is not None:
                             notifs.append(n)
-                    for n in notifs:
-                        self._apply_notification(n)
                     if notifs:
-                        self._rebuild_backup(t)
-                        backup = self.backup
+                        backup = self._notify(notifs, primary, released)
                 if kind == _EV_SLOT:
-                    self._rebuild_for_slot(t, a)
-                    primary, backup = self.primary, self.backup
-                    self._drain_wait_queues(t)
+                    primary, backup = self._rebuild_for_slot(t, a)
+                    self._release(released)
                 elif self.busy_count:  # a sweep or a stats tick
                     stats.note_busy(t)
 
@@ -421,6 +391,7 @@ class Simulation:
             if node.in_service is not None:
                 residual += 1
         stats.backup_forwards += backup_forwards
+        stats.wait_enqueues += wait_enqueues
         stats.route_dump = self.route_dump
         stats.trace_rows = self.trace
         return stats.finalize(residual)

@@ -133,9 +133,12 @@ class OrbitGeometryReference:
         self._orb_n = params.mean_motion_rad_s
         self._orb_ci = math.cos(math.radians(params.inclination_deg))
         self._orb_si = math.sin(math.radians(params.inclination_deg))
-        self._raan_cos = [math.cos(params.raan_rad(i // params.sats_per_plane)) for i in range(n)]
-        self._raan_sin = [math.sin(params.raan_rad(i // params.sats_per_plane)) for i in range(n)]
-        self._phase0 = [params.initial_phase_rad(params.sid_of(i)) for i in range(n)]
+        S = params.sats_per_plane
+        raan = [math.radians(params.raan_spread_deg) * (i // S) / params.planes for i in range(n)]
+        self._raan_cos = [math.cos(omega) for omega in raan]
+        self._raan_sin = [math.sin(omega) for omega in raan]
+        phase_offset = math.radians(params.phase_offset_deg)
+        self._phase0 = [2.0 * math.pi * (i % S) / S + phase_offset * (i // S) for i in range(n)]
         self._ground_xyz = []
         for pos in ground:
             lat = math.radians(pos.lat_deg)

@@ -16,6 +16,7 @@ from leoqsim.constellation import (
     OrbitGeometry,
     SatelliteId,
     build_topology_snapshot,
+    orbital_elements,
     satellite_positions,
 )
 from oracles import (
@@ -90,9 +91,11 @@ def test_position_on_sphere_and_phase_spacing():
 
 
 def test_raan_spread_even():
-    # Ascending nodes evenly spread over 180 degrees: 30 degrees apart.
-    for p in range(6):
-        assert math.degrees(PARAMS.raan_rad(p)) == pytest.approx(30.0 * p)
+    # Ascending nodes evenly spread over 180 degrees: 30 degrees apart, one
+    # per plane.
+    raan, _ = orbital_elements(PARAMS)
+    for i, omega in enumerate(raan.tolist()):
+        assert math.degrees(omega) == pytest.approx(30.0 * (i // 11))
 
 
 def test_periodicity():

@@ -4,9 +4,12 @@ access rows that forwarding reads, the per-slot backup rows and the FIFO
 wait-queue drain.
 
 Each run covers 5 s at seed 42 with the packet trace and the route-table dump
-switched on, so every export file is part of the digest. A change to the
-engine or to any layer it calls that is meant to keep behaviour must keep
-these digests; a deliberate behaviour change records the new ones.
+switched on, so every export file is part of the digest. One run covers 10 s
+under 4 s routing slots with room for five packets per wait queue: it crosses
+two slot rebuilds and an access change, and its drains re-park and drop
+packets. A change to the engine or to any layer it calls that is meant to
+keep behaviour must keep these digests; a deliberate behaviour change records
+the new ones.
 
 The digests pin the forwarding rule in which a busy satellite is never a
 transit hop but can be a packet's last hop: class B traffic bound for a busy
@@ -41,11 +44,19 @@ KNOBS = {
     "congestion": ["window_s = 0.3"],
 }
 
+# Slot rebuilds, an access change at 6 s, and wait-queue parks, re-parks and
+# overflow drops.
+SLOTS = {
+    "routing": ["slot_length_s = 4", "wait_queue_capacity = 5"],
+    "run": ["duration_s = 10"],
+}
+
 SCENARIOS = {
     "baseline": ("", "composite", {}),
     "hotspot": (HOTSPOT_FLOW, "composite", {}),
     "hotspot_pqwrr_only": (HOTSPOT_FLOW, "pqwrr_only", {}),
     "hotspot_knobs": (HOTSPOT_FLOW, "composite", KNOBS),
+    "hotspot_slots": (HOTSPOT_FLOW, "composite", SLOTS),
 }
 
 DIGESTS = {
@@ -53,6 +64,7 @@ DIGESTS = {
     "hotspot": "583d9056006d1f04f8c5d67b63bdfa7466d110f38fd23b7542b66894665e8710",
     "hotspot_pqwrr_only": "c36ad117207acbdbb1c9a3075cbb95f37863a40a2e97cd380cf1a725f5a5ddb4",
     "hotspot_knobs": "4aee275fb281f2c3038dd1e596f8c2ecf1869bbb0fb5e9078402999626321e06",
+    "hotspot_slots": "8840375524a3182181158a2bc1c4a337e24baed9de0b1fff71c1942cf91021e9",
 }
 
 
@@ -64,10 +76,11 @@ def scenario_text(flows: str, strategy: str, knobs: Optional[dict] = None) -> st
     }
     if flows:
         sections["traffic"].append(f"flows = {flows}")
-    for name, lines in (knobs or {}).items():
-        sections.setdefault(name, []).extend(lines)
-    return "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines)
+    text = "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines)
                    for name, lines in sections.items())
+    # A knob sets its key, or replaces the value set above.
+    return apply_overrides(text, [f"{name}.{line}" for name, lines in (knobs or {}).items()
+                                  for line in lines])
 
 
 def export_digest(out_dir) -> str:
@@ -292,12 +305,15 @@ def test_traced_events_never_go_back_in_time():
 
 def test_every_forwarding_decision_reads_the_access_row_of_its_time(monkeypatch):
     # With 1 s quanta, time t falls in quantum int(t). The run's own decisions
-    # are observed: a call of the forwarding rule follows the "service" trace
-    # row of the packet it routes, or the `_route` call of a drained one, and
-    # a downlink writes a "downlink" row. Each must name the satellite that
-    # the oracle's row of its quantum gives the packet's destination, and a
-    # rule call must read the tables in force. In 10 s one terminal changes
-    # its access satellite, at 6 s, and 4 s slots rebuild the tables twice.
+    # are observed: a packet leaves a satellite after its "service" trace row,
+    # or when the loop takes it off the released lane, at the time of the
+    # latest heap event (the arrival, sweep or slot that released it). A call
+    # of the forwarding rule routes the latest such packet, and a downlink
+    # writes a "downlink" row. Each must name the satellite that the oracle's
+    # row of its quantum gives the packet's destination, and a rule call must
+    # read the tables in force: the rows of the latest slot rebuild and busy
+    # set. In 10 s one terminal changes its access satellite, at 6 s, and 4 s
+    # slots rebuild the tables twice.
     text = apply_overrides(scenario_text(HOTSPOT_FLOW, "composite"),
                            ["run.duration_s=10", "routing.slot_length_s=4"])
     sim = engine.Simulation(loads_scenario(text))
@@ -309,10 +325,14 @@ def test_every_forwarding_decision_reads_the_access_row_of_its_time(monkeypatch)
             rows[q] = access_row(sim.params, sim.generator.terminals, float(q))
         return rows[q][terminal]
 
-    routed = []  # (time, packet, satellite) of each packet leaving a satellite
+    routed = []  # (time, packet, satellite, released) of each packet leaving a satellite
     decisions = []
     moved = 0  # decisions for a terminal whose access satellite has changed
-    trace, route, decide = sim._trace, sim._route, engine.decide_next_index
+    released = 0  # rule calls for released packets
+    tables = []  # (primary, backup) rows in force
+    now = 0.0  # time of the latest heap event
+    trace, rebuild, notify = sim._trace, sim._rebuild_for_slot, sim._notify
+    decide = engine.decide_next_index
 
     def check(t, pkt, dst):
         nonlocal moved
@@ -321,61 +341,52 @@ def test_every_forwarding_decision_reads_the_access_row_of_its_time(monkeypatch)
 
     def tracing(t, event, pkt, sat):
         if event == "service":
-            routed.append((t, pkt, sat))
+            routed.append((t, pkt, sat, False))
         elif event == "downlink":
             check(t, pkt, sat)
         trace(t, event, pkt, sat)
 
-    def draining(t, pkt, sat):
-        routed.append((t, pkt, sat))
-        route(t, pkt, sat)
+    def pop(heap):
+        nonlocal now
+        event = heapq.heappop(heap)
+        now = event[0]
+        return event
+
+    class ReleasedLane(deque):
+        def popleft(self):
+            sat, pkt = super().popleft()
+            routed.append((now, pkt, sat, True))
+            return sat, pkt
+
+    def rebuilding(t, slot):
+        tables.append(rebuild(t, slot))
+        return tables[-1]
+
+    def notifying(notifs, primary, lane):
+        tables.append((primary, notify(notifs, primary, lane)))
+        return tables[-1][1]
 
     def checked_decide(tos, here, dst, primary, backup, *rest):
-        t, pkt, sat = routed[-1]
+        nonlocal released
+        t, pkt, sat, from_lane = routed[-1]
         assert (here, tos) == (sat, pkt.tos)
-        assert primary is sim.primary and backup is sim.backup
+        assert primary is tables[-1][0] and backup is tables[-1][1]
         check(t, pkt, dst)
+        released += from_lane
         return decide(tos, here, dst, primary, backup, *rest)
 
     sim._trace = tracing
-    sim._route = draining
+    sim._rebuild_for_slot = rebuilding
+    sim._notify = notifying
+    monkeypatch.setattr(engine, "heappop", pop)
+    monkeypatch.setattr(engine, "deque", ReleasedLane)  # built: only run()'s lane is new
     monkeypatch.setattr(engine, "decide_next_index", checked_decide)
     sim.run()
     assert len(decisions) > 20_000
     assert all(decisions)
     assert moved
-
-
-def test_a_slot_drain_at_a_quantum_boundary_reads_that_quantums_row():
-    # 3 * 0.7 is the third slot boundary and the third access quantum, though
-    # int(3 * 0.7 / 0.7) == 2: a time is in the largest quantum k with
-    # k * 0.7 <= t, in the engine's refreshes and in `access_index` alike.
-    sim = engine.Simulation(loads_scenario(
-        "[traffic]\nbackground_rate = 50\n[routing]\nslot_length_s = 0.7\n"
-        "[run]\nduration_s = 2.5\naccess_refresh_s = 0.7\n"))
-    solved = {}
-    row = sim.resolver.row
-
-    def recording_row(k):
-        solved[k] = row(k)
-        return solved[k]
-
-    drained = []
-    drain = sim._drain_wait_queues
-
-    def recording_drain(t):
-        drained.append((t, sim.access))
-        drain(t)
-
-    sim.resolver.row = recording_row
-    sim._drain_wait_queues = recording_drain
-    sim.run()
-    assert int(3 * 0.7 / 0.7) == 2
-    assert [t for t, _ in drained] == [0.7, 2 * 0.7, 3 * 0.7]
-    assert drained[2][1] is solved[3]
-    solved.clear()
-    sim.resolver.access_index(0, 3 * 0.7)
-    assert list(solved) == [3]
+    assert released
+    assert len(tables) > 3 and len({id(primary) for primary, _ in tables}) == 3
 
 
 # -- backup rows --------------------------------------------------------------
@@ -425,54 +436,96 @@ def test_a_new_slot_builds_its_busy_sets_again(monkeypatch):
 
 # -- wait-queue drains --------------------------------------------------------
 
-DRAIN_SCENARIO = "[traffic]\nbackground_rate = 0\n[run]\nduration_s = 5\ntrace = true\n"
 HERE = 20  # every neighbour busy: class B traffic waits here unless bound for one
 
 
-def busy_drain_setup():
-    """A traced simulation at t = 0 with HERE surrounded by busy satellites;
-    the backup table is built for that busy set."""
-    sim = engine.Simulation(loads_scenario(DRAIN_SCENARIO))
-    sim._rebuild_for_slot(0.0, 0)
-    sim.access = sim.resolver.row(0)
-    busy = {j for j, _ in sim.snapshot.neighbor_table[HERE]}
-    for i in busy:
+def ringed_simulation(overrides):
+    """A traced simulation with no traffic, with HERE's neighbours busy from
+    the start; and the set of those neighbours."""
+    text = "[traffic]\nbackground_rate = 0\n[run]\ntrace = true\n"
+    sim = engine.Simulation(loads_scenario(apply_overrides(text, overrides)))
+    ring = {j for j, _ in build_topology_snapshot(sim.params, 0.0).neighbor_table[HERE]}
+    for i in ring:
         sim.busy_flags[i] = True
-    sim.busy_count = len(busy)
-    sim.backup = compute_backup_table(sim.snapshot, sim.busy_flags).next_idx
-    return sim
+    sim.busy_count = len(ring)
+    return sim, ring
 
 
-def parked_simulation(parked):
-    """`busy_drain_setup` with `parked` packets in its wait queues: (satellite,
-    class, destination terminal, detoured), packet ids in list order."""
-    sim = busy_drain_setup()
+def terminal_served(sim, quanta, wanted):
+    """The first terminal whose access satellite, the same in every quantum
+    of `quanta`, satisfies `wanted`."""
+    rows = [sim.resolver.row(k) for k in quanta]
+    return next(u for u, sat in enumerate(rows[0])
+                if sat >= 0 and wanted(sat) and all(row[u] == sat for row in rows))
+
+
+def park(sim, parked):
+    """Put `parked` packets in the wait queues: (satellite, class, destination
+    terminal, detoured), packet ids in list order."""
     for pkt_id, (sat, tos, dst_user, detoured) in enumerate(parked):
         pkt = Packet(pkt_id, tos, 0, dst_user, 0.0)
         pkt.detoured = detoured
         sim.nodes[sat].wait_queue.append(pkt)
-    return sim
+
+
+def test_a_slot_drain_at_a_quantum_boundary_reads_that_quantums_row():
+    # 3 * 0.7 is the third slot boundary and the third access quantum, though
+    # int(3 * 0.7 / 0.7) == 2: a time is in the largest quantum k with
+    # k * 0.7 <= t, in the engine's refreshes and in `access_index` alike. A
+    # class B packet parked behind HERE's busy ring is released and parked
+    # again at each slot boundary, and each time it reads the row of that
+    # boundary's quantum.
+    sim, ring = ringed_simulation(
+        ["routing.slot_length_s=0.7", "run.duration_s=2.5", "run.access_refresh_s=0.7"])
+    far = terminal_served(sim, (1, 2, 3), lambda sat: sat != HERE and sat not in ring)
+    park(sim, [(HERE, TrafficClass.B1, far, False)])
+    solved, reads = [], []
+    row = sim.resolver.row
+
+    class Row(list):
+        def __getitem__(self, terminal):
+            reads.append((self.quantum, terminal))
+            return super().__getitem__(terminal)
+
+    def recording_row(k):
+        solved.append(k)
+        out = Row(row(k))
+        out.quantum = k
+        return out
+
+    sim.resolver.row = recording_row
+    report = sim.run()
+    assert int(3 * 0.7 / 0.7) == 2
+    assert reads == [(1, far), (2, far), (3, far)]
+    assert [row[:3] for row in report.trace_rows] == [(0.7, "wait", 0), (2 * 0.7, "wait", 0),
+                                                      (3 * 0.7, "wait", 0)]
+    solved.clear()
+    sim.resolver.access_index(0, 3 * 0.7)
+    assert solved == [3]
 
 
 def test_drain_keeps_fifo_order_and_counts_every_repark():
     # At HERE, class B traffic bound past the busy ring waits again; class A
     # traffic and class B traffic whose destination is a busy neighbour leave.
-    sim = busy_drain_setup()
-    ring = {j for j, _ in sim.snapshot.neighbor_table[HERE]}
-    access = [sim.resolver.access_index(u, 0.0) for u in range(len(sim.generator.terminals))]
-    far = next(u for u, sat in enumerate(access) if sat >= 0 and sat != HERE and sat not in ring)
-    near = next(u for u, sat in enumerate(access) if sat in ring)
+    # Packets parked before the run are released by 1 s slots at 1 s and 2 s:
+    # in FIFO order per satellite, satellites in index order.
+    sim, ring = ringed_simulation(["routing.slot_length_s=1", "run.duration_s=2.5"])
+    far = terminal_served(sim, (1, 2), lambda sat: sat != HERE and sat not in ring)
+    near = terminal_served(sim, (1, 2), lambda sat: sat in ring)
+    other = 0  # an idle satellite before HERE, away from far's access satellite
+    assert other < HERE and other not in ring and other != sim.resolver.row(1)[far]
     A, B2, B1, B0 = TrafficClass.A, TrafficClass.B2, TrafficClass.B1, TrafficClass.B0
-    parked = [(HERE, B1, far, False), (HERE, A, far, False), (HERE, B0, far, True),
-              (HERE, B2, near, False), (HERE, B1, far, False), (HERE, B0, near, True)]
-    sim = parked_simulation(parked)
-
-    for drain in (1, 2):
-        sim._drain_wait_queues(0.0)
-        assert [p.id for p in sim.nodes[HERE].wait_queue] == [0, 2, 4]
-        assert sim.stats.wait_enqueues == 3 * drain
-        assert [row[1:3] for row in sim.trace if row[1] == "wait"] == [("wait", 0), ("wait", 2),
-                                                                      ("wait", 4)] * drain
-    assert [row[2] for row in sim.trace if row[1] == "forward"] == [1, 3, 5]
-    assert sim.stats.backup_forwards == 1  # the detoured packet's last hop
+    park(sim, [(HERE, B1, far, False), (HERE, A, far, False), (HERE, B0, far, True),
+               (HERE, B2, near, False), (HERE, B1, far, False), (HERE, B0, near, True),
+               (other, A, far, False)])
+    report = sim.run()
+    assert [p.id for p in sim.nodes[HERE].wait_queue] == [0, 2, 4]
+    assert report.wait_enqueues == 6
+    # Every packet leaves its satellite by a "wait" or a first-hop "forward" row.
+    first = [row[:3] for row in report.trace_rows if row[1] == "wait" or row[5] == 0]
+    assert [(event, pkt_id) for _, event, pkt_id in first] == (
+        [("forward", 6), ("wait", 0), ("forward", 1), ("wait", 2), ("forward", 3),
+         ("wait", 4), ("forward", 5), ("wait", 0), ("wait", 2), ("wait", 4)])
+    assert [t for t, event, _ in first if event == "wait"] == [1.0] * 3 + [2.0] * 3
+    assert report.backup_forwards == 1  # the detoured packet's last hop
     assert all(not node.wait_queue for i, node in enumerate(sim.nodes) if i != HERE)

@@ -63,23 +63,32 @@ def test_benchmark_scenarios_parse(name, expected):
     assert loads_scenario(text) == expected
 
 
-# The sections test_engine.KNOBS sets; it also turns count_uplink_in_rate off.
+# The sections that the knobs of a test_engine scenario change.
 KNOB_SECTIONS = {
-    "scheduler": SchedulerConfig(weights=(5, 3, 1), buffer_capacity=20, buffer_scope="per_node"),
-    "congestion": CongestionConfig(window_s=0.3),
+    "hotspot_knobs": {
+        "traffic": TrafficSection(flows=(HOTSPOT,), count_uplink_in_rate=False),
+        "scheduler": SchedulerConfig(weights=(5, 3, 1), buffer_capacity=20,
+                                     buffer_scope="per_node"),
+        "congestion": CongestionConfig(window_s=0.3),
+    },
+    "hotspot_slots": {
+        "routing": RoutingConfig(strategy="composite", dump_routes=True, slot_length_s=4.0,
+                                 wait_queue_capacity=5),
+        "run": RunConfig(duration_s=10.0, seed=42, trace=True),
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_engine_scenarios_parse(name):
     flows, strategy, knobs = SCENARIOS[name]
-    expected = ScenarioConfig(
-        traffic=TrafficSection(flows=(HOTSPOT,) if flows else (), count_uplink_in_rate=not knobs),
-        routing=RoutingConfig(strategy=strategy, dump_routes=True),
-        run=RunConfig(duration_s=5.0, seed=42, trace=True),
-        **(KNOB_SECTIONS if knobs else {}),
-    )
-    assert loads_scenario(scenario_text(flows, strategy, knobs)) == expected
+    sections = {
+        "traffic": TrafficSection(flows=(HOTSPOT,) if flows else ()),
+        "routing": RoutingConfig(strategy=strategy, dump_routes=True),
+        "run": RunConfig(duration_s=5.0, seed=42, trace=True),
+    }
+    sections.update(KNOB_SECTIONS.get(name, {}))
+    assert loads_scenario(scenario_text(flows, strategy, knobs)) == ScenarioConfig(**sections)
 
 
 def test_empty_text_gives_the_defaults():
