@@ -42,8 +42,6 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .constellation import SatelliteId
-
 
 class CongestionLabel(Enum):
     IDLE = "idle"
@@ -100,7 +98,6 @@ class CongestionConfig:
 
 class Notification(NamedTuple):
     time: float
-    satellite: Optional[SatelliteId]
     label: CongestionLabel  # BUSY or IDLE only
     rate: float
 
@@ -110,13 +107,13 @@ class NodeCongestionState:
 
     `last_notified` is the externally visible busy/idle view that routing
     reacts to. A rule run's rate and label are not kept: they leave the node
-    only in the notification of a crossing.
+    only in the notification of a crossing, which names no satellite: the
+    caller knows whose state it asked.
     """
 
-    __slots__ = ("satellite", "last_notified", "limit", "keep", "_arrivals")
+    __slots__ = ("last_notified", "limit", "keep", "_arrivals")
 
-    def __init__(self, satellite: Optional[SatelliteId] = None):
-        self.satellite = satellite
+    def __init__(self):
         self.last_notified = _IDLE
         self.limit = -1  # held times above which an arrival runs the rule
         self.keep = -math.inf  # a time whose presence in the window rules out Idle
@@ -157,7 +154,7 @@ class NodeCongestionState:
             notif = None
         else:
             self.last_notified = label
-            notif = Notification(t, self.satellite, label, rate)
+            notif = Notification(t, label, rate)
         if self.last_notified is _IDLE:
             self.limit = cfg.idle_limit
             self.keep = -math.inf

@@ -16,6 +16,8 @@ Each geometric concept has one implementation here:
   passes (`build_topology_snapshot`, `AccessResolver`);
 - `TopologySnapshot.neighbor_table`: the link graph of one routing slot;
 - `SatelliteId.__str__`: the printed name of a satellite in every export.
+  Every other layer knows a satellite by its index, plane * S + slot, and
+  the engine alone names one, through `ConstellationParams.sid_of`.
 """
 
 from __future__ import annotations
@@ -88,9 +90,6 @@ class ConstellationParams:
     @property
     def mean_motion_rad_s(self) -> float:
         return math.sqrt(MU_EARTH_KM3_S2 / self.orbit_radius_km**3)
-
-    def index_of(self, sid: SatelliteId) -> int:
-        return sid.plane * self.sats_per_plane + sid.slot
 
     def sid_of(self, index: int) -> SatelliteId:
         return SatelliteId(index // self.sats_per_plane, index % self.sats_per_plane)

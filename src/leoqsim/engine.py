@@ -35,8 +35,11 @@ into service, enqueued or dropped) before they are routed.
 
 The engine owns the event loop and the per-satellite state only. Orbit
 geometry and link delays come from `constellation.OrbitGeometry`, the link
-graph from `constellation.build_topology_snapshot`, the forwarding rule from
-`routing.decide_next_index`, and satellite names from `SatelliteId`.
+graph from `constellation.build_topology_snapshot` and the forwarding rule
+from `routing.decide_next_index`. Below the engine a satellite is its index:
+the schedulers, congestion states and route tables never name it. The
+engine's `sids` list names it for every record: drops, busy/idle changes,
+trace rows and the route dump.
 
 Pending events sit in three lanes. Every service completion falls one fixed
 service period after the event that starts it, and event times never
@@ -69,10 +72,16 @@ from itertools import count
 from typing import Optional
 
 from .congestion import CongestionLabel, NodeCongestionState
-from .constellation import AccessResolver, OrbitGeometry, build_topology_snapshot, periods_elapsed
+from .constellation import (
+    PICOSECONDS_PER_SECOND,
+    AccessResolver,
+    OrbitGeometry,
+    build_topology_snapshot,
+    periods_elapsed,
+)
 from .routing import compute_backup_table, compute_shortest_path_table, decide_next_index
 from .scenario import ScenarioConfig
-from .scheduling import DropReason, DropRecord, PqwrrScheduler
+from .scheduling import DropReason, PqwrrScheduler
 from .stats import StatsCollector
 from .traffic import ArrivalGenerator, Packet
 
@@ -113,6 +122,7 @@ class Simulation:
         self.params = params
         self.n = params.num_sats
         self.sids = [params.sid_of(i) for i in range(self.n)]
+        self.names = [str(sid) for sid in self.sids] + ["-"]  # names[-1]: no satellite
         grid = cfg.load_grid()
         self.generator = ArrivalGenerator(
             flows=list(cfg.traffic.flows),
@@ -125,9 +135,8 @@ class Simulation:
         self.resolver = AccessResolver(params, ground, quantum_s=cfg.run.access_refresh_s)
         self.geometry = OrbitGeometry(params, ground)
         self.nodes = [
-            _SatNode(PqwrrScheduler(cfg.scheduler, self.sids[i]), NodeCongestionState(self.sids[i]),
-                     self.n)
-            for i in range(self.n)
+            _SatNode(PqwrrScheduler(cfg.scheduler), NodeCongestionState(), self.n)
+            for _ in range(self.n)
         ]
         self.stats = StatsCollector(
             horizon_s=cfg.run.duration_s,
@@ -151,8 +160,7 @@ class Simulation:
     # -- event plumbing ------------------------------------------------------
 
     def _trace(self, t: float, event: str, pkt: Packet, sat: int) -> None:
-        name = str(self.sids[sat]) if sat >= 0 else "-"
-        self.trace.append((t, event, pkt.id, pkt.tos.name, name, pkt.hop))
+        self.trace.append((t, event, pkt.id, pkt.tos.name, self.names[sat], pkt.hop))
 
     # -- routing state -------------------------------------------------------
 
@@ -162,9 +170,16 @@ class Simulation:
         self.snapshot = build_topology_snapshot(self.params, t)
         primary = compute_shortest_path_table(self.snapshot)
         self._backups = {}
-        if self.route_dump is not None:
-            for src, dst, nxt, cost in primary.entries():
-                self.route_dump.append((slot, str(src), str(dst), str(nxt) if nxt else "", cost))
+        if self.route_dump is not None:  # (slot, src, dst, next_hop, cost_s) for src != dst
+            names = self.names
+            costs = primary.cost_ps.tolist()  # Python ints: exact division, float repr
+            for i, row in enumerate(primary.next_idx):
+                for j, nxt in enumerate(row):
+                    if i != j:
+                        c = costs[i][j]
+                        hop = names[nxt] if nxt >= 0 else ""
+                        cost = None if c < 0 else c / PICOSECONDS_PER_SECOND
+                        self.route_dump.append((slot, names[i], names[j], hop, cost))
         return primary.next_idx, self._backup_rows(primary.next_idx)
 
     def _backup_rows(self, primary: list) -> Optional[list]:
@@ -184,16 +199,15 @@ class Simulation:
         return rows
 
     def _notify(self, notifs, primary: list, released: deque) -> Optional[list]:
-        """Apply busy/idle notifications, release every parked packet and
-        return the backup rows of the new busy set."""
+        """Apply (satellite index, notification) pairs, release every parked
+        packet and return the backup rows of the new busy set."""
         busy_flags = self.busy_flags
-        for notif in notifs:
-            idx = self.params.index_of(notif.satellite)
+        for idx, notif in notifs:
             now_busy = notif.label is CongestionLabel.BUSY
             if busy_flags[idx] != now_busy:
                 busy_flags[idx] = now_busy
                 self.busy_count += 1 if now_busy else -1
-            self.stats.note_state_change(notif)
+            self.stats.state_log.append((self.sids[idx], notif))
             if now_busy:
                 self.stats.note_busy(notif.time)
         self._release(released)
@@ -304,8 +318,7 @@ class Simulation:
                         if trace is not None:
                             self._trace(t, "wait", b, a)
                     else:
-                        stats.record_drop(
-                            DropRecord(t, sids[a], b.tos, DropReason.ROUTE_WAIT_OVERFLOW))
+                        stats.record_drop(t, sids[a], b.tos, DropReason.ROUTE_WAIT_OVERFLOW)
                         if trace is not None:
                             self._trace(t, "drop", b, a)
                     continue
@@ -326,8 +339,7 @@ class Simulation:
                 stats.record_generated(a)
                 src = access[a.src_user]
                 if src < 0:
-                    rec = DropRecord(t, None, a.tos, DropReason.ACCESS_BLOCKED)
-                    stats.record_drop(rec)
+                    stats.record_drop(t, None, a.tos, DropReason.ACCESS_BLOCKED)
                 else:
                     delay = slant_delay(a.src_user, src, t)
                     heappush(heap, (t + delay, seq(), _EV_UPLINK, a, src))
@@ -347,17 +359,15 @@ class Simulation:
                 if kind == _EV_LINK or count_uplink:
                     notif = node.cong.record_arrival(t, ccfg)
                     if notif is not None:
-                        backup = self._notify((notif,), primary, released)
+                        backup = self._notify(((b, notif),), primary, released)
                 if node.in_service is None and idle_start:
                     node.scheduler.start(a)
                     node.in_service = a
                     svc_push((t + service_period, seq(), _EV_SERVICE, b, a))
-                else:
-                    drop = node.scheduler.enqueue(a, t)
-                    if drop is not None:
-                        stats.record_drop(drop)
-                        if trace is not None:
-                            self._trace(t, "drop", a, b)
+                elif not node.scheduler.enqueue(a):
+                    stats.record_drop(t, sids[b], a.tos, DropReason.BUFFER_OVERFLOW)
+                    if trace is not None:
+                        self._trace(t, "drop", a, b)
             elif kind == _EV_DELIVERY:
                 stats.record_delivery(a, t)
                 if trace is not None:
@@ -373,10 +383,10 @@ class Simulation:
                     continue
                 if kind == _EV_SWEEP:
                     notifs = []
-                    for node in nodes:
+                    for i, node in enumerate(nodes):
                         n = node.cong.evaluate(t, ccfg)
                         if n is not None:
-                            notifs.append(n)
+                            notifs.append((i, n))
                     if notifs:
                         backup = self._notify(notifs, primary, released)
                 if kind == _EV_SLOT:
@@ -394,7 +404,8 @@ class Simulation:
         stats.wait_enqueues += wait_enqueues
         stats.route_dump = self.route_dump
         stats.trace_rows = self.trace
-        return stats.finalize(residual)
+        stats.residual = residual
+        return stats
 
 
 def run(cfg: ScenarioConfig) -> StatsCollector:

@@ -22,16 +22,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
-from .constellation import (
-    PICOSECONDS_PER_SECOND,
-    ConstellationParams,
-    SatelliteId,
-    TopologySnapshot,
-)
+from .constellation import TopologySnapshot
 from .scheduling import TrafficClass
 
 _UNREACHABLE = -1
@@ -50,30 +45,11 @@ class RouteTable:
     dst is unreachable from cur or is cur itself), one `array` row per
     source, and the int64 array `cost_ps[cur, dst]` the total path delay in
     picoseconds (-1 when unreachable). The forwarding rule reads `next_idx`
-    alone; `entries` names both for the route dump.
+    alone; the engine names both for the route dump.
     """
 
-    params: ConstellationParams
     next_idx: Rows = field(repr=False)
     cost_ps: np.ndarray = field(repr=False)
-
-    def entries(self) -> Iterator[tuple[SatelliteId, SatelliteId, Optional[SatelliteId], Optional[float]]]:
-        """(src, dst, next_hop, cost_seconds) for every src != dst pair."""
-        for i in range(self.params.num_sats):
-            src = self.params.sid_of(i)
-            costs = self.cost_ps[i].tolist()  # Python ints: exact division, float repr
-            for j in range(self.params.num_sats):
-                if i == j:
-                    continue
-                dst = self.params.sid_of(j)
-                n = self.next_idx[i][j]
-                c = costs[j]
-                yield (
-                    src,
-                    dst,
-                    None if n == _UNREACHABLE else self.params.sid_of(n),
-                    None if c < 0 else c / PICOSECONDS_PER_SECOND,
-                )
 
 
 def _build_table(snapshot: TopologySnapshot, excluded: list[bool]) -> tuple[Rows, np.ndarray]:
@@ -149,7 +125,7 @@ def compute_shortest_path_table(snapshot: TopologySnapshot) -> RouteTable:
     """
     excluded = [False] * snapshot.params.num_sats
     next_idx, cost_ps = _build_table(snapshot, excluded)
-    return RouteTable(snapshot.params, next_idx, cost_ps)
+    return RouteTable(next_idx, cost_ps)
 
 
 def compute_backup_table(snapshot: TopologySnapshot, busy: list[bool]) -> RouteTable:
@@ -163,7 +139,7 @@ def compute_backup_table(snapshot: TopologySnapshot, busy: list[bool]) -> RouteT
     flags do not change it.
     """
     next_idx, cost_ps = _build_table(snapshot, busy)
-    return RouteTable(snapshot.params, next_idx, cost_ps)
+    return RouteTable(next_idx, cost_ps)
 
 
 def decide_next_index(

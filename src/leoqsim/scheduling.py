@@ -8,9 +8,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import NamedTuple, Optional
-
-from .constellation import SatelliteId
 
 
 class TrafficClass(IntEnum):
@@ -28,13 +25,6 @@ class DropReason(Enum):
     BUFFER_OVERFLOW = "buffer_overflow"
     ROUTE_WAIT_OVERFLOW = "route_wait_overflow"
     ACCESS_BLOCKED = "access_blocked"
-
-
-class DropRecord(NamedTuple):
-    time: float
-    satellite: Optional[SatelliteId]
-    tos: TrafficClass
-    reason: DropReason
 
 
 @dataclass(frozen=True)
@@ -78,11 +68,8 @@ class PqwrrScheduler:
     credit, is the vector `[0, 0, 0]`.
     """
 
-    def __init__(
-        self, cfg: SchedulerConfig = SchedulerConfig(), owner: Optional[SatelliteId] = None
-    ):
+    def __init__(self, cfg: SchedulerConfig = SchedulerConfig()):
         self.capacity = cfg.buffer_capacity
-        self.owner = owner
         self.queues: dict[TrafficClass, deque] = {c: deque() for c in ALL_CLASSES}
         self._qa = self.queues[TrafficClass.A]
         self._bqueues = [self.queues[c] for c in B_CLASSES]
@@ -91,16 +78,15 @@ class PqwrrScheduler:
         self.size = 0  # packets queued, all classes
         self._per_queue = cfg.buffer_scope == "per_queue"
 
-    def enqueue(self, pkt, t: float) -> Optional[DropRecord]:
-        """Append to the packet's class queue; returns a DropRecord on tail drop."""
-        cls = pkt.tos
-        q = self.queues[cls]
+    def enqueue(self, pkt) -> bool:
+        """Append to the packet's class queue; returns False on tail drop."""
+        q = self.queues[pkt.tos]
         occupancy = len(q) if self._per_queue else self.size
         if occupancy >= self.capacity:
-            return DropRecord(t, self.owner, cls, DropReason.BUFFER_OVERFLOW)
+            return False
         q.append(pkt)
         self.size += 1
-        return None
+        return True
 
     def dequeue(self):
         """Next packet to serve, or None when every queue is empty.

@@ -4,8 +4,9 @@ time-bucket grid. Foreground (tagged-flow) deliveries are tracked separately
 so endpoint-to-endpoint behavior can be read off directly.
 
 One `StatsCollector` holds a run's statistics: the event loop records into
-it, `finalize` adds the residual, and the same object is the report that the
-queries, `export` and `engine.conservation_audit` read."""
+it and sets the residual at the horizon, and the same object is the report
+that the queries, `export` and `engine.conservation_audit` read. Satellites
+arrive here already named: the engine passes each `SatelliteId`."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .congestion import Notification
 from .constellation import SatelliteId
-from .scheduling import ALL_CLASSES, DropReason, DropRecord, TrafficClass
+from .scheduling import ALL_CLASSES, DropReason, TrafficClass
 
 MS_PER_S = 1000.0
 CDF_CHUNK_ROWS = 1024  # rows of a delay CDF file formatted per write
@@ -51,7 +52,7 @@ class DelayCdf:
 
 
 class StatsCollector:
-    """One run's statistics; after `finalize` it is the run's report."""
+    """One run's statistics; once the run sets `residual` it is the run's report."""
 
     def __init__(self, horizon_s: float, bucket_s: float, seed: int, strategy: str):
         self.horizon_s = horizon_s
@@ -74,7 +75,7 @@ class StatsCollector:
         self.delay_samples = {c: array("d") for c in ALL_CLASSES}
         self.drops_detail: dict[tuple[int, Optional[SatelliteId], TrafficClass, str], int] = {}
         self.busy_buckets: set[int] = set()
-        self.state_log: list[Notification] = []
+        self.state_log: list[tuple[SatelliteId, Notification]] = []
         self.backup_forwards = 0
         self.wait_enqueues = 0
         self.residual = 0  # packets still in the network at the horizon
@@ -114,30 +115,23 @@ class StatsCollector:
             self.fg_delay_sum_bucket[cls][b] += delay
             self.fg_hop_sum_bucket[cls][b] += pkt.hop
 
-    def record_drop(self, rec: DropRecord) -> None:
-        """Count one drop under its bucket, satellite, class and reason; a
-        satellite of None marks a source-side (no satellite) drop."""
-        cls = rec.tos
-        b = int(rec.time / self.bucket_s)
+    def record_drop(
+        self, t: float, satellite: Optional[SatelliteId], tos: TrafficClass, reason: DropReason
+    ) -> None:
+        """Count one drop at time t under its bucket, satellite, class and
+        reason; a satellite of None marks a source-side (no satellite) drop."""
+        b = int(t / self.bucket_s)
         if b >= self.n_buckets:
             b = self.n_buckets - 1
-        self.dropped[cls] += 1
-        reason = _REASON_TEXT[rec.reason]
-        key = (cls, reason)
+        self.dropped[tos] += 1
+        text = _REASON_TEXT[reason]
+        key = (tos, text)
         self.dropped_by_reason[key] = self.dropped_by_reason.get(key, 0) + 1
-        dkey = (b, rec.satellite, cls, reason)
+        dkey = (b, satellite, tos, text)
         self.drops_detail[dkey] = self.drops_detail.get(dkey, 0) + 1
 
     def note_busy(self, t: float) -> None:
         self.busy_buckets.add(self.bucket_of(t))
-
-    def note_state_change(self, n: Notification) -> None:
-        self.state_log.append(n)
-
-    def finalize(self, residual: int) -> StatsCollector:
-        """Record the packets left in the network at the horizon; returns self."""
-        self.residual = residual
-        return self
 
     # -- queries on the finished run -----------------------------------------
 
@@ -281,8 +275,8 @@ def export(report: StatsCollector, out_dir) -> None:
 
     with open(out / "state_log.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("time,satellite,new_label,rate\n")
-        for n in report.state_log:
-            f.write(f"{_fmt(n.time)},{n.satellite},{n.label.value},{_fmt(n.rate)}\n")
+        for sat, n in report.state_log:
+            f.write(f"{_fmt(n.time)},{sat},{n.label.value},{_fmt(n.rate)}\n")
 
     if report.route_dump is not None:
         with open(out / "route_tables.csv", "w", encoding="utf-8", newline="\n") as f:

@@ -132,6 +132,8 @@ class FlowSpec:
     def __post_init__(self) -> None:
         if not all(map(isfinite, (*self.src, *self.dst, self.rate))):
             raise ValueError("flow endpoints and rate must be finite")
+        if not all(abs(lat) <= 90.0 and abs(lon) <= 180.0 for lat, lon in (self.src, self.dst)):
+            raise ValueError("flow endpoints need latitude in [-90, 90], longitude in [-180, 180]")
         if self.rate < 0:
             raise ValueError("flow rate must be >= 0")
 

@@ -18,7 +18,7 @@ import random
 from bisect import bisect_right
 from collections import deque
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,8 +36,6 @@ from leoqsim.congestion import CongestionConfig, CongestionLabel, Notification
 from leoqsim.scheduling import (
     ALL_CLASSES,
     B_CLASSES,
-    DropReason,
-    DropRecord,
     PqwrrScheduler,
     SchedulerConfig,
     TrafficClass,
@@ -48,6 +46,11 @@ from leoqsim.traffic import _RATIOS_CUM, ArrivalGenerator, DemandGrid, Packet
 # samplers below compare and scale on every draw. `tolist` keeps each float64
 # exactly, so the samplers pick what the package's array lookups pick.
 RATIOS_CUM = [row.tolist() for row in _RATIOS_CUM]
+
+
+def index_of(params: ConstellationParams, sid: SatelliteId) -> int:
+    """The index of satellite `sid`: the inverse of `params.sid_of`."""
+    return sid.plane * params.sats_per_plane + sid.slot
 
 
 def orbital_period_s(params: ConstellationParams) -> float:
@@ -243,12 +246,19 @@ def route_table(
     return next_idx, cost_ps
 
 
+class Drop(NamedTuple):
+    """A tail drop that `service_process` saw: its time and class."""
+
+    time: float
+    tos: TrafficClass
+
+
 def service_process(
     sched: PqwrrScheduler,
     rate: float,
     arrivals: Iterable[tuple[float, object]],
     horizon: float = math.inf,
-) -> tuple[list[tuple[float, object]], list[DropRecord]]:
+) -> tuple[list[tuple[float, object]], list[Drop]]:
     """Single-server reference loop: one dequeue per 1/rate while backlogged.
 
     `arrivals` must be time-ordered. Selection happens at service start and is
@@ -259,7 +269,7 @@ def service_process(
         raise ValueError("rate must be > 0")
     period = 1.0 / rate
     completions: list[tuple[float, object]] = []
-    drops: list[DropRecord] = []
+    drops: list[Drop] = []
     in_service = None
     busy_until = 0.0
 
@@ -274,9 +284,8 @@ def service_process(
 
     for ta, pkt in arrivals:
         drain(ta)
-        drop = sched.enqueue(pkt, ta)
-        if drop is not None:
-            drops.append(drop)
+        if not sched.enqueue(pkt):
+            drops.append(Drop(ta, pkt.tos))
         elif in_service is None:
             in_service = sched.dequeue()
             busy_until = ta + period
@@ -288,7 +297,7 @@ class CongestionReference:
     """Busy/idle classification as `NodeCongestionState` first did it: each
     arrival appends its time and then runs the full evaluation, which prunes
     the window, divides the count by the window length and compares the rate
-    with both thresholds. Notifications carry no satellite."""
+    with both thresholds."""
 
     def __init__(self):
         self.rate = 0.0
@@ -317,7 +326,7 @@ class CongestionReference:
         if label is self.last_notified or label is CongestionLabel.TRANSITION:
             return None
         self.last_notified = label
-        return Notification(t, None, label, rate)
+        return Notification(t, label, rate)
 
 
 class _ReferenceQueues:
@@ -329,13 +338,14 @@ class _ReferenceQueues:
         self.queues: dict[TrafficClass, deque] = {c: deque() for c in ALL_CLASSES}
         self.size = 0
 
-    def enqueue(self, pkt, t: float) -> Optional[DropRecord]:
+    def enqueue(self, pkt) -> bool:
+        """Append to the packet's class queue; returns False on tail drop."""
         q = self.queues[pkt.tos]
         if (len(q) if self.per_queue else self.size) >= self.capacity:
-            return DropRecord(t, None, pkt.tos, DropReason.BUFFER_OVERFLOW)
+            return False
         q.append(pkt)
         self.size += 1
-        return None
+        return True
 
 
 class PqwrrReference(_ReferenceQueues):

@@ -51,6 +51,16 @@ def test_validate_rejects_a_directory(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"invalid: scenario {str(tmp_path)!r}: ")
 
 
+def test_validate_and_run_reject_a_flow_endpoint_off_the_globe(scenario, tmp_path, capsys):
+    path = scenario(SHORT_RUN + "[traffic]\nflows = 100,-100 -> 50,400 @ 600\n")
+    assert cli.main(["validate", path]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("invalid: [traffic] flows: ")
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("invalid: [traffic] flows: ")
+    assert not out.exists()
+
+
 def test_run_rejects_a_missing_scenario_file(tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["run", str(tmp_path / "nosuch.ini"), "--out", str(out)])

@@ -23,6 +23,7 @@ from oracles import (
     OrbitGeometryReference,
     access_satellite,
     elevation_deg,
+    index_of,
     orbital_period_s,
     subsatellite_point,
 )
@@ -37,7 +38,7 @@ def satellite_ids(params):
 
 
 def sat_xyz(sid, t, geometry=REFERENCE, params=PARAMS):
-    return np.array(geometry.sat_xyz(params.index_of(sid), t))
+    return np.array(geometry.sat_xyz(index_of(params, sid), t))
 
 
 def links(snap, i):
@@ -46,11 +47,11 @@ def links(snap, i):
 
 
 def intra_plane(snap, sid):
-    return [n for n, _ in links(snap, snap.params.index_of(sid)) if n.plane == sid.plane]
+    return [n for n, _ in links(snap, index_of(snap.params, sid)) if n.plane == sid.plane]
 
 
 def inter_plane(snap, sid):
-    return [n for n, _ in links(snap, snap.params.index_of(sid)) if n.plane != sid.plane]
+    return [n for n, _ in links(snap, index_of(snap.params, sid)) if n.plane != sid.plane]
 
 
 def test_default_shape():
@@ -138,7 +139,7 @@ class TestTopologySnapshot:
         assert chord == pytest.approx(4029.3, abs=0.5)
         expected_delay = chord / SPEED_OF_LIGHT_KM_S
         assert expected_delay == pytest.approx(13.44e-3, abs=0.01e-3)
-        a, b = PARAMS.index_of(SatelliteId(1, 2)), PARAMS.index_of(SatelliteId(1, 3))
+        a, b = index_of(PARAMS, SatelliteId(1, 2)), index_of(PARAMS, SatelliteId(1, 3))
 
         def delay_ps(snap):
             return dict(snap.neighbor_table[a])[b]
@@ -201,10 +202,10 @@ class TestAccess:
     def test_user_beneath_satellite(self):
         sid = SatelliteId(2, 5)
         t = 321.0
-        user = subsatellite_point(PARAMS, PARAMS.index_of(sid), t)
+        user = subsatellite_point(PARAMS, index_of(PARAMS, sid), t)
         assert access_satellite(user, PARAMS, t) == sid
         resolver = AccessResolver(PARAMS, [user], quantum_s=1.0)
-        assert resolver.access_index(0, t) == PARAMS.index_of(sid)
+        assert resolver.access_index(0, t) == index_of(PARAMS, sid)
         assert elevation_deg(user, sat_xyz(sid, t), t) == pytest.approx(90.0, abs=1e-6)
 
     def test_degenerate_threshold_returns_none(self):
@@ -282,7 +283,7 @@ def test_bound_delays_equal_the_reference_exactly(params):
 def test_ground_slant_delay_bounds():
     # Slant range lies between the altitude (nadir) and the horizon distance.
     sid = SatelliteId(1, 4)
-    idx = PARAMS.index_of(sid)
+    idx = index_of(PARAMS, sid)
     t = 250.0
     under = subsatellite_point(PARAMS, idx, t)
     far = GeoPosition(under.lat_deg + 15.0, under.lon_deg)

@@ -32,7 +32,7 @@ from leoqsim.routing import compute_backup_table
 from leoqsim.scenario import apply_overrides, loads_scenario
 from leoqsim.scheduling import TrafficClass
 from leoqsim.traffic import Packet
-from oracles import access_row, access_satellite
+from oracles import access_row, access_satellite, index_of
 
 HOTSPOT_FLOW = "40,-100 -> 50,10 @ 600"
 HOTSPOT = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "hotspot.ini"
@@ -174,7 +174,7 @@ def test_resolver_and_geometry_index_the_generators_terminals():
         for h, pos in enumerate(terminals):
             sat = sim.resolver.access_index(h, t)
             expected = access_satellite(pos, sim.params, t)
-            assert sat == (-1 if expected is None else sim.params.index_of(expected))
+            assert sat == (-1 if expected is None else index_of(sim.params, expected))
             alone = OrbitGeometry(sim.params, [pos])
             assert sim.geometry.slant_delay(h, 7, t) == alone.slant_delay(0, 7, t)
     with pytest.raises(IndexError):

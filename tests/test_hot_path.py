@@ -50,13 +50,15 @@ MAX_CALLS = 91_107
 
 # Package calls made by one 5 s seed-42 hotspot run() of 6,956 packets, with
 # 8,289 backup forwards, 1,317 buffer drops, 103 wait-queue parks and 15
-# busy/idle notifications: 176,377 (25.4 per packet), since a drain hands
-# the parked packets to a lane that run() routes in line. Before that 176,598,
-# with each drained packet routed by a `_route` call and each park made by a
-# `_wait` call. Before service completions forwarded in line, drops recorded
-# their bucket in line and arrival streams merged a block at a time, it was
-# 209,190 (30.1).
-MAX_HOTSPOT_CALLS = 176_377
+# busy/idle notifications: 176,346 (25.4 per packet), since a notification
+# reaches the engine paired with its satellite's index and is logged in line:
+# no `index_of` and no `note_state_change` call each, and no `finalize`.
+# Before that 176,377, since a drain hands the parked packets to a lane that
+# run() routes in line. Before that 176,598, with each drained packet routed
+# by a `_route` call and each park made by a `_wait` call. Before service
+# completions forwarded in line, drops recorded their bucket in line and
+# arrival streams merged a block at a time, it was 209,190 (30.1).
+MAX_HOTSPOT_CALLS = 176_346
 
 # Busy/idle rule runs (`NodeCongestionState.evaluate`) in the baseline run: its ten
 # sweeps evaluate each of the 66 satellites, and 61 of its 17,191 satellite

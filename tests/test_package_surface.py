@@ -9,7 +9,8 @@ harness patches functions by name). A class member (a method, a property, a
 class-level field or a `self.` attribute) counts as used only when it is
 read: loaded as an attribute, or named in a dotted string. Members are
 matched by name alone, whatever the class. Code that only tests call belongs
-in `tests/`.
+in `tests/`. The layers below the engine know a satellite by its index and
+never name it.
 """
 
 import ast
@@ -25,6 +26,10 @@ HARNESS = ROOT / "perfbench"
 
 # Documented API without an in-package caller: the scenario round trip.
 DOCUMENTED = {"serialize_scenario"}
+
+# Below the engine a satellite is its index: these modules never name one.
+INDEX_ONLY = ("congestion.py", "scheduling.py", "routing.py", "traffic.py")
+NAMING = {"SatelliteId", "sid_of", "index_of"}
 
 # Members reached by value, not by name: grid files label cells with codes
 # that map to `Continent(c)`, and the members name those labels.
@@ -132,6 +137,12 @@ def test_every_class_member_is_read():
     unread = [f"{module}:{cls}.{name}" for module, cls, name in members
               if name not in read and f"{cls}.{name}" not in BY_VALUE]
     assert unread == []
+
+
+def test_layers_below_the_engine_never_name_a_satellite():
+    named = {module: sorted(referenced_names(parsed(PACKAGE / module)) & NAMING)
+             for module in INDEX_ONLY}
+    assert named == {module: [] for module in INDEX_ONLY}
 
 
 def test_importing_the_cli_does_not_load_scipy(tmp_path):

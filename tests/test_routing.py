@@ -19,7 +19,7 @@ from leoqsim.routing import (
 )
 from leoqsim.scenario import loads_scenario
 from leoqsim.scheduling import ALL_CLASSES, B_CLASSES, TrafficClass
-from oracles import access_satellite, orbital_period_s, route_table
+from oracles import access_satellite, index_of, orbital_period_s, route_table
 
 PARAMS = ConstellationParams()
 
@@ -34,7 +34,7 @@ def fw_oracle(snapshot, busy=frozenset()):
     """
     params = snapshot.params
     n = params.num_sats
-    busy_idx = {params.index_of(s) for s in busy}
+    busy_idx = {index_of(params, s) for s in busy}
     dist = np.full((n, n), INF, dtype=np.int64)
     np.fill_diagonal(dist, 0)
     for (i, j), w in link_ps(snapshot).items():
@@ -53,15 +53,14 @@ def link_ps(snapshot):
 
 def neighbors(snapshot, sid):
     params = snapshot.params
-    return [params.sid_of(j) for j, _ in snapshot.neighbor_table[params.index_of(sid)]]
+    return [params.sid_of(j) for j, _ in snapshot.neighbor_table[index_of(params, sid)]]
 
 
 def next_hop(table, cur, dst):
-    """The table's next hop from cur toward dst, read from `next_idx`; None
-    when there is none (dst unreachable, or cur itself)."""
-    params = table.params
-    n = table.next_idx[params.index_of(cur)][params.index_of(dst)]
-    return None if n < 0 else params.sid_of(n)
+    """The next hop from cur toward dst of a table on PARAMS, read from
+    `next_idx`; None when there is none (dst unreachable, or cur itself)."""
+    n = table.next_idx[index_of(PARAMS, cur)][index_of(PARAMS, dst)]
+    return None if n < 0 else PARAMS.sid_of(n)
 
 
 def path(table, src, dst):
@@ -69,7 +68,7 @@ def path(table, src, dst):
     if src == dst:
         return [src]
     here, out = src, [src]
-    for _ in range(table.params.num_sats):
+    for _ in range(PARAMS.num_sats):
         nxt = next_hop(table, here, dst)
         if nxt is None:
             return None
@@ -92,7 +91,7 @@ def iterated_path_cost_ps(table, snapshot, src, dst):
         nxt = next_hop(table, here, dst)
         if nxt is None:
             return None
-        total += weights[(params.index_of(here), params.index_of(nxt))]
+        total += weights[(index_of(params, here), index_of(params, nxt))]
         if nxt == dst:
             return total
         here = nxt
@@ -210,16 +209,31 @@ def test_flipping_the_callers_flags_leaves_the_table_unchanged():
 
 
 def test_entries_give_python_floats_in_seconds():
-    # stats writes floats with repr, which numpy scalars would change.
-    snap = build_topology_snapshot(PARAMS, 0.0)
-    table = compute_shortest_path_table(snap)
-    rows = list(table.entries())
-    assert len(rows) == PARAMS.num_sats * (PARAMS.num_sats - 1)
-    for src, dst, nxt, cost in rows:
-        assert type(cost) is float
-        i, j = PARAMS.index_of(src), PARAMS.index_of(dst)
-        assert cost == int(table.cost_ps[i, j]) / PICOSECONDS_PER_SECOND
-        assert nxt == next_hop(table, src, dst)
+    # The route dump's entries: stats writes floats with repr, which numpy
+    # scalars would change. With no inter-plane links most pairs are
+    # unreachable: their next hop is empty and their cost None.
+    cfg = loads_scenario("[run]\nduration_s = 1\n[routing]\ndump_routes = true\n"
+                         "[constellation]\nlat_threshold_deg = 0\n")
+    params = cfg.constellation
+    n = params.num_sats
+    table = compute_shortest_path_table(build_topology_snapshot(params, 0.0))
+    rows = engine.Simulation(cfg).run().route_dump
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    assert len(rows) == len(pairs)
+    name = [str(SatelliteId(i // params.sats_per_plane, i % params.sats_per_plane))
+            for i in range(n)]
+    unreachable = 0
+    for (slot, src, dst, nxt, cost), (i, j) in zip(rows, pairs):
+        assert (slot, src, dst) == (0, name[i], name[j])
+        k = table.next_idx[i][j]
+        if k < 0:
+            assert (nxt, cost) == ("", None)
+            unreachable += 1
+        else:
+            assert nxt == name[k]
+            assert type(cost) is float
+            assert cost == int(table.cost_ps[i, j]) / PICOSECONDS_PER_SECOND
+    assert 0 < unreachable < len(pairs)
 
 
 def test_all_neighbors_busy_isolates_source():
@@ -299,8 +313,8 @@ def test_paper_region_hop_counts_across_slots():
 
 
 class TestDecideForward:
-    SRC = PARAMS.index_of(SatelliteId(0, 0))
-    DST = PARAMS.index_of(SatelliteId(3, 5))
+    SRC = index_of(PARAMS, SatelliteId(0, 0))
+    DST = index_of(PARAMS, SatelliteId(3, 5))
 
     @pytest.fixture()
     def setup(self):

@@ -132,6 +132,7 @@ BAD_INPUTS = {
     "duration nan": ("[run]\nduration_s = nan\n", "run", "duration_s"),
     "service_rate nan": ("[scheduler]\nservice_rate = nan\n", "scheduler", "service_rate"),
     "flow not finite": ("[traffic]\nflows = 40,-100 -> 50,inf @ 600\n", "traffic", "flows"),
+    "flow off the globe": ("[traffic]\nflows = 100,-100 -> 50,400 @ 600\n", "traffic", "flows"),
 }
 
 
@@ -173,6 +174,15 @@ def test_flows_reject_non_finite_values():
         FlowSpec(HOTSPOT.src, HOTSPOT.dst, math.inf)
 
 
+def test_flows_reject_endpoints_off_the_globe():
+    FlowSpec(GeoPosition(-90.0, 180.0), GeoPosition(90.0, -180.0), 1.0)  # the edges are on it
+    for lat, lon in ((90.5, 0.0), (-91.0, 0.0), (0.0, 180.5), (0.0, -400.0)):
+        with pytest.raises(ValueError, match="latitude"):
+            FlowSpec(HOTSPOT.src, GeoPosition(lat, lon), HOTSPOT.rate)
+        with pytest.raises(ValueError, match="latitude"):
+            FlowSpec(GeoPosition(lat, lon), HOTSPOT.dst, HOTSPOT.rate)
+
+
 SECTIONS = {f.name: f.default_factory for f in fields(ScenarioConfig) if f.name != "base_dir"}
 
 
@@ -203,7 +213,7 @@ ANY = st.floats(**FINITE)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, **FINITE)
 NONNEGATIVE = st.floats(min_value=0.0, **FINITE)
 FLAGS = st.booleans()
-GEO = st.builds(GeoPosition, ANY, ANY)
+GEO = st.builds(GeoPosition, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
 
 CONFIGS = st.builds(
     ScenarioConfig,

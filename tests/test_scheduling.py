@@ -7,7 +7,6 @@ import pytest
 from leoqsim.scheduling import (
     ALL_CLASSES,
     B_CLASSES,
-    DropReason,
     PqwrrScheduler,
     SchedulerConfig,
     TrafficClass,
@@ -40,29 +39,28 @@ class TestEnqueue:
     def test_accept_then_overflow(self):
         s = sched(capacity=50)
         for _ in range(50):
-            assert s.enqueue(pkt(TrafficClass.B0), 1.0) is None
-        drop = s.enqueue(pkt(TrafficClass.B0), 1.5)
-        assert drop is not None
-        assert drop.reason is DropReason.BUFFER_OVERFLOW
-        assert drop.tos is TrafficClass.B0
-        assert drop.time == 1.5
+            assert s.enqueue(pkt(TrafficClass.B0)) is True
+        dropped = pkt(TrafficClass.B0)
+        assert s.enqueue(dropped) is False
+        assert s.size == 50
+        assert all(p is not dropped for p in s.queues[TrafficClass.B0])
 
     def test_per_queue_capacity_is_independent(self):
         s = sched(capacity=50)
         for _ in range(50):
-            s.enqueue(pkt(TrafficClass.B0), 0.0)
-        assert s.enqueue(pkt(TrafficClass.A), 0.0) is None
+            s.enqueue(pkt(TrafficClass.B0))
+        assert s.enqueue(pkt(TrafficClass.A)) is True
 
     def test_per_node_scope_shares_capacity(self):
         s = sched(capacity=50, scope="per_node")
         for _ in range(50):
-            assert s.enqueue(pkt(TrafficClass.B0), 0.0) is None
-        assert s.enqueue(pkt(TrafficClass.A), 0.0) is not None
+            assert s.enqueue(pkt(TrafficClass.B0)) is True
+        assert s.enqueue(pkt(TrafficClass.A)) is False
 
     def test_zero_capacity_drops_everything(self):
         s = sched(capacity=0)
         for tos in ALL_CLASSES:
-            assert s.enqueue(pkt(tos), 0.0) is not None
+            assert s.enqueue(pkt(tos)) is False
 
 
 class TestDequeue:
@@ -72,15 +70,15 @@ class TestDequeue:
     def test_class_a_head_of_line(self):
         s = sched()
         for tos in B_CLASSES:
-            s.enqueue(pkt(tos), 0.0)
-        s.enqueue(pkt(TrafficClass.A, tag="a"), 0.0)
+            s.enqueue(pkt(tos))
+        s.enqueue(pkt(TrafficClass.A, tag="a"))
         assert s.dequeue().tag == "a"
 
     def test_strict_priority_black_box(self):
         rng = random.Random(1)
         s = sched(capacity=10_000)
         for _ in range(500):
-            s.enqueue(pkt(rng.choice(ALL_CLASSES)), 0.0)
+            s.enqueue(pkt(rng.choice(ALL_CLASSES)))
         while True:
             a_backlog = len(s.queues[TrafficClass.A])
             p = s.dequeue()
@@ -95,7 +93,7 @@ class TestDequeue:
         s = sched(capacity=10_000, weights=(4, 2, 1))
         for _ in range(200):
             for tos in B_CLASSES:
-                s.enqueue(pkt(tos), 0.0)
+                s.enqueue(pkt(tos))
         expected = [TrafficClass.B2] * 4 + [TrafficClass.B1] * 2 + [TrafficClass.B0]
         seq = [s.dequeue().tos for _ in range(140)]
         assert seq == list(itertools.islice(itertools.cycle(expected), 140))
@@ -104,7 +102,7 @@ class TestDequeue:
         s = sched(capacity=10_000, weights=(3, 2, 1))
         for _ in range(60):
             for tos in B_CLASSES:
-                s.enqueue(pkt(tos), 0.0)
+                s.enqueue(pkt(tos))
         expected = [TrafficClass.B2] * 3 + [TrafficClass.B1] * 2 + [TrafficClass.B0]
         assert [s.dequeue().tos for _ in range(60)] == expected * 10
 
@@ -112,9 +110,9 @@ class TestDequeue:
         s = sched(capacity=100, weights=(4, 2, 1))
         for _ in range(20):
             for tos in B_CLASSES:
-                s.enqueue(pkt(tos), 0.0)
+                s.enqueue(pkt(tos))
         assert [s.dequeue().tos for _ in range(2)] == [TrafficClass.B2] * 2
-        s.enqueue(pkt(TrafficClass.A), 0.0)
+        s.enqueue(pkt(TrafficClass.A))
         assert s.dequeue().tos is TrafficClass.A
         # round resumes where it left off: B2 still holds 2 credits
         assert [s.dequeue().tos for _ in range(3)] == [
@@ -125,9 +123,9 @@ class TestDequeue:
 
     def test_empty_queue_forfeits_credits(self):
         s = sched(capacity=100, weights=(4, 2, 1))
-        s.enqueue(pkt(TrafficClass.B2, tag=0), 0.0)
+        s.enqueue(pkt(TrafficClass.B2, tag=0))
         for i in range(4):
-            s.enqueue(pkt(TrafficClass.B1, tag=i), 0.0)
+            s.enqueue(pkt(TrafficClass.B1, tag=i))
         # B2 serves once then runs empty; its remaining 3 credits are lost,
         # B1 serves its 2, new round starts with B1 again.
         seq = [s.dequeue().tos for _ in range(5)]
@@ -145,7 +143,7 @@ class TestDequeue:
         counters = {c: 0 for c in ALL_CLASSES}
         for _ in range(400):
             tos = rng.choice(ALL_CLASSES)
-            s.enqueue(pkt(tos, tag=counters[tos]), 0.0)
+            s.enqueue(pkt(tos, tag=counters[tos]))
             counters[tos] += 1
         seen = {c: -1 for c in ALL_CLASSES}
         while True:

@@ -10,7 +10,7 @@ from leoqsim import engine
 from leoqsim.congestion import CongestionLabel, Notification
 from leoqsim.constellation import SatelliteId
 from leoqsim.scenario import loads_scenario
-from leoqsim.scheduling import ALL_CLASSES, DropReason, DropRecord, TrafficClass
+from leoqsim.scheduling import ALL_CLASSES, DropReason, TrafficClass
 from leoqsim.stats import DelayCdf, StatsCollector, export
 from leoqsim.traffic import Packet
 
@@ -63,17 +63,14 @@ class TestCollector:
         p = pkt(TrafficClass.A, created=10.0)
         c.record_generated(p)
         c.record_delivery(p, 10.1)
-        r = c.finalize(residual=0)
-        assert r.delivered[TrafficClass.A] == 1
-        assert r.delivered_bucket[TrafficClass.A][0] == 1
-        assert list(r.delay_samples[TrafficClass.A]) == pytest.approx([0.1])
+        assert c.delivered[TrafficClass.A] == 1
+        assert c.delivered_bucket[TrafficClass.A][0] == 1
+        assert list(c.delay_samples[TrafficClass.A]) == pytest.approx([0.1])
 
     def test_drop_bucket_placement(self):
         c = make_collector()
-        rec = DropRecord(250.0, SatelliteId(0, 0), TrafficClass.B0, DropReason.BUFFER_OVERFLOW)
-        c.record_drop(rec)
-        r = c.finalize(residual=0)
-        assert r.drops_detail[(4, SatelliteId(0, 0), TrafficClass.B0, "buffer_overflow")] == 1
+        c.record_drop(250.0, SatelliteId(0, 0), TrafficClass.B0, DropReason.BUFFER_OVERFLOW)
+        assert c.drops_detail[(4, SatelliteId(0, 0), TrafficClass.B0, "buffer_overflow")] == 1
 
     def test_throughput_is_count_over_bucket(self):
         c = make_collector()
@@ -81,8 +78,7 @@ class TestCollector:
             p = pkt(TrafficClass.B1, created=0.5, pid=i)
             c.record_generated(p)
             c.record_delivery(p, 30.0)
-        r = c.finalize(residual=0)
-        assert r.delivered_bucket[TrafficClass.B1][0] / r.bucket_s == 2.0
+        assert c.delivered_bucket[TrafficClass.B1][0] / c.bucket_s == 2.0
 
     def test_throughput_ratio_over_the_run(self):
         c = make_collector()
@@ -91,9 +87,8 @@ class TestCollector:
             c.record_generated(p)
             if i < 8:
                 c.record_delivery(p, 20.0)
-        r = c.finalize(residual=0)
-        assert r.throughput_ratio(TrafficClass.B2) == pytest.approx(0.8)
-        assert r.throughput_ratio(TrafficClass.A) is None
+        assert c.throughput_ratio(TrafficClass.B2) == pytest.approx(0.8)
+        assert c.throughput_ratio(TrafficClass.A) is None
 
     def test_per_satellite_drops_sum_to_global(self):
         rng = random.Random(4)
@@ -103,15 +98,13 @@ class TestCollector:
             cls = rng.choice(ALL_CLASSES)
             sat = rng.randrange(66)
             t = rng.uniform(0, 300)
-            c.record_drop(DropRecord(t, SatelliteId(sat // 11, sat % 11), cls,
-                                     DropReason.BUFFER_OVERFLOW))
+            c.record_drop(t, SatelliteId(sat // 11, sat % 11), cls, DropReason.BUFFER_OVERFLOW)
             totals[cls] += 1
-        r = c.finalize(residual=0)
         for cls in ALL_CLASSES:
             detail = sum(
-                n for (b, s, k, reason), n in r.drops_detail.items() if k is cls
+                n for (b, s, k, reason), n in c.drops_detail.items() if k is cls
             )
-            assert detail == r.dropped[cls] == totals[cls]
+            assert detail == c.dropped[cls] == totals[cls]
 
     def test_bucket_delivery_sums_match_totals(self):
         rng = random.Random(9)
@@ -122,10 +115,9 @@ class TestCollector:
             p = pkt(cls, created=t0, hop=rng.randrange(8), pid=i)
             c.record_generated(p)
             c.record_delivery(p, t0 + rng.uniform(0, 5))
-        r = c.finalize(residual=0)
         for cls in ALL_CLASSES:
-            assert sum(r.delivered_bucket[cls]) == r.delivered[cls]
-            assert sum(r.generated_bucket[cls]) == r.generated[cls]
+            assert sum(c.delivered_bucket[cls]) == c.delivered[cls]
+            assert sum(c.generated_bucket[cls]) == c.generated[cls]
 
     def test_foreground_tracked_separately(self):
         c = make_collector()
@@ -134,9 +126,8 @@ class TestCollector:
         for p in (p1, p2):
             c.record_generated(p)
             c.record_delivery(p, 0.1)
-        r = c.finalize(residual=0)
-        assert r.mean_hops(TrafficClass.A) == pytest.approx(4.0)
-        assert r.mean_hops(TrafficClass.A, foreground=True) == pytest.approx(6.0)
+        assert c.mean_hops(TrafficClass.A) == pytest.approx(4.0)
+        assert c.mean_hops(TrafficClass.A, foreground=True) == pytest.approx(6.0)
 
 
 class TestExport:
@@ -153,14 +144,10 @@ class TestExport:
                 if rng.random() < 0.9:
                     c.record_delivery(p, t0 + rng.expovariate(10.0))
                 else:
-                    c.record_drop(
-                        DropRecord(t0, SatelliteId(0, i % 11), cls, DropReason.BUFFER_OVERFLOW)
-                    )
-            c.note_state_change(
-                Notification(5.0, SatelliteId(1, 2), CongestionLabel.BUSY, 470.0)
-            )
+                    c.record_drop(t0, SatelliteId(0, i % 11), cls, DropReason.BUFFER_OVERFLOW)
+            c.state_log.append((SatelliteId(1, 2), Notification(5.0, CongestionLabel.BUSY, 470.0)))
             c.note_busy(5.0)
-        return c.finalize(residual=0)
+        return c
 
     def test_files_written_with_headers(self, tmp_path):
         export(self.make_report(empty=True), tmp_path)
@@ -213,11 +200,10 @@ class TestExport:
             p = pkt(TrafficClass.A, created=rng.uniform(0, 10), pid=i)
             c.record_generated(p)
             c.record_delivery(p, p.created_at + rng.expovariate(20.0))
-        report = c.finalize(residual=0)
-        export(report, tmp_path)
+        export(c, tmp_path)
         with open(tmp_path / "summary.csv", newline="") as f:
             p90 = next(row for row in csv.DictReader(f) if row["class"] == "A")["p90_delay_ms"]
-        cdf = report.delay_cdf(TrafficClass.A)
+        cdf = c.delay_cdf(TrafficClass.A)
         assert p90 == (repr(cdf.quantile(0.9) * 1000) if n else "")
 
     @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
@@ -227,7 +213,7 @@ class TestExport:
         c = make_collector()
         rng = random.Random(n)
         c.delay_samples[TrafficClass.B1] = array("d", (rng.expovariate(9.0) for _ in range(n)))
-        export(c.finalize(residual=0), tmp_path)
+        export(c, tmp_path)
         ordered = sorted(c.delay_samples[TrafficClass.B1])
         expected = [f"{s * 1000.0!r},{(k + 1) / n!r}" for k, s in enumerate(ordered)]
         assert (tmp_path / "delay_cdf_B1.csv").read_text().splitlines() == \
@@ -241,10 +227,9 @@ class TestExport:
         c = make_collector()
         rng = random.Random(3)
         c.delay_samples[TrafficClass.B0] = array("d", (rng.expovariate(9.0) for _ in range(n)))
-        report = c.finalize(residual=0)
         tracemalloc.start()
         try:
-            export(report, tmp_path)
+            export(c, tmp_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -253,8 +238,8 @@ class TestExport:
     def test_drop_rows_sort_and_name_satellites(self, tmp_path):
         c = make_collector()
         for sid in (SatelliteId(1, 0), None, SatelliteId(0, 10)):
-            c.record_drop(DropRecord(1.0, sid, TrafficClass.A, DropReason.BUFFER_OVERFLOW))
-        export(c.finalize(residual=0), tmp_path)
+            c.record_drop(1.0, sid, TrafficClass.A, DropReason.BUFFER_OVERFLOW)
+        export(c, tmp_path)
         rows = (tmp_path / "drops_per_sat.csv").read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["-", "S-0-10", "S-1-0"]
 

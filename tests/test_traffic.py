@@ -21,6 +21,7 @@ from oracles import (
     RATIOS_CUM,
     class_mix_cum,
     grid_tables,
+    index_of,
     orbital_period_s,
     sample_cell_in_continent,
     sample_destination,
@@ -277,7 +278,7 @@ class TestResolveEndpoints:
     def test_user_under_satellite(self, grid):
         gen = ArrivalGenerator([], grid, 1.0, (0.25, 0.25, 0.25, 0.25), 1)
         t = 600.0
-        sat = PARAMS.index_of(SatelliteId(2, 5))
+        sat = index_of(PARAMS, SatelliteId(2, 5))
         resolver = resolver_for(gen, [subsatellite_point(PARAMS, sat, t)])
         pkt = Packet(0, TrafficClass.A, len(gen.terminals), 0, t)
         assert resolver.access_index(pkt.src_user, t) == sat
