@@ -14,7 +14,8 @@ Each geometric concept has one implementation here:
   uplink/downlink delay) that the event loop calls;
 - `satellite_positions`: all satellites at once, for whole-constellation
   passes (`build_topology_snapshot`, `AccessResolver`);
-- `TopologySnapshot.neighbor_table`: the link graph of one routing slot;
+- `build_topology_snapshot`: the link graph of one routing slot, a
+  neighbour table of sorted `(j, delay_ps)` pairs per satellite;
 - `SatelliteId.__str__`: the printed name of a satellite in every export.
   Every other layer knows a satellite by its index, plane * S + slot, and
   the engine alone names one, through `ConstellationParams.sid_of`.
@@ -23,7 +24,7 @@ Each geometric concept has one implementation here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -206,20 +207,10 @@ def periods_elapsed(t: float, period: float) -> int:
     return k
 
 
-@dataclass
-class TopologySnapshot:
-    """Static link graph for one routing time slot.
-
-    `neighbor_table[i]` lists `(j, delay_ps)` for every link of satellite i,
-    sorted by neighbour index; delays are integer picoseconds.
-    """
-
-    params: ConstellationParams
-    neighbor_table: list[list[tuple[int, int]]] = field(repr=False)
-
-
-def build_topology_snapshot(params: ConstellationParams, t: float) -> TopologySnapshot:
-    """Derive the link graph at time t.
+def build_topology_snapshot(params: ConstellationParams, t: float) -> list[list[tuple[int, int]]]:
+    """Derive the link graph at time t: `table[i]` lists `(j, delay_ps)` for
+    every link of satellite i, sorted by neighbour index; delays are integer
+    picoseconds.
 
     Intra-plane links are permanent ring edges. Inter-plane links join
     same-slot satellites of adjacent planes, are dropped when either endpoint
@@ -248,7 +239,7 @@ def build_topology_snapshot(params: ConstellationParams, t: float) -> TopologySn
 
     for row in neighbor_table:
         row.sort()
-    return TopologySnapshot(params, neighbor_table)
+    return neighbor_table
 
 
 class AccessResolver:

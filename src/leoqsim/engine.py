@@ -60,8 +60,11 @@ place before any other event at that time reads it.
 
 Of each route table the engine keeps only the next-hop rows the forwarding
 rule reads. A backup table depends only on the slot's snapshot and the busy
-flags, so each slot builds it once per distinct busy set and keeps the rows
-until the slot ends: at most (distinct busy sets in the slot) x N^2 x 2 bytes.
+flags, so each slot builds it once per distinct busy set and keeps the rows,
+keyed by the flags, until the slot ends: at most (distinct busy sets in the
+slot) x N^2 x 2 bytes. Each slot starts the cache with the all-idle key mapped
+to the primary rows, which that key's backup table equals. The forwarding
+rule trusts the engine to hand it the rows of the flags in force.
 """
 
 from __future__ import annotations
@@ -146,8 +149,7 @@ class Simulation:
         )
         self.composite = cfg.routing.strategy == "composite"
         self.busy_flags = [False] * self.n
-        self.busy_count = 0
-        self.snapshot = None
+        self.snapshot = None  # the slot's neighbour table
         self._backups: dict[tuple[bool, ...], list] = {}  # busy flags -> rows, this slot
         self._heap: list = []
         self._svc: deque = deque()  # service completions, in (time, seq) order
@@ -168,50 +170,45 @@ class Simulation:
         """Build the slot's snapshot and primary table; return the primary and
         backup rows."""
         self.snapshot = build_topology_snapshot(self.params, t)
-        primary = compute_shortest_path_table(self.snapshot)
-        self._backups = {}
+        primary, cost_ps = compute_shortest_path_table(self.snapshot)
+        self._backups = {(False,) * self.n: primary}
         if self.route_dump is not None:  # (slot, src, dst, next_hop, cost_s) for src != dst
             names = self.names
-            costs = primary.cost_ps.tolist()  # Python ints: exact division, float repr
-            for i, row in enumerate(primary.next_idx):
+            costs = cost_ps.tolist()  # Python ints: exact division, float repr
+            for i, row in enumerate(primary):
                 for j, nxt in enumerate(row):
                     if i != j:
                         c = costs[i][j]
                         hop = names[nxt] if nxt >= 0 else ""
                         cost = None if c < 0 else c / PICOSECONDS_PER_SECOND
                         self.route_dump.append((slot, names[i], names[j], hop, cost))
-        return primary.next_idx, self._backup_rows(primary.next_idx)
+        return primary, self._backup_rows()
 
-    def _backup_rows(self, primary: list) -> Optional[list]:
-        """The backup rows of the composite strategy (None under pqwrr_only):
-        built on the first meeting of the busy set in this slot, then reused.
-        With no satellite busy they would equal the primary rows, so those
-        are used."""
+    def _backup_rows(self) -> Optional[list]:
+        """The backup rows of the busy flags in force under the composite
+        strategy (None under pqwrr_only): built on the first meeting of the
+        busy set in this slot, then reused."""
         if not self.composite:
             return None
-        if not self.busy_count:
-            return primary
         key = tuple(self.busy_flags)
         rows = self._backups.get(key)
         if rows is None:
-            rows = compute_backup_table(self.snapshot, self.busy_flags).next_idx
+            rows = compute_backup_table(self.snapshot, self.busy_flags)[0]
             self._backups[key] = rows
         return rows
 
-    def _notify(self, notifs, primary: list, released: deque) -> Optional[list]:
+    def _notify(self, notifs, released: deque) -> Optional[list]:
         """Apply (satellite index, notification) pairs, release every parked
         packet and return the backup rows of the new busy set."""
         busy_flags = self.busy_flags
         for idx, notif in notifs:
             now_busy = notif.label is CongestionLabel.BUSY
-            if busy_flags[idx] != now_busy:
-                busy_flags[idx] = now_busy
-                self.busy_count += 1 if now_busy else -1
+            busy_flags[idx] = now_busy
             self.stats.state_log.append((self.sids[idx], notif))
             if now_busy:
                 self.stats.note_busy(notif.time)
         self._release(released)
-        return self._backup_rows(primary)
+        return self._backup_rows()
 
     def _release(self, released: deque) -> None:
         """Empty every wait queue onto `released` as (satellite, packet)
@@ -359,7 +356,7 @@ class Simulation:
                 if kind == _EV_LINK or count_uplink:
                     notif = node.cong.record_arrival(t, ccfg)
                     if notif is not None:
-                        backup = self._notify(((b, notif),), primary, released)
+                        backup = self._notify(((b, notif),), released)
                 if node.in_service is None and idle_start:
                     node.scheduler.start(a)
                     node.in_service = a
@@ -388,12 +385,15 @@ class Simulation:
                         if n is not None:
                             notifs.append((i, n))
                     if notifs:
-                        backup = self._notify(notifs, primary, released)
+                        backup = self._notify(notifs, released)
                 if kind == _EV_SLOT:
                     primary, backup = self._rebuild_for_slot(t, a)
                     self._release(released)
-                elif self.busy_count:  # a sweep or a stats tick
-                    stats.note_busy(t)
+                elif True in busy_flags:  # a sweep or a stats tick
+                    if kind == _EV_TICK:  # tick a opens bucket a
+                        stats.busy_buckets.add(min(a, stats.n_buckets - 1))
+                    else:
+                        stats.note_busy(t)
 
         residual = sum(1 for ev in heap if ev[2] in _IN_FLIGHT)
         for node in nodes:

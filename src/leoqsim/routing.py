@@ -6,27 +6,27 @@ as a relay, not as an endpoint: it can still be a path's last hop, so traffic
 bound for it is delivered rather than parked. Costs are integer picoseconds
 end to end, so equal-cost ties and oracle comparisons are exact.
 
-A table's next hops are rows of `array` integers, one row per source: 2
-bytes per entry up to 32,767 satellites. The forwarding rule reads nothing
-else, so the engine keeps only these rows, and for each slot it keeps one set
-of backup rows per distinct busy set it has met: at most (distinct busy sets
-in the slot) x N^2 x 2 bytes.
+A table is a pair `(next_idx, cost_ps)`. Its next hops are rows of `array`
+integers, one row per source: 2 bytes per entry up to 32,767 satellites. The
+forwarding rule reads nothing else, so the engine keeps only these rows, and
+for each slot it keeps one set of backup rows per distinct busy set it has
+met: at most (distinct busy sets in the slot) x N^2 x 2 bytes.
 
 `decide_next_index` is the whole forwarding rule: the engine makes one call
 to it per forwarding decision and only acts on the answer. Deciding that a
 packet has reached its destination's access satellite, and so leaves by the
-downlink, is the engine's, since it needs no route table.
+downlink, is the engine's, since it needs no route table. The rule waits when
+the backup hop is missing, and never finds it busy as a relay: the engine
+hands it the backup rows built for the busy flags in force, which avoid them.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .constellation import TopologySnapshot
 from .scheduling import TrafficClass
 
 _UNREACHABLE = -1
@@ -35,25 +35,16 @@ _INF = 1 << 60  # int64 'no path'; a sum of two still fits
 _BLOCK_ENTRIES = 1 << 16  # int64 distances per column block: 512 KiB, held in cache
 
 Rows = list[array]  # next_idx[cur][dst]: next satellite index, -1 when unreachable
+Neighbors = list[list[tuple[int, int]]]  # table[i]: sorted (j, delay_ps) links of i
 
 
-@dataclass
-class RouteTable:
-    """All-pairs next-hop map for one topology snapshot.
-
-    Index-based: `next_idx[cur][dst]` is the next satellite index (-1 when
-    dst is unreachable from cur or is cur itself), one `array` row per
-    source, and the int64 array `cost_ps[cur, dst]` the total path delay in
-    picoseconds (-1 when unreachable). The forwarding rule reads `next_idx`
-    alone; the engine names both for the route dump.
-    """
-
-    next_idx: Rows = field(repr=False)
-    cost_ps: np.ndarray = field(repr=False)
-
-
-def _build_table(snapshot: TopologySnapshot, excluded: list[bool]) -> tuple[Rows, np.ndarray]:
+def _build_table(table: Neighbors, excluded: list[bool]) -> tuple[Rows, np.ndarray]:
     """(next_idx, cost_ps) over paths with no excluded node as a transit hop.
+
+    `next_idx[cur][dst]` is the next satellite index, -1 when dst is
+    unreachable from cur or is cur itself, one `array` row per source.
+    `cost_ps[cur, dst]` is the int64 total path delay in picoseconds, -1 when
+    unreachable.
 
     Destinations are taken in column blocks. For each block, an int64
     Bellman-Ford runs to a fixpoint: `dist[v, d]` is the least delay from v
@@ -67,8 +58,7 @@ def _build_table(snapshot: TopologySnapshot, excluded: list[bool]) -> tuple[Rows
     Excluded nodes are still given next hops as sources (they must drain
     their own queues).
     """
-    n = snapshot.params.num_sats
-    table = snapshot.neighbor_table
+    n = len(table)
     degree = max(map(len, table), default=0)
     nbr = np.full((n, degree), n, dtype=np.intp)
     w_ps = np.full((n, degree), _INF, dtype=np.int64)
@@ -117,29 +107,27 @@ def _build_table(snapshot: TopologySnapshot, excluded: list[bool]) -> tuple[Rows
     return rows, cost
 
 
-def compute_shortest_path_table(snapshot: TopologySnapshot) -> RouteTable:
-    """Minimum-delay next hops for every (current, destination) pair.
+def compute_shortest_path_table(table: Neighbors) -> tuple[Rows, np.ndarray]:
+    """Minimum-delay `(next_idx, cost_ps)` for every (current, destination)
+    pair of the link graph `table`, laid out as `_build_table` says.
 
     Equal-cost ties break to the lexicographically smallest next-hop id, so
     tables are reproducible across runs and platforms.
     """
-    excluded = [False] * snapshot.params.num_sats
-    next_idx, cost_ps = _build_table(snapshot, excluded)
-    return RouteTable(next_idx, cost_ps)
+    return _build_table(table, [False] * len(table))
 
 
-def compute_backup_table(snapshot: TopologySnapshot, busy: list[bool]) -> RouteTable:
-    """Shortest-path table on which no satellite whose `busy` flag is set is
-    a transit hop.
+def compute_backup_table(table: Neighbors, busy: list[bool]) -> tuple[Rows, np.ndarray]:
+    """Shortest-path `(next_idx, cost_ps)` on which no satellite whose `busy`
+    flag is set is a transit hop.
 
     A returned next hop is busy only when it is the destination itself. A busy
     node still gets next hops as a source so it can forward traffic it already
     holds, and destinations reachable only through a busy relay are
-    unreachable. The table keeps no reference to `busy`, so later flips of the
-    flags do not change it.
+    unreachable (-1). The table keeps no reference to `busy`, so later flips
+    of the flags do not change it.
     """
-    next_idx, cost_ps = _build_table(snapshot, busy)
-    return RouteTable(next_idx, cost_ps)
+    return _build_table(table, busy)
 
 
 def decide_next_index(
@@ -158,9 +146,10 @@ def decide_next_index(
     Real-time traffic always follows the primary table, even into a busy hop,
     as does all traffic when there is no backup table (strategy pqwrr_only).
     Non-real-time traffic detours via the backup table when the primary hop is
-    busy, and waits when the backup hop is missing or itself busy. A busy hop
-    that is the destination itself is taken from either table: busy satellites
-    are avoided as relays, not as endpoints.
+    busy, and waits when the backup hop is missing. A busy hop that is the
+    destination itself is taken from either table: busy satellites are avoided
+    as relays, not as endpoints. `busy_flags` is read for the primary hop
+    only: `backup` must be the rows built for these flags.
 
     A packet that has been detoured once stays on the backup table until
     delivery: alternating between the two tables hop by hop can bounce a
@@ -173,6 +162,6 @@ def decide_next_index(
         if n < 0 or not busy_flags[n] or n == dst or tos is _CLASS_A or backup is None:
             return n, False
     b = backup[here][dst]
-    if b >= 0 and (not busy_flags[b] or b == dst):
+    if b >= 0:
         return b, True
     return _UNREACHABLE, False

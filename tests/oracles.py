@@ -29,7 +29,6 @@ from leoqsim.constellation import (
     ConstellationParams,
     GeoPosition,
     SatelliteId,
-    TopologySnapshot,
     satellite_positions,
 )
 from leoqsim.congestion import CongestionConfig, CongestionLabel, Notification
@@ -216,17 +215,16 @@ def _dijkstra_to(dst: int, neighbor_table, excluded: list[bool]) -> list[int]:
 
 
 def route_table(
-    snapshot: TopologySnapshot, excluded: list[bool]
+    table: list[list[tuple[int, int]]], excluded: list[bool]
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """(next_idx, cost_ps) as lists, entry for entry what `RouteTable` holds,
-    -1 for unreachable.
+    """(next_idx, cost_ps) of a neighbour table as lists, entry for entry
+    what the package's route-table builders return, -1 for unreachable.
 
     The next hop from v toward dst is the lowest-index neighbor w with
     w_ps(v, w) + dist(w) minimal. Excluded nodes are never transit hops: one
     appears as a hop only when it is dst itself, and each is still given next
     hops as a source.
     """
-    table = snapshot.neighbor_table
     n = len(table)
     next_idx = [[-1] * n for _ in range(n)]
     cost_ps = [[-1] * n for _ in range(n)]

@@ -42,16 +42,17 @@ def sat_xyz(sid, t, geometry=REFERENCE, params=PARAMS):
 
 
 def links(snap, i):
-    """(neighbour SatelliteId, delay_ps) for every link of satellite index i."""
-    return [(snap.params.sid_of(j), ps) for j, ps in snap.neighbor_table[i]]
+    """(neighbour SatelliteId, delay_ps) for every link of satellite index i
+    in a neighbour table of PARAMS."""
+    return [(PARAMS.sid_of(j), ps) for j, ps in snap[i]]
 
 
 def intra_plane(snap, sid):
-    return [n for n, _ in links(snap, index_of(snap.params, sid)) if n.plane == sid.plane]
+    return [n for n, _ in links(snap, index_of(PARAMS, sid)) if n.plane == sid.plane]
 
 
 def inter_plane(snap, sid):
-    return [n for n, _ in links(snap, index_of(snap.params, sid)) if n.plane != sid.plane]
+    return [n for n, _ in links(snap, index_of(PARAMS, sid)) if n.plane != sid.plane]
 
 
 def test_default_shape():
@@ -142,7 +143,7 @@ class TestTopologySnapshot:
         a, b = index_of(PARAMS, SatelliteId(1, 2)), index_of(PARAMS, SatelliteId(1, 3))
 
         def delay_ps(snap):
-            return dict(snap.neighbor_table[a])[b]
+            return dict(snap[a])[b]
 
         d0 = delay_ps(build_topology_snapshot(PARAMS, 0.0))
         assert abs(d0 - expected_delay * PICOSECONDS_PER_SECOND) <= 1
@@ -151,9 +152,9 @@ class TestTopologySnapshot:
 
     def test_symmetry(self):
         snap = build_topology_snapshot(PARAMS, 432.1)
-        for i, row in enumerate(snap.neighbor_table):
+        for i, row in enumerate(snap):
             for j, ps in row:
-                assert (i, ps) in snap.neighbor_table[j]
+                assert (i, ps) in snap[j]
 
     def test_no_iol_across_seam(self):
         for t in np.linspace(0, orbital_period_s(PARAMS), 23):
@@ -191,7 +192,7 @@ class TestTopologySnapshot:
             stack = [0]
             while stack:
                 v = stack.pop()
-                for j, _ in snap.neighbor_table[v]:
+                for j, _ in snap[v]:
                     if j not in seen:
                         seen.add(j)
                         stack.append(j)
@@ -248,7 +249,7 @@ def test_pair_delay_consistent_with_snapshot():
         for _ in range(5):
             t = rng.uniform(0, 2 * orbital_period_s(params))
             snap = build_topology_snapshot(params, t)
-            for i, row in enumerate(snap.neighbor_table):
+            for i, row in enumerate(snap):
                 for j, ps in row:
                     assert abs(geometry.link_delay(i, j, t) * PICOSECONDS_PER_SECOND - ps) <= 1
 
@@ -270,7 +271,7 @@ def test_bound_delays_equal_the_reference_exactly(params):
     rng = random.Random(41)
     for t in [0.0] + [rng.uniform(0, 3 * orbital_period_s(params)) for _ in range(4)]:
         snap = build_topology_snapshot(params, t)
-        for i, row in enumerate(snap.neighbor_table):
+        for i, row in enumerate(snap):
             for j, _ in row:
                 assert geometry.link_delay(i, j, t) == reference.link_delay(i, j, t)
     for t in (0.0, SIDEREAL_DAY_S - 0.25, SIDEREAL_DAY_S + rng.random()):

@@ -7,9 +7,11 @@ Each run covers 5 s at seed 42 with the packet trace and the route-table dump
 switched on, so every export file is part of the digest. One run covers 10 s
 under 4 s routing slots with room for five packets per wait queue: it crosses
 two slot rebuilds and an access change, and its drains re-park and drop
-packets. A change to the engine or to any layer it calls that is meant to
-keep behaviour must keep these digests; a deliberate behaviour change records
-the new ones.
+packets. One runs the hotspot on an 8 x 7 shell whose inter-plane links close
+at 20 degrees of latitude, under 2 s slots: its route dump holds unreachable
+pairs, and its wait queues park tens of thousands of packets. A change to the
+engine or to any layer it calls that is meant to keep behaviour must keep
+these digests; a deliberate behaviour change records the new ones.
 
 The digests pin the forwarding rule in which a busy satellite is never a
 transit hop but can be a packet's last hop: class B traffic bound for a busy
@@ -27,6 +29,7 @@ import numpy as np
 import pytest
 
 from leoqsim import engine, stats
+from leoqsim.congestion import CongestionLabel
 from leoqsim.constellation import OrbitGeometry, build_topology_snapshot
 from leoqsim.routing import compute_backup_table
 from leoqsim.scenario import apply_overrides, loads_scenario
@@ -51,12 +54,21 @@ SLOTS = {
     "run": ["duration_s = 10"],
 }
 
+# A non-default shell under congestion: 3,528 of its 9,240 dumped pairs are
+# unreachable, and 37 notifications give 1,483 backup forwards and 32,882
+# parks.
+SHELL_8X7 = {
+    "constellation": ["planes = 8", "sats_per_plane = 7", "lat_threshold_deg = 20"],
+    "routing": ["slot_length_s = 2"],
+}
+
 SCENARIOS = {
     "baseline": ("", "composite", {}),
     "hotspot": (HOTSPOT_FLOW, "composite", {}),
     "hotspot_pqwrr_only": (HOTSPOT_FLOW, "pqwrr_only", {}),
     "hotspot_knobs": (HOTSPOT_FLOW, "composite", KNOBS),
     "hotspot_slots": (HOTSPOT_FLOW, "composite", SLOTS),
+    "shell_8x7": (HOTSPOT_FLOW, "composite", SHELL_8X7),
 }
 
 DIGESTS = {
@@ -65,6 +77,7 @@ DIGESTS = {
     "hotspot_pqwrr_only": "c36ad117207acbdbb1c9a3075cbb95f37863a40a2e97cd380cf1a725f5a5ddb4",
     "hotspot_knobs": "4aee275fb281f2c3038dd1e596f8c2ecf1869bbb0fb5e9078402999626321e06",
     "hotspot_slots": "8840375524a3182181158a2bc1c4a337e24baed9de0b1fff71c1942cf91021e9",
+    "shell_8x7": "79a6790e653a9efc24fcd7d98c262f4c430532d67a8af3850a775450736e559c",
 }
 
 
@@ -260,6 +273,28 @@ def test_a_periodic_event_at_exactly_the_horizon_runs(monkeypatch, duration_s, s
     assert sum(event[2] == engine._EV_SWEEP for event in popped) == sweeps
 
 
+def test_a_stats_tick_marks_the_bucket_it_opens():
+    # Tick a falls at a * 0.7, the start of bucket a, though int(a * 0.7 / 0.7)
+    # is a - 1 for a = 3, 6, 12, 24 and 29. From its first notification to the
+    # horizon some satellite is busy, and sweeps come only every 5 s, so a
+    # bucket with no notification inside it is marked by its tick alone.
+    text = (f"[traffic]\nbackground_rate = 800\nflows = {HOTSPOT_FLOW}\n"
+            "[run]\nduration_s = 20\nseed = 42\nstats_interval_s = 0.7\n"
+            "state_check_interval_s = 5\n")
+    report = engine.Simulation(loads_scenario(text)).run()
+    assert int(24 * 0.7 / 0.7) == 23
+    busy = set()
+    for sid, notif in report.state_log:
+        if notif.label is CongestionLabel.BUSY:
+            busy.add(sid)
+        else:
+            busy.discard(sid)
+        assert busy  # never all idle again
+    assert report.state_log[0][1].time < 0.7  # the first Busy falls in bucket 0
+    assert report.n_buckets == 29
+    assert report.busy_buckets == set(range(report.n_buckets))
+
+
 class RecordingDeque(deque):
     """A deque that appends every event popped from its left to `log`."""
 
@@ -312,8 +347,9 @@ def test_every_forwarding_decision_reads_the_access_row_of_its_time(monkeypatch)
     # writes a "downlink" row. Each must name the satellite that the oracle's
     # row of its quantum gives the packet's destination, and a rule call must
     # read the tables in force: the rows of the latest slot rebuild and busy
-    # set. In 10 s one terminal changes its access satellite, at 6 s, and 4 s
-    # slots rebuild the tables twice.
+    # set, the backup rows being the cache entry of the very flags it is
+    # given. In 10 s one terminal changes its access satellite, at 6 s, and
+    # 4 s slots rebuild the tables twice.
     text = apply_overrides(scenario_text(HOTSPOT_FLOW, "composite"),
                            ["run.duration_s=10", "routing.slot_length_s=4"])
     sim = engine.Simulation(loads_scenario(text))
@@ -362,18 +398,19 @@ def test_every_forwarding_decision_reads_the_access_row_of_its_time(monkeypatch)
         tables.append(rebuild(t, slot))
         return tables[-1]
 
-    def notifying(notifs, primary, lane):
-        tables.append((primary, notify(notifs, primary, lane)))
+    def notifying(notifs, lane):
+        tables.append((tables[-1][0], notify(notifs, lane)))
         return tables[-1][1]
 
-    def checked_decide(tos, here, dst, primary, backup, *rest):
+    def checked_decide(tos, here, dst, primary, backup, flags, detoured):
         nonlocal released
         t, pkt, sat, from_lane = routed[-1]
         assert (here, tos) == (sat, pkt.tos)
         assert primary is tables[-1][0] and backup is tables[-1][1]
+        assert flags is sim.busy_flags and backup is sim._backups[tuple(flags)]
         check(t, pkt, dst)
         released += from_lane
-        return decide(tos, here, dst, primary, backup, *rest)
+        return decide(tos, here, dst, primary, backup, flags, detoured)
 
     sim._trace = tracing
     sim._rebuild_for_slot = rebuilding
@@ -387,6 +424,7 @@ def test_every_forwarding_decision_reads_the_access_row_of_its_time(monkeypatch)
     assert moved
     assert released
     assert len(tables) > 3 and len({id(primary) for primary, _ in tables}) == 3
+    assert len({id(backup) for _, backup in tables}) > 3
 
 
 # -- backup rows --------------------------------------------------------------
@@ -414,14 +452,17 @@ def record_backup_builds(monkeypatch):
 def test_each_busy_set_is_built_once_per_slot(monkeypatch):
     # One 60 s slot: the hotspot's 15 busy/idle notifications meet 10
     # distinct busy sets, and the rows kept for each are its backup table's.
+    # The slot starts its cache with the all-idle set, whose rows are the
+    # primary rows themselves and equal its backup table's.
     builds = record_backup_builds(monkeypatch)
     sim = engine.Simulation(loads_scenario(scenario_text(HOTSPOT_FLOW, "composite")))
     report = sim.run()
     assert len(report.state_log) == 15
     assert len(builds) == 10
-    assert [flags for _, flags in builds] == list(sim._backups)
+    idle = (False,) * sim.n
+    assert [idle] + [flags for _, flags in builds] == list(sim._backups)
     for flags, rows in sim._backups.items():
-        assert rows == compute_backup_table(sim.snapshot, list(flags)).next_idx
+        assert rows == compute_backup_table(sim.snapshot, list(flags))[0]
 
 
 def test_a_new_slot_builds_its_busy_sets_again(monkeypatch):
@@ -444,10 +485,9 @@ def ringed_simulation(overrides):
     the start; and the set of those neighbours."""
     text = "[traffic]\nbackground_rate = 0\n[run]\ntrace = true\n"
     sim = engine.Simulation(loads_scenario(apply_overrides(text, overrides)))
-    ring = {j for j, _ in build_topology_snapshot(sim.params, 0.0).neighbor_table[HERE]}
+    ring = {j for j, _ in build_topology_snapshot(sim.params, 0.0)[HERE]}
     for i in ring:
         sim.busy_flags[i] = True
-    sim.busy_count = len(ring)
     return sim, ring
 
 

@@ -32,9 +32,8 @@ def fw_oracle(snapshot, busy=frozenset()):
     Only non-busy nodes are relaxed through, so a path may start or end at a
     busy node but never passes through one.
     """
-    params = snapshot.params
-    n = params.num_sats
-    busy_idx = {index_of(params, s) for s in busy}
+    n = PARAMS.num_sats
+    busy_idx = {index_of(PARAMS, s) for s in busy}
     dist = np.full((n, n), INF, dtype=np.int64)
     np.fill_diagonal(dist, 0)
     for (i, j), w in link_ps(snapshot).items():
@@ -48,28 +47,27 @@ def fw_oracle(snapshot, busy=frozenset()):
 
 def link_ps(snapshot):
     """(i, j) -> link delay in picoseconds, both orderings of every link."""
-    return {(i, j): ps for i, row in enumerate(snapshot.neighbor_table) for j, ps in row}
+    return {(i, j): ps for i, row in enumerate(snapshot) for j, ps in row}
 
 
 def neighbors(snapshot, sid):
-    params = snapshot.params
-    return [params.sid_of(j) for j, _ in snapshot.neighbor_table[index_of(params, sid)]]
+    return [PARAMS.sid_of(j) for j, _ in snapshot[index_of(PARAMS, sid)]]
 
 
-def next_hop(table, cur, dst):
-    """The next hop from cur toward dst of a table on PARAMS, read from
-    `next_idx`; None when there is none (dst unreachable, or cur itself)."""
-    n = table.next_idx[index_of(PARAMS, cur)][index_of(PARAMS, dst)]
+def next_hop(rows, cur, dst):
+    """The next hop from cur toward dst of a table's next-hop rows on PARAMS;
+    None when there is none (dst unreachable, or cur itself)."""
+    n = rows[index_of(PARAMS, cur)][index_of(PARAMS, dst)]
     return None if n < 0 else PARAMS.sid_of(n)
 
 
-def path(table, src, dst):
+def path(rows, src, dst):
     """Node sequence src..dst by next-hop iteration, or None if unreachable."""
     if src == dst:
         return [src]
     here, out = src, [src]
     for _ in range(PARAMS.num_sats):
-        nxt = next_hop(table, here, dst)
+        nxt = next_hop(rows, here, dst)
         if nxt is None:
             return None
         out.append(nxt)
@@ -79,19 +77,18 @@ def path(table, src, dst):
     raise AssertionError("routing loop")
 
 
-def iterated_path_cost_ps(table, snapshot, src, dst):
+def iterated_path_cost_ps(rows, snapshot, src, dst):
     """Cost of the table's realized path, summed edge by edge; None if no route."""
     if src == dst:
         return 0
-    params = snapshot.params
     weights = link_ps(snapshot)
     total = 0
     here = src
-    for _ in range(params.num_sats):
-        nxt = next_hop(table, here, dst)
+    for _ in range(PARAMS.num_sats):
+        nxt = next_hop(rows, here, dst)
         if nxt is None:
             return None
-        total += weights[(index_of(params, here), index_of(params, nxt))]
+        total += weights[(index_of(PARAMS, here), index_of(PARAMS, nxt))]
         if nxt == dst:
             return total
         here = nxt
@@ -118,31 +115,31 @@ def test_tables_equal_the_python_oracle(planes, sats_per_plane):
     rng = random.Random(n)
     snap = build_topology_snapshot(params, rng.uniform(0, orbital_period_s(params)))
     src = rng.randrange(n)
-    busy = set(rng.sample(range(n), n // 10)) | {j for j, _ in snap.neighbor_table[src]}
+    busy = set(rng.sample(range(n), n // 10)) | {j for j, _ in snap[src]}
     busy.discard(src)
     for excluded in (set(), busy):
         flags = [i in excluded for i in range(n)]
-        table = compute_backup_table(snap, flags)
+        rows, cost = compute_backup_table(snap, flags)
         next_idx, cost_ps = route_table(snap, flags)
-        assert all(type(row) is array and row.typecode == "h" for row in table.next_idx)
-        assert [row.tolist() for row in table.next_idx] == next_idx
-        assert table.cost_ps.dtype == np.int64
-        assert table.cost_ps.tolist() == cost_ps
+        assert all(type(row) is array and row.typecode == "h" for row in rows)
+        assert [row.tolist() for row in rows] == next_idx
+        assert cost.dtype == np.int64
+        assert cost.tolist() == cost_ps
     # The surrounded source reaches its busy neighbours, each over its own
     # link as the last hop, and nothing beyond them.
-    nbrs = {j for j, _ in snap.neighbor_table[src]}
-    assert table.next_idx[src].tolist() == [j if j in nbrs else -1 for j in range(n)]
+    nbrs = {j for j, _ in snap[src]}
+    assert rows[src].tolist() == [j if j in nbrs else -1 for j in range(n)]
     dst = min(busy)  # a busy destination: every neighbour of it has a route
-    assert table.cost_ps[dst, dst] == 0
-    assert all(table.next_idx[v][dst] >= 0 for v, _ in snap.neighbor_table[dst])
+    assert cost[dst, dst] == 0
+    assert all(rows[v][dst] >= 0 for v, _ in snap[dst])
 
 
 def test_one_hop_next_is_destination():
     snap = build_topology_snapshot(PARAMS, 0.0)
-    table = compute_shortest_path_table(snap)
+    rows, _ = compute_shortest_path_table(snap)
     a = SatelliteId(0, 0)
     for b in neighbors(snap, a):
-        assert next_hop(table, a, b) == b
+        assert next_hop(rows, a, b) == b
 
 
 def test_primary_matches_floyd_warshall_exactly():
@@ -150,19 +147,19 @@ def test_primary_matches_floyd_warshall_exactly():
     for _ in range(20):
         t = rng.uniform(0, 2 * orbital_period_s(PARAMS))
         snap = build_topology_snapshot(PARAMS, t)
-        table = compute_shortest_path_table(snap)
+        rows, cost = compute_shortest_path_table(snap)
         oracle = fw_oracle(snap)
         for i in range(PARAMS.num_sats):
             for j in range(PARAMS.num_sats):
                 if i == j:
                     continue
                 src, dst = PARAMS.sid_of(i), PARAMS.sid_of(j)
-                got = iterated_path_cost_ps(table, snap, src, dst)
+                got = iterated_path_cost_ps(rows, snap, src, dst)
                 if oracle[i, j] >= INF:
                     assert got is None
                 else:
                     assert got == oracle[i, j]
-                    assert table.cost_ps[i, j] == oracle[i, j]
+                    assert cost[i, j] == oracle[i, j]
 
 
 def test_backup_matches_oracle_and_excludes_busy():
@@ -171,41 +168,41 @@ def test_backup_matches_oracle_and_excludes_busy():
         t = rng.uniform(0, 2 * orbital_period_s(PARAMS))
         snap = build_topology_snapshot(PARAMS, t)
         busy = random_busy(rng, rng.randint(1, 8))
-        table = compute_backup_table(snap, flags_of(busy))
+        rows, _ = compute_backup_table(snap, flags_of(busy))
         oracle = fw_oracle(snap, busy)
         for i in range(PARAMS.num_sats):
             for j in range(PARAMS.num_sats):
                 if i == j:
                     continue
                 src, dst = PARAMS.sid_of(i), PARAMS.sid_of(j)
-                nxt = next_hop(table, src, dst)
+                nxt = next_hop(rows, src, dst)
                 assert nxt not in busy or nxt == dst
-                got = iterated_path_cost_ps(table, snap, src, dst)
+                got = iterated_path_cost_ps(rows, snap, src, dst)
                 if oracle[i, j] >= INF:
                     assert got is None
                 else:
                     assert got == oracle[i, j]
-                    assert not busy.intersection(path(table, src, dst)[1:-1])
+                    assert not busy.intersection(path(rows, src, dst)[1:-1])
 
 
 def test_backup_with_empty_busy_equals_primary():
     snap = build_topology_snapshot(PARAMS, 500.0)
-    primary = compute_shortest_path_table(snap)
-    backup = compute_backup_table(snap, flags_of(set()))
-    assert primary.next_idx == backup.next_idx
-    assert np.array_equal(primary.cost_ps, backup.cost_ps)
+    primary, primary_cost = compute_shortest_path_table(snap)
+    backup, backup_cost = compute_backup_table(snap, flags_of(set()))
+    assert primary == backup
+    assert np.array_equal(primary_cost, backup_cost)
 
 
 def test_flipping_the_callers_flags_leaves_the_table_unchanged():
     snap = build_topology_snapshot(PARAMS, 0.0)
     busy = flags_of({SatelliteId(1, 2), SatelliteId(4, 7)})
-    table = compute_backup_table(snap, busy)
-    next_idx = [row[:] for row in table.next_idx]
-    cost_ps = table.cost_ps.copy()
+    rows, cost = compute_backup_table(snap, busy)
+    next_idx = [row[:] for row in rows]
+    cost_ps = cost.copy()
     busy[:] = [not b for b in busy]
-    assert table.next_idx == next_idx
-    assert np.array_equal(table.cost_ps, cost_ps)
-    assert table.next_idx == compute_backup_table(snap, [not b for b in busy]).next_idx
+    assert rows == next_idx
+    assert np.array_equal(cost, cost_ps)
+    assert rows == compute_backup_table(snap, [not b for b in busy])[0]
 
 
 def test_entries_give_python_floats_in_seconds():
@@ -216,7 +213,7 @@ def test_entries_give_python_floats_in_seconds():
                          "[constellation]\nlat_threshold_deg = 0\n")
     params = cfg.constellation
     n = params.num_sats
-    table = compute_shortest_path_table(build_topology_snapshot(params, 0.0))
+    next_idx, cost_ps = compute_shortest_path_table(build_topology_snapshot(params, 0.0))
     rows = engine.Simulation(cfg).run().route_dump
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     assert len(rows) == len(pairs)
@@ -225,14 +222,14 @@ def test_entries_give_python_floats_in_seconds():
     unreachable = 0
     for (slot, src, dst, nxt, cost), (i, j) in zip(rows, pairs):
         assert (slot, src, dst) == (0, name[i], name[j])
-        k = table.next_idx[i][j]
+        k = next_idx[i][j]
         if k < 0:
             assert (nxt, cost) == ("", None)
             unreachable += 1
         else:
             assert nxt == name[k]
             assert type(cost) is float
-            assert cost == int(table.cost_ps[i, j]) / PICOSECONDS_PER_SECOND
+            assert cost == int(cost_ps[i, j]) / PICOSECONDS_PER_SECOND
     assert 0 < unreachable < len(pairs)
 
 
@@ -241,22 +238,22 @@ def test_all_neighbors_busy_isolates_source():
     snap = build_topology_snapshot(PARAMS, 0.0)
     x = SatelliteId(2, 4)
     busy = set(neighbors(snap, x))
-    table = compute_backup_table(snap, flags_of(busy))
+    rows, _ = compute_backup_table(snap, flags_of(busy))
     for j in range(PARAMS.num_sats):
         dst = PARAMS.sid_of(j)
         if dst != x:
-            assert next_hop(table, x, dst) == (dst if dst in busy else None)
+            assert next_hop(rows, x, dst) == (dst if dst in busy else None)
 
 
 def test_busy_destination_reachable_but_never_relayed_through():
     snap = build_topology_snapshot(PARAMS, 0.0)
     target = SatelliteId(3, 3)
     busy = {target, SatelliteId(3, 4), SatelliteId(2, 3)}
-    table = compute_backup_table(snap, flags_of(busy))
+    rows, _ = compute_backup_table(snap, flags_of(busy))
     for i in range(PARAMS.num_sats):
         src = PARAMS.sid_of(i)
         if src != target:
-            p = path(table, src, target)
+            p = path(rows, src, target)
             assert p is not None and p[-1] == target
             assert not busy.intersection(p[1:-1])
 
@@ -268,11 +265,11 @@ def test_loop_freedom_both_tables():
         snap = build_topology_snapshot(PARAMS, t)
         busy = random_busy(rng, rng.randint(0, 6))
         backup = compute_backup_table(snap, flags_of(busy))
-        for table in (compute_shortest_path_table(snap), backup):
+        for rows, _ in (compute_shortest_path_table(snap), backup):
             for i in range(PARAMS.num_sats):
                 for j in range(PARAMS.num_sats):
                     if i != j:
-                        p = path(table, PARAMS.sid_of(i), PARAMS.sid_of(j))  # raises on loop
+                        p = path(rows, PARAMS.sid_of(i), PARAMS.sid_of(j))  # raises on loop
                         if p is not None:
                             assert len(set(p)) == len(p)
                             assert len(p) - 1 <= PARAMS.num_sats - 1
@@ -284,15 +281,15 @@ def test_monotone_degradation():
     for _ in range(8):
         t = rng.uniform(0, orbital_period_s(PARAMS))
         snap = build_topology_snapshot(PARAMS, t)
-        base = compute_shortest_path_table(snap)
+        _, base = compute_shortest_path_table(snap)
         busy = random_busy(rng, rng.randint(1, 6))
-        reduced = compute_backup_table(snap, flags_of(busy))
+        _, reduced = compute_backup_table(snap, flags_of(busy))
         for i in range(PARAMS.num_sats):
             for j in range(PARAMS.num_sats):
                 if i == j:
                     continue
-                c0 = base.cost_ps[i, j]
-                c1 = reduced.cost_ps[i, j]
+                c0 = base[i, j]
+                c1 = reduced[i, j]
                 if c1 >= 0:
                     assert c1 >= c0
 
@@ -303,11 +300,11 @@ def test_paper_region_hop_counts_across_slots():
     for k in range(30):
         t = k * 60.0
         snap = build_topology_snapshot(PARAMS, t)
-        table = compute_shortest_path_table(snap)
+        rows, _ = compute_shortest_path_table(snap)
         s = access_satellite(src_u, PARAMS, t)
         d = access_satellite(dst_u, PARAMS, t)
         assert s is not None and d is not None
-        p = path(table, s, d)
+        p = path(rows, s, d)
         assert p is not None
         assert 5 <= len(p) - 1 <= 9
 
@@ -319,8 +316,8 @@ class TestDecideForward:
     @pytest.fixture()
     def setup(self):
         snap = build_topology_snapshot(PARAMS, 0.0)
-        primary = compute_shortest_path_table(snap)
-        hop = primary.next_idx[self.SRC][self.DST]
+        primary, _ = compute_shortest_path_table(snap)
+        hop = primary[self.SRC][self.DST]
         return snap, primary, hop
 
     @staticmethod
@@ -329,12 +326,12 @@ class TestDecideForward:
 
     @staticmethod
     def backup_table(snap, busy):
-        return compute_backup_table(snap, TestDecideForward.flags(busy))
+        """The backup rows built for the busy set `busy`."""
+        return compute_backup_table(snap, TestDecideForward.flags(busy))[0]
 
     def decide(self, tos, primary, backup, busy=(), detoured=False):
-        rows = None if backup is None else backup.next_idx
         return decide_next_index(
-            tos, self.SRC, self.DST, primary.next_idx, rows, self.flags(busy), detoured
+            tos, self.SRC, self.DST, primary, backup, self.flags(busy), detoured
         )
 
     def test_deliver_at_destination(self, monkeypatch):
@@ -358,7 +355,7 @@ class TestDecideForward:
 
     def test_idle_hop_forwards_primary(self, setup):
         snap, primary, hop = setup
-        backup = compute_backup_table(snap, self.flags())
+        backup = self.backup_table(snap, ())
         assert self.decide(TrafficClass.B1, primary, backup) == (hop, False)
 
     def test_class_a_ignores_busy_hop(self, setup):
@@ -376,48 +373,33 @@ class TestDecideForward:
     def test_class_b_detours_via_backup(self, setup):
         snap, primary, hop = setup
         backup = self.backup_table(snap, {hop})
-        alt = backup.next_idx[self.SRC][self.DST]
+        alt = backup[self.SRC][self.DST]
         assert alt >= 0 and alt != hop
         assert self.decide(TrafficClass.B1, primary, backup, {hop}) == (alt, True)
 
     def test_class_b_waits_when_no_backup(self, setup):
         snap, primary, hop = setup
-        busy = {j for j, _ in snap.neighbor_table[self.SRC]}  # source fully surrounded
+        busy = {j for j, _ in snap[self.SRC]}  # source fully surrounded
         backup = self.backup_table(snap, busy)
         assert self.decide(TrafficClass.B0, primary, backup, busy) == (-1, False)
-
-    def test_class_b_waits_when_backup_hop_busy(self, setup):
-        snap, primary, hop = setup
-        # Stale-table situation: backup built for {hop} but its suggested hop
-        # has since gone busy as well; the state check at forwarding time wins.
-        backup = self.backup_table(snap, {hop})
-        alt = backup.next_idx[self.SRC][self.DST]
-        assert self.decide(TrafficClass.B2, primary, backup, {hop, alt}) == (-1, False)
 
     def test_detoured_packet_stays_on_backup(self, setup):
         # Once detoured, a packet follows the backup table even where the
         # primary hop is idle again.
         snap, primary, hop = setup
         backup = self.backup_table(snap, {hop})
-        alt = backup.next_idx[self.SRC][self.DST]
+        alt = backup[self.SRC][self.DST]
         for tos in B_CLASSES:
             assert self.decide(tos, primary, backup) == (hop, False)
             assert self.decide(tos, primary, backup, detoured=True) == (alt, True)
 
     def test_detoured_packet_waits_when_backup_hop_missing(self, setup):
         snap, primary, hop = setup
-        surrounded = {j for j, _ in snap.neighbor_table[self.SRC]}
+        surrounded = {j for j, _ in snap[self.SRC]}
         backup = self.backup_table(snap, surrounded)
-        assert backup.next_idx[self.SRC][self.DST] == -1
+        assert backup[self.SRC][self.DST] == -1
         # The primary hop is idle, yet the detoured packet does not return to it.
         decision = self.decide(TrafficClass.B1, primary, backup, detoured=True)
-        assert decision == (-1, False)
-
-    def test_detoured_packet_waits_when_backup_hop_busy(self, setup):
-        snap, primary, hop = setup
-        backup = self.backup_table(snap, {hop})
-        alt = backup.next_idx[self.SRC][self.DST]
-        decision = self.decide(TrafficClass.B0, primary, backup, {alt}, detoured=True)
         assert decision == (-1, False)
 
     def test_class_b_takes_a_busy_primary_hop_that_is_its_destination(self, setup):
@@ -425,26 +407,26 @@ class TestDecideForward:
         snap, primary, hop = setup
         backup = self.backup_table(snap, {hop})
         busy = self.flags({hop})
-        assert primary.next_idx[self.SRC][hop] == hop
+        assert primary[self.SRC][hop] == hop
         for tos in B_CLASSES:
             decision = decide_next_index(
-                tos, self.SRC, hop, primary.next_idx, backup.next_idx, busy, False)
+                tos, self.SRC, hop, primary, backup, busy, False)
             assert decision == (hop, False)
 
     def test_detoured_packet_takes_a_busy_backup_hop_that_is_its_destination(self, setup):
         snap, primary, hop = setup
         backup = self.backup_table(snap, {hop})
         busy = self.flags({hop})
-        assert backup.next_idx[self.SRC][hop] == hop
+        assert backup[self.SRC][hop] == hop
         for tos in B_CLASSES:
             decision = decide_next_index(
-                tos, self.SRC, hop, primary.next_idx, backup.next_idx, busy, True)
+                tos, self.SRC, hop, primary, backup, busy, True)
             assert decision == (hop, True)
 
     def test_forwarded_hop_is_adjacent(self, setup):
         snap, primary, hop = setup
         backup = self.backup_table(snap, {hop})
-        adjacent = {j for j, _ in snap.neighbor_table[self.SRC]}
+        adjacent = {j for j, _ in snap[self.SRC]}
         for tos in TrafficClass:
             for detoured in (False, True):
                 nxt, _ = self.decide(tos, primary, backup, {hop}, detoured)

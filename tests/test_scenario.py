@@ -76,6 +76,10 @@ KNOB_SECTIONS = {
                                  wait_queue_capacity=5),
         "run": RunConfig(duration_s=10.0, seed=42, trace=True),
     },
+    "shell_8x7": {
+        "constellation": ConstellationParams(planes=8, sats_per_plane=7, lat_threshold_deg=20.0),
+        "routing": RoutingConfig(strategy="composite", dump_routes=True, slot_length_s=2.0),
+    },
 }
 
 

@@ -45,9 +45,9 @@ def check_links(params, t):
     chord_ps = (2.0 * params.orbit_radius_km * math.sin(math.pi / S)
                 / SPEED_OF_LIGHT_KM_S * PICOSECONDS_PER_SECOND)
     inter = set()
-    for i, row in enumerate(snap.neighbor_table):
+    for i, row in enumerate(snap):
         for j, ps in row:
-            assert (i, ps) in snap.neighbor_table[j]
+            assert (i, ps) in snap[j]
             if i // S == j // S:
                 assert (j - i) % S in (1, S - 1)
                 assert abs(ps - chord_ps) <= 1
