@@ -249,10 +249,10 @@ class AccessResolver:
     `ground`, so one vectorized elevation pass per time quantum covers every
     terminal. Quantum k starts at `k * quantum_s`, and a time t falls in the
     largest k with `k * quantum_s <= t` (`periods_elapsed`): the rule by
-    which the event loop schedules its access refreshes, routing slots,
-    stats ticks and sweeps. For `quantum_s = 1.0` it is `int(t)`. For other
-    quanta, `int(t / quantum_s)` can differ from it within an ulp of a
-    boundary (`int(3 * 0.7 / 0.7) == 2`).
+    which the event loop schedules its access refreshes, routing slots and
+    sweeps, and `stats` places busy episodes. For `quantum_s = 1.0` it is
+    `int(t)`. For other quanta, `int(t / quantum_s)` can differ from it
+    within an ulp of a boundary (`int(3 * 0.7 / 0.7) == 2`).
 
     The event loop holds the current quantum's `row` and refreshes it every
     quantum. `access_index` solves the row of one time and reads one

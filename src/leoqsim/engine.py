@@ -39,7 +39,8 @@ graph from `constellation.build_topology_snapshot` and the forwarding rule
 from `routing.decide_next_index`. Below the engine a satellite is its index:
 the schedulers, congestion states and route tables never name it. The
 engine's `sids` list names it for every record: drops, busy/idle changes,
-trace rows and the route dump.
+trace rows and the route dump. `stats` gets those records and nothing else: no
+event marks a stats bucket.
 
 Pending events sit in three lanes. Every service completion falls one fixed
 service period after the event that starts it, and event times never
@@ -98,9 +99,8 @@ _EV_SOURCE = 3  # a packet is created at its source user, in the source lane; b 
 _EV_DELIVERY = 4  # downlink completes at the destination user; b unused
 _EV_SLOT = 5  # routing slot boundary; a = slot index
 _EV_SWEEP = 6  # periodic arrival-rate re-evaluation of every satellite
-_EV_TICK = 7  # stats bucket boundary
-_EV_ACCESS = 8  # access row refresh; a = quantum index
-_EV_END = 9  # horizon sentinel
+_EV_ACCESS = 7  # access row refresh; a = quantum index
+_EV_END = 8  # horizon sentinel
 _IN_FLIGHT = (_EV_LINK, _EV_UPLINK, _EV_DELIVERY)  # a packet on a link
 _WAIT = (-1, False)  # the decision for a destination no satellite serves
 
@@ -153,9 +153,6 @@ class Simulation:
         self._backups: dict[tuple[bool, ...], list] = {}  # busy flags -> rows, this slot
         self._heap: list = []
         self._svc: deque = deque()  # service completions, in (time, seq) order
-        self._service_period = 1.0 / cfg.scheduler.service_rate
-        self._chan_period = 1.0 / cfg.scheduler.channel_rate
-        self._count_uplink = cfg.traffic.count_uplink_in_rate
         self.trace: Optional[list] = [] if cfg.run.trace else None
         self.route_dump: Optional[list] = [] if cfg.routing.dump_routes else None
 
@@ -200,13 +197,9 @@ class Simulation:
     def _notify(self, notifs, released: deque) -> Optional[list]:
         """Apply (satellite index, notification) pairs, release every parked
         packet and return the backup rows of the new busy set."""
-        busy_flags = self.busy_flags
         for idx, notif in notifs:
-            now_busy = notif.label is CongestionLabel.BUSY
-            busy_flags[idx] = now_busy
+            self.busy_flags[idx] = notif.label is CongestionLabel.BUSY
             self.stats.state_log.append((self.sids[idx], notif))
-            if now_busy:
-                self.stats.note_busy(notif.time)
         self._release(released)
         return self._backup_rows()
 
@@ -234,15 +227,14 @@ class Simulation:
         # Periodic events are pushed one ahead: the first of each kind here,
         # event k + 1 when event k fires, so the heap never holds more than
         # one of a kind. Their sequence numbers are the ones an all-up-front
-        # schedule would give (access refreshes 1..n, then slots, ticks and
-        # sweeps) and packet events are numbered after them: every event
-        # keeps its (time, seq) key, so the pop order, and with it every
-        # export, does not depend on when an event was pushed.
+        # schedule would give (access refreshes 1..n, then slots and sweeps)
+        # and packet events are numbered after them: every event keeps its
+        # (time, seq) key, so the pop order, and with it every export, does
+        # not depend on when an event was pushed.
         periodic = {}  # kind -> (period, number of events)
         first_seq = 1
         for kind, period in ((_EV_ACCESS, cfg.run.access_refresh_s),
                              (_EV_SLOT, cfg.routing.slot_length_s),
-                             (_EV_TICK, cfg.run.stats_interval_s),
                              (_EV_SWEEP, cfg.run.state_check_interval_s)):
             # Event k fires at k * period while that is <= end.
             last = periods_elapsed(end, period)
@@ -269,10 +261,10 @@ class Simulation:
         wait_capacity = cfg.routing.wait_queue_capacity
         slant_delay = self.geometry.slant_delay
         link_delay = self.geometry.link_delay
-        chan_period = self._chan_period
+        chan_period = 1.0 / cfg.scheduler.channel_rate
         ccfg = cfg.congestion
-        service_period = self._service_period
-        count_uplink = self._count_uplink
+        service_period = 1.0 / cfg.scheduler.service_rate
+        count_uplink = cfg.traffic.count_uplink_in_rate
         idle_start = cfg.scheduler.buffer_capacity > 0  # with no buffer, every arrival drops
         svc_pop = svc.popleft
         svc_push = svc.append
@@ -371,14 +363,13 @@ class Simulation:
                     self._trace(t, "deliver", a, -1)
             elif kind == _EV_END:
                 break
-            else:  # _EV_ACCESS, _EV_SLOT, _EV_SWEEP or _EV_TICK: the a-th event of its kind
+            else:  # _EV_ACCESS, _EV_SLOT or _EV_SWEEP: the a-th event of its kind
                 period, last = periodic[kind]
                 if a < last:
                     heappush(heap, ((a + 1) * period, s + 1, kind, a + 1, None))
                 if kind == _EV_ACCESS:
                     access = access_row(a)
-                    continue
-                if kind == _EV_SWEEP:
+                elif kind == _EV_SWEEP:
                     notifs = []
                     for i, node in enumerate(nodes):
                         n = node.cong.evaluate(t, ccfg)
@@ -386,14 +377,9 @@ class Simulation:
                             notifs.append((i, n))
                     if notifs:
                         backup = self._notify(notifs, released)
-                if kind == _EV_SLOT:
+                else:  # _EV_SLOT
                     primary, backup = self._rebuild_for_slot(t, a)
                     self._release(released)
-                elif True in busy_flags:  # a sweep or a stats tick
-                    if kind == _EV_TICK:  # tick a opens bucket a
-                        stats.busy_buckets.add(min(a, stats.n_buckets - 1))
-                    else:
-                        stats.note_busy(t)
 
         residual = sum(1 for ev in heap if ev[2] in _IN_FLIGHT)
         for node in nodes:

@@ -3,10 +3,12 @@ delay series and CDFs, throughput ratios, and hop counts, all on a fixed
 time-bucket grid. Foreground (tagged-flow) deliveries are tracked separately
 so endpoint-to-endpoint behavior can be read off directly.
 
-One `StatsCollector` holds a run's statistics: the event loop records into
-it and sets the residual at the horizon, and the same object is the report
-that the queries, `export` and `engine.conservation_audit` read. Satellites
-arrive here already named: the engine passes each `SatelliteId`."""
+One `StatsCollector` holds a run's statistics: the event loop records packets,
+drops and busy/idle notifications into it and sets the residual at the
+horizon, and the same object is the report that the queries, `export` and
+`engine.conservation_audit` read. When some satellite was Busy is read off
+the notification log alone. Satellites arrive here already named: the engine
+passes each `SatelliteId`."""
 
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .congestion import Notification
-from .constellation import SatelliteId
+from .congestion import CongestionLabel, Notification
+from .constellation import SatelliteId, periods_elapsed
 from .scheduling import ALL_CLASSES, DropReason, TrafficClass
 
 MS_PER_S = 1000.0
@@ -74,7 +76,6 @@ class StatsCollector:
         self.fg_hop_sum_bucket = {c: [0] * n for c in ALL_CLASSES}
         self.delay_samples = {c: array("d") for c in ALL_CLASSES}
         self.drops_detail: dict[tuple[int, Optional[SatelliteId], TrafficClass, str], int] = {}
-        self.busy_buckets: set[int] = set()
         self.state_log: list[tuple[SatelliteId, Notification]] = []
         self.backup_forwards = 0
         self.wait_enqueues = 0
@@ -83,13 +84,6 @@ class StatsCollector:
         self.trace_rows: Optional[list] = None  # (time, event, pkt_id, class, satellite, hop)
 
     # -- recording, called by the event loop ---------------------------------
-
-    def bucket_of(self, t: float) -> int:
-        """The bucket holding time t; the horizon itself falls in the last."""
-        b = int(t / self.bucket_s)
-        return b if b < self.n_buckets else self.n_buckets - 1
-
-    # The per-packet recorders compute `bucket_of` in line.
 
     def record_generated(self, pkt) -> None:
         cls = pkt.tos
@@ -130,9 +124,6 @@ class StatsCollector:
         dkey = (b, satellite, tos, text)
         self.drops_detail[dkey] = self.drops_detail.get(dkey, 0) + 1
 
-    def note_busy(self, t: float) -> None:
-        self.busy_buckets.add(self.bucket_of(t))
-
     # -- queries on the finished run -----------------------------------------
 
     def generated_total(self) -> int:
@@ -143,6 +134,25 @@ class StatsCollector:
 
     def dropped_total(self) -> int:
         return sum(self.dropped.values())
+
+    def busy_buckets(self) -> list[int]:
+        """The buckets a busy episode touches, read off `state_log` by the
+        rule `export` states."""
+        s = self.bucket_s
+        busy: set[SatelliteId] = set()
+        marked: set[int] = set()
+        for sat, notif in self.state_log:
+            if notif.label is CongestionLabel.BUSY:
+                if not busy:
+                    first = periods_elapsed(notif.time, s)
+                busy.add(sat)
+            else:
+                busy.remove(sat)
+                if not busy:
+                    marked.update(range(first, periods_elapsed(notif.time, s) + 1))
+        if busy:
+            marked.update(range(first, periods_elapsed(self.horizon_s, s) + 1))
+        return sorted({min(b, self.n_buckets - 1) for b in marked})
 
     def delay_cdf(self, cls: TrafficClass) -> DelayCdf:
         return DelayCdf(self.delay_samples[cls])
@@ -173,20 +183,32 @@ class StatsCollector:
 
 
 def _fmt(x) -> str:
-    """Full-precision, locale-free number formatting."""
+    """Full-precision, locale-free number formatting; None is an empty cell."""
+    if x is None:
+        return ""
     if isinstance(x, float):
         return repr(x)
     return str(x)
 
 
 def export(report: StatsCollector, out_dir) -> None:
-    """Write the report as a directory of CSVs plus run_meta.json.
+    """Write the report into out_dir: drops_per_sat.csv, delay_series.csv,
+    delay_cdf_<class>.csv for A, B2, B1 and B0, throughput.csv, hops.csv,
+    summary.csv and state_log.csv, each under a header row; route_tables.csv
+    and packet_trace.csv only when the run kept them, deleting an earlier
+    export's copy otherwise; and run_meta.json, holding horizon_s, bucket_s,
+    seed, strategy, generated, delivered, dropped, residual, backup_forwards,
+    wait_enqueues and busy_buckets.
 
-    Exports are pure functions of the report: re-exporting the same report
-    yields byte-identical files.
-    """
+    busy_buckets lists every bucket from periods_elapsed(start, bucket_s) to
+    periods_elapsed(end, bucket_s), clamped to the last, of each busy
+    episode: from the Busy notification that makes the busy set non-empty to
+    the Idle one that empties it, or to the horizon. Re-exporting the same
+    report yields byte-identical files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in ("route_tables.csv", "packet_trace.csv"):  # written below if kept
+        (out / name).unlink(missing_ok=True)
 
     with open(out / "drops_per_sat.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("bucket,satellite,class,reason,count\n")
@@ -253,25 +275,15 @@ def export(report: StatsCollector, out_dir) -> None:
             "mean_delay_ms,p90_delay_ms,mean_hops,fg_mean_delay_ms,fg_mean_hops\n"
         )
         for cls in ALL_CLASSES:
-            ratio = report.throughput_ratio(cls)
             mean_d = report.mean_delay_s(cls)
-            p90 = p90_ms[cls]
-            hops = report.mean_hops(cls)
             fg_d = report.mean_delay_s(cls, foreground=True)
-            fg_h = report.mean_hops(cls, foreground=True)
             cells = [
-                cls.name,
-                str(report.generated[cls]),
-                str(report.delivered[cls]),
-                str(report.dropped[cls]),
-                _fmt(ratio) if ratio is not None else "",
-                _fmt(mean_d * MS_PER_S) if mean_d is not None else "",
-                _fmt(p90) if p90 is not None else "",
-                _fmt(hops) if hops is not None else "",
-                _fmt(fg_d * MS_PER_S) if fg_d is not None else "",
-                _fmt(fg_h) if fg_h is not None else "",
+                cls.name, report.generated[cls], report.delivered[cls], report.dropped[cls],
+                report.throughput_ratio(cls), None if mean_d is None else mean_d * MS_PER_S,
+                p90_ms[cls], report.mean_hops(cls),
+                None if fg_d is None else fg_d * MS_PER_S, report.mean_hops(cls, foreground=True),
             ]
-            f.write(",".join(cells) + "\n")
+            f.write(",".join(map(_fmt, cells)) + "\n")
 
     with open(out / "state_log.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("time,satellite,new_label,rate\n")
@@ -282,7 +294,7 @@ def export(report: StatsCollector, out_dir) -> None:
         with open(out / "route_tables.csv", "w", encoding="utf-8", newline="\n") as f:
             f.write("slot,src,dst,next_hop,cost_seconds\n")
             for slot, src, dst, nxt, cost in report.route_dump:
-                f.write(f"{slot},{src},{dst},{nxt},{_fmt(cost) if cost is not None else ''}\n")
+                f.write(f"{slot},{src},{dst},{nxt},{_fmt(cost)}\n")
 
     if report.trace_rows is not None:
         with open(out / "packet_trace.csv", "w", encoding="utf-8", newline="\n") as f:
@@ -301,7 +313,7 @@ def export(report: StatsCollector, out_dir) -> None:
         "residual": report.residual,
         "backup_forwards": report.backup_forwards,
         "wait_enqueues": report.wait_enqueues,
-        "busy_buckets": sorted(report.busy_buckets),
+        "busy_buckets": report.busy_buckets(),
     }
     with open(out / "run_meta.json", "w", encoding="utf-8", newline="\n") as f:
         json.dump(meta, f, indent=2, sort_keys=True)

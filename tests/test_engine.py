@@ -198,10 +198,11 @@ def test_resolver_and_geometry_index_the_generators_terminals():
 
 # -- periodic events ----------------------------------------------------------
 
-PERIODIC = (engine._EV_ACCESS, engine._EV_SLOT, engine._EV_TICK, engine._EV_SWEEP)
+PERIODIC = (engine._EV_ACCESS, engine._EV_SLOT, engine._EV_SWEEP)
 
-# Access refreshes, slots, stats ticks and sweeps coincide at every even
-# second, and the horizon is a multiple of none of their periods.
+# Access refreshes, slots and sweeps coincide at every even second, and the
+# horizon is a multiple of none of their periods. The stats interval
+# schedules no event.
 COINCIDING_SCENARIO = (
     "[traffic]\nbackground_rate = 50\n[routing]\nslot_length_s = 2\n"
     "[run]\nduration_s = 7.3\nstats_interval_s = 1\nstate_check_interval_s = 0.5\n"
@@ -226,11 +227,11 @@ def record_pops(monkeypatch, observe):
 def test_periodic_events_pop_with_the_keys_of_an_all_up_front_schedule(monkeypatch):
     popped = record_pops(monkeypatch, lambda heap: None)
     engine.Simulation(loads_scenario(COINCIDING_SCENARIO)).run()
-    # Every periodic event pushed at t = 0: access refreshes, then slots,
-    # ticks and sweeps.
+    # Every periodic event pushed at t = 0: access refreshes, then slots and
+    # sweeps.
     seq = count(1)
     up_front = [(k * period, next(seq), kind)
-                for kind, period in zip(PERIODIC, (1.0, 2.0, 1.0, 0.5))
+                for kind, period in zip(PERIODIC, (1.0, 2.0, 0.5))
                 for k in range(1, int(7.3 / period) + 1)]
     assert [event[:3] for event in popped if event[2] in PERIODIC] == sorted(up_front)
     # Sources wait in their own lane, never in the heap. The first source
@@ -243,8 +244,9 @@ def test_periodic_events_pop_with_the_keys_of_an_all_up_front_schedule(monkeypat
 
 
 def test_the_heap_holds_at_most_one_periodic_event_of_each_kind(monkeypatch):
-    # Default periods over an hour: 3,600 access refreshes, 60 slots, 60 stats
-    # ticks and 7,200 sweeps; the horizon sentinel is in the heap throughout.
+    # Default periods over an hour: 3,600 access refreshes, 60 slots and 7,200
+    # sweeps, and no event per stats bucket; the horizon sentinel is in the
+    # heap throughout.
     most = Counter()
 
     def observe(heap):
@@ -257,8 +259,8 @@ def test_the_heap_holds_at_most_one_periodic_event_of_each_kind(monkeypatch):
     sim.run()
     assert most == {kind: 1 for kind in PERIODIC + (engine._EV_END,)}
     assert Counter(event[2] for event in popped) == {
-        engine._EV_ACCESS: 3600, engine._EV_SLOT: 60, engine._EV_TICK: 60,
-        engine._EV_SWEEP: 7200, engine._EV_END: 1}
+        engine._EV_ACCESS: 3600, engine._EV_SLOT: 60, engine._EV_SWEEP: 7200,
+        engine._EV_END: 1}
     assert sim.stats.generated_total() == 0
 
 
@@ -273,11 +275,11 @@ def test_a_periodic_event_at_exactly_the_horizon_runs(monkeypatch, duration_s, s
     assert sum(event[2] == engine._EV_SWEEP for event in popped) == sweeps
 
 
-def test_a_stats_tick_marks_the_bucket_it_opens():
-    # Tick a falls at a * 0.7, the start of bucket a, though int(a * 0.7 / 0.7)
-    # is a - 1 for a = 3, 6, 12, 24 and 29. From its first notification to the
-    # horizon some satellite is busy, and sweeps come only every 5 s, so a
-    # bucket with no notification inside it is marked by its tick alone.
+def test_a_busy_episode_marks_every_bucket_it_spans():
+    # From its first notification to the horizon some satellite is busy: one
+    # episode, which marks all 29 buckets. Sweeps come only every 5 s, so most
+    # buckets hold no notification, and int(a * 0.7 / 0.7) is a - 1 for
+    # a = 3, 6, 12, 24 and 29.
     text = (f"[traffic]\nbackground_rate = 800\nflows = {HOTSPOT_FLOW}\n"
             "[run]\nduration_s = 20\nseed = 42\nstats_interval_s = 0.7\n"
             "state_check_interval_s = 5\n")
@@ -292,7 +294,7 @@ def test_a_stats_tick_marks_the_bucket_it_opens():
         assert busy  # never all idle again
     assert report.state_log[0][1].time < 0.7  # the first Busy falls in bucket 0
     assert report.n_buckets == 29
-    assert report.busy_buckets == set(range(report.n_buckets))
+    assert report.busy_buckets() == list(range(report.n_buckets))
 
 
 class RecordingDeque(deque):

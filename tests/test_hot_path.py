@@ -32,37 +32,40 @@ BASELINE = SCENARIOS / "baseline.ini"
 HOTSPOT = SCENARIOS / "hotspot.ini"
 PACKAGE = str(Path(leoqsim.__file__).resolve().parent)
 
-# Package calls made by one 5 s seed-42 baseline run() of 3,971 packets:
-# 91,104 (22.9 per packet), since a snapshot is its neighbour table and a
-# route table its (next_idx, cost_ps) pair, with no wrapper object to build.
-# Before that 91,106 (the ceiling read 91,107), since a packet that finishes
-# service is forwarded inside run() rather than by a `_route` call. Before
-# that 108,286 (27.3 per packet), since the uplink and downlink delays compute
-# the satellite position in line. Before that 116,173 (29.3 per packet), since
-# an arrival runs the busy/idle rule only when it can cross a threshold.
-# Before that 116,771 (29.4 per packet), since a packet that finds its
-# satellite idle starts service without an enqueue and a dequeue. Before that
-# 128,432 (32.3 per packet), since forwarding reads the access row that a
-# periodic event refreshes. Before that `access_index` made it 149,577 (37.7
-# per packet), and before arrival streams were drawn a block at a time the
-# scalar samplers 169,419 (42.7); before the forwarding decision moved into
-# `Simulation._route` 186,608 (47.0); before the per-hop pipeline was
-# flattened 331,207 (83.4).
-MAX_CALLS = 91_104
+# Package calls made by one 5 s seed-42 baseline run() of 3,971 packets: 91,103
+# (22.9 per packet), since stats buckets schedule no tick event: one
+# `periods_elapsed` call fewer in the periodic schedule. Before that 91,104,
+# since a snapshot is its neighbour table and a route table its (next_idx,
+# cost_ps) pair, with no wrapper object to build. Before that 91,106 (the
+# ceiling read 91,107), since a packet that finishes service is forwarded
+# inside run() rather than by a `_route` call. Before that 108,286 (27.3 per
+# packet), since the uplink and downlink delays compute the satellite position
+# in line. Before that 116,173 (29.3 per packet), since an arrival runs the
+# busy/idle rule only when it can cross a threshold. Before that 116,771 (29.4
+# per packet), since a packet that finds its satellite idle starts service
+# without an enqueue and a dequeue. Before that 128,432 (32.3 per packet),
+# since forwarding reads the access row that a periodic event refreshes. Before
+# that `access_index` made it 149,577 (37.7 per packet), and before arrival
+# streams were drawn a block at a time the scalar samplers 169,419 (42.7);
+# before the forwarding decision moved into `Simulation._route` 186,608 (47.0);
+# before the per-hop pipeline was flattened 331,207 (83.4).
+MAX_CALLS = 91_103
 
 # Package calls made by one 5 s seed-42 hotspot run() of 6,956 packets, with
 # 8,289 backup forwards, 1,317 buffer drops, 103 wait-queue parks and 15
-# busy/idle notifications: 176,334 (25.4 per packet), since neither the
-# snapshot nor its primary and 10 backup tables is wrapped in an object.
-# Before that 176,346, since a notification reaches the engine paired with its
-# satellite's index and is logged in line: no `index_of` and no
-# `note_state_change` call each, and no `finalize`. Before that 176,377, since
-# a drain hands the parked packets to a lane that run() routes in line. Before
-# that 176,598, with each drained packet routed by a `_route` call and each
-# park made by a `_wait` call. Before service completions forwarded in line,
-# drops recorded their bucket in line and arrival streams merged a block at a
-# time, it was 209,190 (30.1).
-MAX_HOTSPOT_CALLS = 176_334
+# busy/idle notifications: 176,297 (25.3 per packet), since busy buckets are
+# read off the state log after the run: no `note_busy` and `bucket_of` call at
+# a Busy notification or at a sweep while some satellite is busy, and no stats
+# tick to schedule. Before that 176,334, since neither the snapshot nor its
+# primary and 10 backup tables is wrapped in an object. Before that 176,346,
+# since a notification reaches the engine paired with its satellite's index and
+# is logged in line: no `index_of` and no `note_state_change` call each, and no
+# `finalize`. Before that 176,377, since a drain hands the parked packets to a
+# lane that run() routes in line. Before that 176,598, with each drained packet
+# routed by a `_route` call and each park made by a `_wait` call. Before
+# service completions forwarded in line, drops recorded their bucket in line
+# and arrival streams merged a block at a time, it was 209,190 (30.1).
+MAX_HOTSPOT_CALLS = 176_297
 
 # Busy/idle rule runs (`NodeCongestionState.evaluate`) in the baseline run: its ten
 # sweeps evaluate each of the 66 satellites, and 61 of its 17,191 satellite

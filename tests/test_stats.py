@@ -1,4 +1,5 @@
 import csv
+import json
 import random
 import tracemalloc
 from array import array
@@ -130,6 +131,43 @@ class TestCollector:
         assert c.mean_hops(TrafficClass.A, foreground=True) == pytest.approx(6.0)
 
 
+def busy_buckets(bucket_s, horizon_s, *log):
+    """The busy buckets of a collector whose state log holds `log`, given as
+    (time, satellite index, label) triples."""
+    c = StatsCollector(horizon_s=horizon_s, bucket_s=bucket_s, seed=1, strategy="composite")
+    for t, sat, label in log:
+        c.state_log.append((SatelliteId(0, sat), Notification(t, label, 0.0)))
+    return c.busy_buckets()
+
+
+BUSY, IDLE = CongestionLabel.BUSY, CongestionLabel.IDLE
+
+
+class TestBusyBuckets:
+    def test_an_episode_starting_at_a_bucket_boundary_marks_that_bucket(self):
+        assert int(3 * 0.7 / 0.7) == 2
+        assert busy_buckets(0.7, 5.0, (3 * 0.7, 0, BUSY), (2.2, 0, IDLE)) == [3]
+
+    def test_both_end_instants_count(self):
+        assert busy_buckets(60.0, 120.0, (59.9, 0, BUSY), (60.0, 0, IDLE)) == [0, 1]
+
+    def test_overlapping_episodes_of_two_satellites_are_one_episode(self):
+        # Satellite 0's Idle at 30 s leaves satellite 1 busy until 130 s; a
+        # later episode inside bucket 4 leaves bucket 3 idle.
+        log = ((10.0, 0, BUSY), (20.0, 1, BUSY), (30.0, 0, IDLE), (130.0, 1, IDLE),
+               (250.0, 2, BUSY), (260.0, 2, IDLE))
+        assert busy_buckets(60.0, 300.0, *log) == [0, 1, 2, 4]
+
+    @pytest.mark.parametrize("horizon", [290.0, 300.0])
+    def test_an_episode_open_at_the_horizon_runs_through_the_last_bucket(self, horizon):
+        # A 300 s horizon opens a sixth period, which falls in the last bucket.
+        assert busy_buckets(60.0, horizon, (130.0, 0, BUSY), (140.0, 1, BUSY),
+                            (150.0, 0, IDLE)) == [2, 3, 4]
+
+    def test_no_busy_notification_marks_no_bucket(self):
+        assert busy_buckets(60.0, 300.0) == []
+
+
 class TestExport:
     def make_report(self, empty=False):
         c = make_collector(horizon=120.0)
@@ -146,7 +184,7 @@ class TestExport:
                 else:
                     c.record_drop(t0, SatelliteId(0, i % 11), cls, DropReason.BUFFER_OVERFLOW)
             c.state_log.append((SatelliteId(1, 2), Notification(5.0, CongestionLabel.BUSY, 470.0)))
-            c.note_busy(5.0)
+            c.state_log.append((SatelliteId(1, 2), Notification(50.0, CongestionLabel.IDLE, 90.0)))
         return c
 
     def test_files_written_with_headers(self, tmp_path):
@@ -191,6 +229,21 @@ class TestExport:
         export(report, b)
         for f in sorted(a.iterdir()):
             assert (b / f.name).read_bytes() == f.read_bytes()
+        # The state log alone marks the busy bucket.
+        assert json.loads((a / "run_meta.json").read_text())["busy_buckets"] == [0]
+
+    def test_an_untraced_export_leaves_no_trace_or_route_dump_behind(self, tmp_path):
+        untraced = self.make_report()
+        export(untraced, tmp_path / "fresh")
+        traced = self.make_report()
+        traced.route_dump = [(0, "S-0-0", "S-0-1", "S-0-1", 0.004)]
+        traced.trace_rows = [(0.5, "generated", 0, "A", "S-0-0", 0)]
+        export(traced, tmp_path / "reused")
+        assert (tmp_path / "reused" / "packet_trace.csv").exists()
+        assert (tmp_path / "reused" / "route_tables.csv").exists()
+        export(untraced, tmp_path / "reused")
+        fresh = sorted(f.name for f in (tmp_path / "fresh").iterdir())
+        assert sorted(f.name for f in (tmp_path / "reused").iterdir()) == fresh
 
     @pytest.mark.parametrize("n", [0, 1, 9, 10, 11])
     def test_summary_p90_is_the_cdf_quantile(self, tmp_path, n):
