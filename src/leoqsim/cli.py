@@ -2,13 +2,14 @@
 report, or compare two finished report directories.
 
 Exit codes: 0 success, 1 validation error, 2 conservation-audit failure,
-3 I/O error.
+3 I/O error: a spool or report that cannot be written, or a closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -48,14 +49,12 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     try:
         report = engine.run(_load(args.scenario, args.set or []))
+        stats.export(report, Path(args.out))
     except ScenarioError as e:
         print(f"invalid: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    out_dir = Path(args.out)
-    try:
-        stats.export(report, out_dir)
-    except OSError as e:
-        print(f"export failed: {e}", file=sys.stderr)
+    except OSError as e:  # a trace spool or the report could not be written
+        print(f"cannot write the report: {e}", file=sys.stderr)
         return EXIT_IO
     ok = engine.conservation_audit(report)
     print(
@@ -192,7 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError:  # the recipe in Python's `signal` docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

@@ -39,8 +39,9 @@ graph from `constellation.build_topology_snapshot` and the forwarding rule
 from `routing.decide_next_index`. Below the engine a satellite is its index:
 the schedulers, congestion states and route tables never name it. The
 engine's `sids` list names it for every record: drops, busy/idle changes,
-trace rows and the route dump. `stats` gets those records and nothing else: no
-event marks a stats bucket.
+and trace and route-dump lines, written once, as they happen, to the
+report's spool files. `stats` gets those records and nothing else: no event
+marks a stats bucket.
 
 Pending events sit in three lanes. Every service completion falls one fixed
 service period after the event that starts it, and event times never
@@ -70,6 +71,7 @@ rule trusts the engine to hand it the rows of the flags in force.
 
 from __future__ import annotations
 
+import tempfile
 from collections import deque
 from heapq import heappop, heappush
 from itertools import count
@@ -103,6 +105,13 @@ _EV_ACCESS = 7  # access row refresh; a = quantum index
 _EV_END = 8  # horizon sentinel
 _IN_FLIGHT = (_EV_LINK, _EV_UPLINK, _EV_DELIVERY)  # a packet on a link
 _WAIT = (-1, False)  # the decision for a destination no satellite serves
+
+
+def _spool(header: str):
+    """An anonymous text file in the system temp directory, `header` its first line."""
+    f = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+    f.write(header + "\n")
+    return f
 
 
 class _SatNode:
@@ -141,7 +150,7 @@ class Simulation:
             _SatNode(PqwrrScheduler(cfg.scheduler), NodeCongestionState(), self.n)
             for _ in range(self.n)
         ]
-        self.stats = StatsCollector(
+        self.stats = stats = StatsCollector(
             horizon_s=cfg.run.duration_s,
             bucket_s=cfg.run.stats_interval_s,
             seed=cfg.run.seed,
@@ -153,13 +162,14 @@ class Simulation:
         self._backups: dict[tuple[bool, ...], list] = {}  # busy flags -> rows, this slot
         self._heap: list = []
         self._svc: deque = deque()  # service completions, in (time, seq) order
-        self.trace: Optional[list] = [] if cfg.run.trace else None
-        self.route_dump: Optional[list] = [] if cfg.routing.dump_routes else None
+        stats.trace = _spool("time,event,pkt_id,class,satellite,hop") if cfg.run.trace else None
+        stats.route_dump = (_spool("slot,src,dst,next_hop,cost_seconds")
+                            if cfg.routing.dump_routes else None)
 
     # -- event plumbing ------------------------------------------------------
 
     def _trace(self, t: float, event: str, pkt: Packet, sat: int) -> None:
-        self.trace.append((t, event, pkt.id, pkt.tos.name, self.names[sat], pkt.hop))
+        self.stats.trace.write(f"{t!r},{event},{pkt.id},{pkt.tos.name},{self.names[sat]},{pkt.hop}\n")
 
     # -- routing state -------------------------------------------------------
 
@@ -169,16 +179,15 @@ class Simulation:
         self.snapshot = build_topology_snapshot(self.params, t)
         primary, cost_ps = compute_shortest_path_table(self.snapshot)
         self._backups = {(False,) * self.n: primary}
-        if self.route_dump is not None:  # (slot, src, dst, next_hop, cost_s) for src != dst
+        if self.stats.route_dump is not None:  # a line per src != dst; unreachable: empty cells
             names = self.names
             costs = cost_ps.tolist()  # Python ints: exact division, float repr
             for i, row in enumerate(primary):
-                for j, nxt in enumerate(row):
+                for j, (nxt, c) in enumerate(zip(row, costs[i])):
                     if i != j:
-                        c = costs[i][j]
                         hop = names[nxt] if nxt >= 0 else ""
-                        cost = None if c < 0 else c / PICOSECONDS_PER_SECOND
-                        self.route_dump.append((slot, names[i], names[j], hop, cost))
+                        cost = "" if c < 0 else repr(c / PICOSECONDS_PER_SECOND)
+                        self.stats.route_dump.write(f"{slot},{names[i]},{names[j]},{hop},{cost}\n")
         return primary, self._backup_rows()
 
     def _backup_rows(self) -> Optional[list]:
@@ -253,7 +262,7 @@ class Simulation:
         stats = self.stats
         nodes = self.nodes
         sids = self.sids
-        trace = self.trace
+        trace = stats.trace
         decide = decide_next_index  # read here, so a replaced module global takes effect
         busy_flags = self.busy_flags
         backup_forwards = 0
@@ -388,8 +397,6 @@ class Simulation:
                 residual += 1
         stats.backup_forwards += backup_forwards
         stats.wait_enqueues += wait_enqueues
-        stats.route_dump = self.route_dump
-        stats.trace_rows = self.trace
         stats.residual = residual
         return stats
 

@@ -14,6 +14,7 @@ to an equal config.
 from __future__ import annotations
 
 import configparser
+import io
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from importlib import resources
@@ -205,8 +206,9 @@ def _load_section(name: str, cls, items: dict[str, str]):
         raise ScenarioError(f"[{name}] {e}") from None
 
 
-def loads_scenario(text: str, base_dir: Optional[str] = None) -> ScenarioConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+def _read_sections(text: str) -> configparser.ConfigParser:
+    """`text` parsed, each section a known one (no header names "", so `[DEFAULT]` is not)."""
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as e:
@@ -214,6 +216,11 @@ def loads_scenario(text: str, base_dir: Optional[str] = None) -> ScenarioConfig:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ScenarioError(f"[{section}]: unknown section")
+    return parser
+
+
+def loads_scenario(text: str, base_dir: Optional[str] = None) -> ScenarioConfig:
+    parser = _read_sections(text)
     sections = {
         name: _load_section(name, cls, dict(parser[name]) if parser.has_section(name) else {})
         for name, cls in _SECTIONS.items()
@@ -241,11 +248,7 @@ def serialize_scenario(cfg: ScenarioConfig) -> str:
 
 def apply_overrides(cfg_text: str, overrides: list[str]) -> str:
     """Apply 'section.key=value' overrides on top of scenario text."""
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(cfg_text)
-    except configparser.Error as e:
-        raise ScenarioError(f"unparseable scenario file: {e}") from None
+    parser = _read_sections(cfg_text)
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ScenarioError(f"override {item!r}: expected section.key=value")
@@ -257,10 +260,6 @@ def apply_overrides(cfg_text: str, overrides: list[str]) -> str:
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, value)
-    out = []
-    for section in parser.sections():
-        out.append(f"[{section}]")
-        for k, v in parser[section].items():
-            out.append(f"{k} = {v}")
-        out.append("")
-    return "\n".join(out)
+    out = io.StringIO()
+    parser.write(out)  # indents a multi-line value's continuation lines
+    return out.getvalue()

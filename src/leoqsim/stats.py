@@ -8,15 +8,17 @@ drops and busy/idle notifications into it and sets the residual at the
 horizon, and the same object is the report that the queries, `export` and
 `engine.conservation_audit` read. When some satellite was Busy is read off
 the notification log alone. Satellites arrive here already named: the engine
-passes each `SatelliteId`."""
+passes each `SatelliteId`. The packet trace and route dump arrive as spools
+the engine wrote as the run went; `export` copies them and reads no row."""
 
 from __future__ import annotations
 
 import json
 import math
+import shutil
 from array import array
 from pathlib import Path
-from typing import Optional
+from typing import IO, Optional
 
 import numpy as np
 
@@ -80,8 +82,8 @@ class StatsCollector:
         self.backup_forwards = 0
         self.wait_enqueues = 0
         self.residual = 0  # packets still in the network at the horizon
-        self.route_dump: Optional[list] = None  # (slot, src, dst, next_hop, cost_s) rows
-        self.trace_rows: Optional[list] = None  # (time, event, pkt_id, class, satellite, hop)
+        self.route_dump: Optional[IO[str]] = None  # route_tables.csv, spooled by the engine
+        self.trace: Optional[IO[str]] = None  # packet_trace.csv, spooled by the engine
 
     # -- recording, called by the event loop ---------------------------------
 
@@ -195,20 +197,24 @@ def export(report: StatsCollector, out_dir) -> None:
     """Write the report into out_dir: drops_per_sat.csv, delay_series.csv,
     delay_cdf_<class>.csv for A, B2, B1 and B0, throughput.csv, hops.csv,
     summary.csv and state_log.csv, each under a header row; route_tables.csv
-    and packet_trace.csv only when the run kept them, deleting an earlier
-    export's copy otherwise; and run_meta.json, holding horizon_s, bucket_s,
-    seed, strategy, generated, delivered, dropped, residual, backup_forwards,
-    wait_enqueues and busy_buckets.
+    and packet_trace.csv, copied whole from the run's spools when it kept
+    them, an earlier export's copy deleted otherwise; and run_meta.json,
+    holding horizon_s, bucket_s, seed, strategy, generated, delivered,
+    dropped, residual, backup_forwards, wait_enqueues and busy_buckets.
 
     busy_buckets lists every bucket from periods_elapsed(start, bucket_s) to
     periods_elapsed(end, bucket_s), clamped to the last, of each busy
     episode: from the Busy notification that makes the busy set non-empty to
     the Idle one that empties it, or to the horizon. Re-exporting the same
-    report yields byte-identical files."""
+    report, spooled files included, yields byte-identical files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name in ("route_tables.csv", "packet_trace.csv"):  # written below if kept
-        (out / name).unlink(missing_ok=True)
+    for name, spool in (("route_tables.csv", report.route_dump), ("packet_trace.csv", report.trace)):
+        (out / name).unlink(missing_ok=True)  # so no stale copy stays when the run kept none
+        if spool is not None:
+            spool.seek(0)
+            with open(out / name, "w", encoding="utf-8", newline="\n") as f:
+                shutil.copyfileobj(spool, f)
 
     with open(out / "drops_per_sat.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("bucket,satellite,class,reason,count\n")
@@ -289,18 +295,6 @@ def export(report: StatsCollector, out_dir) -> None:
         f.write("time,satellite,new_label,rate\n")
         for sat, n in report.state_log:
             f.write(f"{_fmt(n.time)},{sat},{n.label.value},{_fmt(n.rate)}\n")
-
-    if report.route_dump is not None:
-        with open(out / "route_tables.csv", "w", encoding="utf-8", newline="\n") as f:
-            f.write("slot,src,dst,next_hop,cost_seconds\n")
-            for slot, src, dst, nxt, cost in report.route_dump:
-                f.write(f"{slot},{src},{dst},{nxt},{_fmt(cost)}\n")
-
-    if report.trace_rows is not None:
-        with open(out / "packet_trace.csv", "w", encoding="utf-8", newline="\n") as f:
-            f.write("time,event,pkt_id,class,satellite,hop\n")
-            for t, event, pid, cls, sat, hop in report.trace_rows:
-                f.write(f"{_fmt(t)},{event},{pid},{cls},{sat},{hop}\n")
 
     meta = {
         "horizon_s": report.horizon_s,

@@ -1,15 +1,21 @@
 """Exit codes of the `leoqsim` command line: 0 success, 1 validation error,
 2 conservation-audit failure, 3 I/O error."""
 
+import errno
+import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from leoqsim import cli, engine
 
-GRID_PATH = Path(__file__).resolve().parents[1] / "src" / "leoqsim" / "data" / "default_grid.txt"
+SRC = Path(__file__).resolve().parents[1] / "src"
+GRID_PATH = SRC / "leoqsim" / "data" / "default_grid.txt"
 
 SHORT_RUN = "[run]\nduration_s = 1\nseed = 42\n"
 
@@ -38,6 +44,11 @@ def test_validate_accepts_a_good_scenario(scenario):
 
 def test_validate_rejects_a_bad_scenario(scenario):
     assert cli.main(["validate", scenario("[run]\nseed = x\n")]) == cli.EXIT_VALIDATION
+
+
+def test_validate_rejects_a_default_section(scenario, capsys):
+    assert cli.main(["validate", scenario("[DEFAULT]\nseed = 7\n")]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "invalid: [DEFAULT]: unknown section\n"
 
 
 def test_validate_rejects_a_missing_scenario_file(tmp_path, monkeypatch, capsys):
@@ -112,6 +123,44 @@ def test_run_into_an_existing_file_is_an_io_error(scenario, tmp_path):
     out = tmp_path / "taken"
     out.write_text("", encoding="utf-8")
     assert cli.main(["run", scenario(SHORT_RUN), "--out", str(out)]) == cli.EXIT_IO
+
+
+def test_a_spool_that_cannot_be_written_is_an_io_error(scenario, tmp_path, monkeypatch, capsys):
+    # The packet trace is spooled as the run goes; a full disk stops the run.
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            if self.tell() > 10_000:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return super().write(text)
+
+    monkeypatch.setattr(engine.tempfile, "TemporaryFile", lambda *args, **kwargs: FullDisk())
+    out = tmp_path / "out"
+    code = cli.main(["run", scenario(SHORT_RUN + "trace = true\n"), "--out", str(out)])
+    assert code == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("cannot write the report: [Errno 28] ")
+    assert not out.exists()
+
+
+def closed_stdout(args: list[str]) -> tuple[int, bytes]:
+    """Exit code and stderr of `leoqsim ARGS` in a subprocess whose stdout
+    pipe is closed before it can write."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen([sys.executable, "-m", "leoqsim.cli", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(), err
+
+
+def test_run_into_a_closed_stdout_still_exports(scenario, tmp_path):
+    out = tmp_path / "out"
+    assert closed_stdout(["run", scenario(SHORT_RUN), "--out", str(out)]) == (cli.EXIT_IO, b"")
+    assert (out / "run_meta.json").exists()
+
+
+def test_compare_into_a_closed_stdout_is_an_io_error(report_dir):
+    assert closed_stdout(["compare", str(report_dir), str(report_dir)]) == (cli.EXIT_IO, b"")
 
 
 def test_run_reports_a_failed_audit(scenario, tmp_path, monkeypatch):

@@ -18,8 +18,10 @@ transit hop but can be a packet's last hop: class B traffic bound for a busy
 satellite is delivered over the primary or backup table instead of parked.
 """
 
+import gc
 import hashlib
 import heapq
+import tracemalloc
 from collections import Counter, deque
 from itertools import count
 from pathlib import Path
@@ -36,6 +38,7 @@ from leoqsim.scenario import apply_overrides, loads_scenario
 from leoqsim.scheduling import TrafficClass
 from leoqsim.traffic import Packet
 from oracles import access_row, access_satellite, index_of
+from spooled import read_rows
 
 HOTSPOT_FLOW = "40,-100 -> 50,10 @ 600"
 HOTSPOT = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "hotspot.ini"
@@ -146,8 +149,9 @@ def test_with_no_buffer_every_packet_that_reaches_a_satellite_drops():
     text = "[scheduler]\nbuffer_capacity = 0\n[run]\nduration_s = 2\nseed = 42\ntrace = true\n"
     sim = engine.Simulation(loads_scenario(text))
     report = sim.run()
-    reached = [row[2] for row in report.trace_rows if row[1] == "generated"]
-    dropped = [row[2] for row in report.trace_rows if row[1] == "drop"]
+    trace = read_rows(report.trace)
+    reached = [row[2] for row in trace if row[1] == "generated"]
+    dropped = [row[2] for row in trace if row[1] == "drop"]
     assert len(reached) > 1000
     assert len(set(dropped)) == len(dropped) and set(dropped) <= set(reached)
     assert len(reached) - len(dropped) == report.residual  # uplinks still in flight
@@ -335,9 +339,37 @@ def test_traced_events_never_go_back_in_time():
                            ["run.seed=42", "run.duration_s=10", "run.trace=true"])
     report = engine.Simulation(loads_scenario(text)).run()
     assert report.state_log
-    times = [row[0] for row in report.trace_rows if row[1] != "forward"]
+    times = [row[0] for row in read_rows(report.trace) if row[1] != "forward"]
     assert len(times) > 150_000
     assert all(a <= b for a, b in zip(times, times[1:]))
+
+
+def traced_peak(horizon_s: float, out_dir) -> int:
+    """tracemalloc's peak, in bytes, over a traced and route-dumped run at
+    50 packets/s and its export."""
+    cfg = loads_scenario("[traffic]\nbackground_rate = 50\n[routing]\ndump_routes = true\n"
+                         f"[run]\nduration_s = {horizon_s}\ntrace = true\n")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        stats.export(engine.Simulation(cfg).run(), out_dir)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_traced_run_holds_no_rows(tmp_path):
+    # Trace and route-dump lines go to spool files as they happen, so ten
+    # times the horizon (2,989 packets and 42,054 trace lines against 271 and
+    # 3,762) peaks within 512 KiB of the short run: measured 0.91 MB at 6 s
+    # and 1.12 MB at 60 s, the growth being mostly delay samples and arrival
+    # chunks. An engine that held the rows as tuples peaked at 6.6 MB against
+    # 1.7 MB. Costs about 1.8 s.
+    short = traced_peak(6.0, tmp_path / "short")
+    long = traced_peak(60.0, tmp_path / "long")
+    assert len(read_rows(tmp_path / "long" / "packet_trace.csv")) > 9 * len(
+        read_rows(tmp_path / "short" / "packet_trace.csv"))
+    assert long <= short + 2**19
 
 
 def test_every_forwarding_decision_reads_the_access_row_of_its_time(monkeypatch):
@@ -539,8 +571,8 @@ def test_a_slot_drain_at_a_quantum_boundary_reads_that_quantums_row():
     report = sim.run()
     assert int(3 * 0.7 / 0.7) == 2
     assert reads == [(1, far), (2, far), (3, far)]
-    assert [row[:3] for row in report.trace_rows] == [(0.7, "wait", 0), (2 * 0.7, "wait", 0),
-                                                      (3 * 0.7, "wait", 0)]
+    assert [row[:3] for row in read_rows(report.trace)] == [
+        (0.7, "wait", 0), (2 * 0.7, "wait", 0), (3 * 0.7, "wait", 0)]
     solved.clear()
     sim.resolver.access_index(0, 3 * 0.7)
     assert solved == [3]
@@ -564,7 +596,7 @@ def test_drain_keeps_fifo_order_and_counts_every_repark():
     assert [p.id for p in sim.nodes[HERE].wait_queue] == [0, 2, 4]
     assert report.wait_enqueues == 6
     # Every packet leaves its satellite by a "wait" or a first-hop "forward" row.
-    first = [row[:3] for row in report.trace_rows if row[1] == "wait" or row[5] == 0]
+    first = [row[:3] for row in read_rows(report.trace) if row[1] == "wait" or row[5] == 0]
     assert [(event, pkt_id) for _, event, pkt_id in first] == (
         [("forward", 6), ("wait", 0), ("forward", 1), ("wait", 2), ("forward", 3),
          ("wait", 4), ("forward", 5), ("wait", 0), ("wait", 2), ("wait", 4)])

@@ -20,6 +20,7 @@ from leoqsim.routing import (
 from leoqsim.scenario import loads_scenario
 from leoqsim.scheduling import ALL_CLASSES, B_CLASSES, TrafficClass
 from oracles import access_satellite, index_of, orbital_period_s, route_table
+from spooled import read_rows
 
 PARAMS = ConstellationParams()
 
@@ -206,15 +207,19 @@ def test_flipping_the_callers_flags_leaves_the_table_unchanged():
 
 
 def test_entries_give_python_floats_in_seconds():
-    # The route dump's entries: stats writes floats with repr, which numpy
-    # scalars would change. With no inter-plane links most pairs are
-    # unreachable: their next hop is empty and their cost None.
+    # The route dump's lines: the engine writes costs with the repr of a
+    # Python float, which a numpy scalar would change, and they parse back
+    # to the exact float. With no inter-plane links most pairs are
+    # unreachable: their next hop and cost cells are empty.
     cfg = loads_scenario("[run]\nduration_s = 1\n[routing]\ndump_routes = true\n"
                          "[constellation]\nlat_threshold_deg = 0\n")
     params = cfg.constellation
     n = params.num_sats
     next_idx, cost_ps = compute_shortest_path_table(build_topology_snapshot(params, 0.0))
-    rows = engine.Simulation(cfg).run().route_dump
+    spool = engine.Simulation(cfg).run().route_dump
+    rows = read_rows(spool)
+    spool.seek(0)
+    assert "np.float64(" not in spool.read()
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     assert len(rows) == len(pairs)
     name = [str(SatelliteId(i // params.sats_per_plane, i % params.sats_per_plane))

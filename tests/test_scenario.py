@@ -137,6 +137,9 @@ BAD_INPUTS = {
     "service_rate nan": ("[scheduler]\nservice_rate = nan\n", "scheduler", "service_rate"),
     "flow not finite": ("[traffic]\nflows = 40,-100 -> 50,inf @ 600\n", "traffic", "flows"),
     "flow off the globe": ("[traffic]\nflows = 100,-100 -> 50,400 @ 600\n", "traffic", "flows"),
+    # configparser's default section would hand its keys to every section.
+    "DEFAULT alone": ("[DEFAULT]\nseed = 7\n", "DEFAULT", "unknown section"),
+    "DEFAULT beside a section": ("[DEFAULT]\nseed = 7\n[routing]\n", "DEFAULT", "unknown section"),
 }
 
 
@@ -292,6 +295,7 @@ def test_serialized_config_loads_back_equal(cfg):
         ("x = 1\n", "run.seed=1", "unparseable"),
         ("[run]\nseed = 1\n", "DEFAULT.seed=2", "DEFAULT"),
         ("[run]\nseed = 1\n", "seed=2", "section.key=value"),
+        ("[DEFAULT]\nseed = 7\n", "run.seed=1", r"^\[DEFAULT\]: unknown section"),
     ],
 )
 def test_bad_override_input_is_a_scenario_error(text, override, needle):
@@ -303,6 +307,13 @@ def test_override_replaces_a_key():
     text = apply_overrides("[run]\nseed = 1\n", ["run.seed=2", "routing.strategy=pqwrr_only"])
     cfg = loads_scenario(text)
     assert (cfg.run.seed, cfg.routing.strategy) == (2, "pqwrr_only")
+
+
+def test_override_keeps_a_multi_line_value():
+    text = "[traffic]\nflows = 40,-100 -> 50,10 @ 600 ;\n    10,10 -> 20,20 @ 5\n"
+    cfg = loads_scenario(apply_overrides(text, ["run.seed=2"]))
+    assert cfg.traffic == loads_scenario(text).traffic and len(cfg.traffic.flows) == 2
+    assert cfg.run.seed == 2
 
 
 def test_an_unreadable_grid_file_is_a_scenario_error(tmp_path):

@@ -14,6 +14,12 @@ from leoqsim.scenario import loads_scenario
 from leoqsim.scheduling import ALL_CLASSES, DropReason, TrafficClass
 from leoqsim.stats import DelayCdf, StatsCollector, export
 from leoqsim.traffic import Packet
+from spooled import read_rows
+
+
+# A short run, and the keys that make it spool a packet trace and a route dump.
+SPOOLED_RUN = "[traffic]\nbackground_rate = 200\n[run]\nduration_s = 1\n"
+SPOOLS_ON = "trace = true\n[routing]\ndump_routes = true\n"
 
 
 def make_collector(horizon=300.0):
@@ -233,17 +239,31 @@ class TestExport:
         assert json.loads((a / "run_meta.json").read_text())["busy_buckets"] == [0]
 
     def test_an_untraced_export_leaves_no_trace_or_route_dump_behind(self, tmp_path):
-        untraced = self.make_report()
+        untraced = engine.Simulation(loads_scenario(SPOOLED_RUN)).run()
         export(untraced, tmp_path / "fresh")
-        traced = self.make_report()
-        traced.route_dump = [(0, "S-0-0", "S-0-1", "S-0-1", 0.004)]
-        traced.trace_rows = [(0.5, "generated", 0, "A", "S-0-0", 0)]
+        traced = engine.Simulation(loads_scenario(SPOOLED_RUN + SPOOLS_ON)).run()
         export(traced, tmp_path / "reused")
         assert (tmp_path / "reused" / "packet_trace.csv").exists()
         assert (tmp_path / "reused" / "route_tables.csv").exists()
         export(untraced, tmp_path / "reused")
         fresh = sorted(f.name for f in (tmp_path / "fresh").iterdir())
         assert sorted(f.name for f in (tmp_path / "reused").iterdir()) == fresh
+
+    def test_spooled_files_are_copied_whole_on_every_export(self, tmp_path):
+        # Each export copies a spool from its start, so a re-export, even
+        # over an earlier copy, writes the same bytes the engine spooled.
+        report = engine.Simulation(loads_scenario(SPOOLED_RUN + SPOOLS_ON)).run()
+        a, b = tmp_path / "a", tmp_path / "b"
+        export(report, a)
+        export(report, b)
+        export(report, b)
+        for f in sorted(a.iterdir()):
+            assert (b / f.name).read_bytes() == f.read_bytes()
+        for name, spool in (("packet_trace.csv", report.trace),
+                            ("route_tables.csv", report.route_dump)):
+            spool.seek(0)
+            assert (a / name).read_bytes() == spool.read().encode("utf-8")
+            assert read_rows(a / name) and read_rows(a / name) == read_rows(spool)
 
     @pytest.mark.parametrize("n", [0, 1, 9, 10, 11])
     def test_summary_p90_is_the_cdf_quantile(self, tmp_path, n):
