@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from . import engine, stats
@@ -48,8 +49,10 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     try:
-        report = engine.run(_load(args.scenario, args.set or []))
-        stats.export(report, Path(args.out))
+        sim = engine.Simulation(_load(args.scenario, args.set or []))
+        with closing(sim.stats) as report:  # its spools, however the run or export ends
+            sim.run()
+            stats.export(report, Path(args.out))
     except ScenarioError as e:
         print(f"invalid: {e}", file=sys.stderr)
         return EXIT_VALIDATION

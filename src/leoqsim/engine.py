@@ -20,8 +20,10 @@ flags, the forwarding rule and the delay geometry. `run` rebinds the access
 row at each refresh, and the table rows after every slot rebuild and
 busy/idle notification, before anything routes with them. Two kinds of
 packet reach that block: one that finishes service, and one released from a
-routing wait queue. Each satellite keeps a list, indexed by neighbour, of
-the time its link to that neighbour is next free (N^2 entries in all).
+routing wait queue. Per-satellite state is five lists indexed by satellite:
+`schedulers`, `congs` (arrival-rate estimators), `wait_queues`, `in_service`
+(the packet in service, or None) and `chan_free`, whose entry i holds, per
+neighbour j, the time the link i -> j is next free (N^2 entries in all).
 
 A change of the busy set (a notification, at an arrival or a sweep) or of
 the routing slot releases every parked packet: the wait queues are emptied
@@ -114,17 +116,6 @@ def _spool(header: str):
     return f
 
 
-class _SatNode:
-    __slots__ = ("scheduler", "cong", "wait_queue", "in_service", "chan_free")
-
-    def __init__(self, scheduler: PqwrrScheduler, cong: NodeCongestionState, n: int):
-        self.scheduler = scheduler
-        self.cong = cong
-        self.wait_queue: deque = deque()
-        self.in_service: Optional[Packet] = None
-        self.chan_free = [0.0] * n  # per neighbour index: when its link is next free
-
-
 class Simulation:
     """One run of one scenario. Build, call `run()`, read the report."""
 
@@ -146,10 +137,11 @@ class Simulation:
         ground = self.generator.terminals
         self.resolver = AccessResolver(params, ground, quantum_s=cfg.run.access_refresh_s)
         self.geometry = OrbitGeometry(params, ground)
-        self.nodes = [
-            _SatNode(PqwrrScheduler(cfg.scheduler), NodeCongestionState(), self.n)
-            for _ in range(self.n)
-        ]
+        self.schedulers = [PqwrrScheduler(cfg.scheduler) for _ in range(self.n)]
+        self.congs = [NodeCongestionState() for _ in range(self.n)]
+        self.wait_queues = [deque() for _ in range(self.n)]
+        self.in_service: list[Optional[Packet]] = [None] * self.n
+        self.chan_free = [[0.0] * self.n for _ in range(self.n)]
         self.stats = stats = StatsCollector(
             horizon_s=cfg.run.duration_s,
             bucket_s=cfg.run.stats_interval_s,
@@ -215,8 +207,7 @@ class Simulation:
     def _release(self, released: deque) -> None:
         """Empty every wait queue onto `released` as (satellite, packet)
         pairs, in FIFO order per satellite and satellites in index order."""
-        for i, node in enumerate(self.nodes):
-            pending = node.wait_queue
+        for i, pending in enumerate(self.wait_queues):
             if pending:
                 for pkt in pending:
                     released.append((i, pkt))
@@ -260,7 +251,11 @@ class Simulation:
         source = exhausted if first is None else (first[0], seq(), _EV_SOURCE, first[1], None)
 
         stats = self.stats
-        nodes = self.nodes
+        schedulers = self.schedulers
+        congs = self.congs
+        wait_queues = self.wait_queues
+        in_service = self.in_service
+        chan_free = self.chan_free
         sids = self.sids
         trace = stats.trace
         decide = decide_next_index  # read here, so a replaced module global takes effect
@@ -286,17 +281,15 @@ class Simulation:
             if svc and svc[0] < head or released:  # packet b leaves satellite a
                 if released:  # at the time t of the event that released it
                     a, b = released_pop()
-                    node = nodes[a]
                 else:  # _EV_SERVICE
                     t, _, _, a, b = svc_pop()
-                    node = nodes[a]
-                    scheduler = node.scheduler
+                    scheduler = schedulers[a]
                     if scheduler.size:
                         pkt = scheduler.dequeue()
-                        node.in_service = pkt
+                        in_service[a] = pkt
                         svc_push((t + service_period, seq(), _EV_SERVICE, a, pkt))
                     else:
-                        node.in_service = None
+                        in_service[a] = None
                     if trace is not None:
                         self._trace(t, "service", b, a)
                 # The forwarding decision and its transmission: the downlink,
@@ -310,8 +303,8 @@ class Simulation:
                 nxt, via_backup = _WAIT if dst < 0 else decide(
                     b.tos, a, dst, primary, backup, busy_flags, b.detoured)
                 if nxt < 0:
-                    if len(node.wait_queue) < wait_capacity:
-                        node.wait_queue.append(b)
+                    if len(wait_queues[a]) < wait_capacity:
+                        wait_queues[a].append(b)
                         wait_enqueues += 1
                         if trace is not None:
                             self._trace(t, "wait", b, a)
@@ -323,10 +316,10 @@ class Simulation:
                 if via_backup:
                     backup_forwards += 1
                     b.detoured = True
-                chan_free = node.chan_free
-                free = chan_free[nxt]
+                links = chan_free[a]
+                free = links[nxt]
                 depart = t if t >= free else free
-                chan_free[nxt] = depart + chan_period
+                links[nxt] = depart + chan_period
                 heappush(heap, (depart + link_delay(a, nxt, depart), seq(), _EV_LINK, b, nxt))
                 if trace is not None:
                     self._trace(depart, "forward", b, a)
@@ -349,20 +342,19 @@ class Simulation:
 
             t, s, kind, a, b = heappop(heap)
             if kind <= _EV_UPLINK:  # _EV_LINK or _EV_UPLINK: packet a reaches satellite b
-                node = nodes[b]
                 if kind == _EV_LINK:
                     a.hop += 1
                     if trace is not None:
                         self._trace(t, "link_arrival", a, b)
                 if kind == _EV_LINK or count_uplink:
-                    notif = node.cong.record_arrival(t, ccfg)
+                    notif = congs[b].record_arrival(t, ccfg)
                     if notif is not None:
                         backup = self._notify(((b, notif),), released)
-                if node.in_service is None and idle_start:
-                    node.scheduler.start(a)
-                    node.in_service = a
+                if in_service[b] is None and idle_start:
+                    schedulers[b].start(a)
+                    in_service[b] = a
                     svc_push((t + service_period, seq(), _EV_SERVICE, b, a))
-                elif not node.scheduler.enqueue(a):
+                elif not schedulers[b].enqueue(a):
                     stats.record_drop(t, sids[b], a.tos, DropReason.BUFFER_OVERFLOW)
                     if trace is not None:
                         self._trace(t, "drop", a, b)
@@ -380,8 +372,8 @@ class Simulation:
                     access = access_row(a)
                 elif kind == _EV_SWEEP:
                     notifs = []
-                    for i, node in enumerate(nodes):
-                        n = node.cong.evaluate(t, ccfg)
+                    for i, cong in enumerate(congs):
+                        n = cong.evaluate(t, ccfg)
                         if n is not None:
                             notifs.append((i, n))
                     if notifs:
@@ -391,9 +383,9 @@ class Simulation:
                     self._release(released)
 
         residual = sum(1 for ev in heap if ev[2] in _IN_FLIGHT)
-        for node in nodes:
-            residual += node.scheduler.size + len(node.wait_queue)
-            if node.in_service is not None:
+        for i in range(self.n):
+            residual += schedulers[i].size + len(wait_queues[i])
+            if in_service[i] is not None:
                 residual += 1
         stats.backup_forwards += backup_forwards
         stats.wait_enqueues += wait_enqueues

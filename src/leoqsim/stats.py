@@ -85,6 +85,12 @@ class StatsCollector:
         self.route_dump: Optional[IO[str]] = None  # route_tables.csv, spooled by the engine
         self.trace: Optional[IO[str]] = None  # packet_trace.csv, spooled by the engine
 
+    def close(self) -> None:
+        """Close (and so delete) the trace and route-dump spools; export first."""
+        for spool in (self.trace, self.route_dump):
+            if spool is not None:
+                spool.close()
+
     # -- recording, called by the event loop ---------------------------------
 
     def record_generated(self, pkt) -> None:
@@ -166,12 +172,10 @@ class StatsCollector:
         return self.delivered[cls] / gen if gen else None
 
     def mean_delay_s(self, cls: TrafficClass, foreground: bool = False) -> Optional[float]:
-        if foreground:
-            n = sum(self.fg_delivered_bucket[cls])
-            s = sum(self.fg_delay_sum_bucket[cls])
-        else:
-            n = self.delivered[cls]
-            s = sum(self.delay_sum_bucket[cls])
+        n = sum(self.fg_delivered_bucket[cls]) if foreground else self.delivered[cls]
+        s = 0.0  # left to right, not `sum`: from Python 3.12 it compensates floats
+        for d in (self.fg_delay_sum_bucket if foreground else self.delay_sum_bucket)[cls]:
+            s += d
         return s / n if n else None
 
     def mean_hops(self, cls: TrafficClass, foreground: bool = False) -> Optional[float]:

@@ -9,9 +9,11 @@ under 4 s routing slots with room for five packets per wait queue: it crosses
 two slot rebuilds and an access change, and its drains re-park and drop
 packets. One runs the hotspot on an 8 x 7 shell whose inter-plane links close
 at 20 degrees of latitude, under 2 s slots: its route dump holds unreachable
-pairs, and its wait queues park tens of thousands of packets. A change to the
-engine or to any layer it calls that is meant to keep behaviour must keep
-these digests; a deliberate behaviour change records the new ones.
+pairs, and its wait queues park tens of thousands of packets. One runs the
+hotspot with 1 s stats buckets, so its series hold a row per bucket and its
+summary means add five buckets' delay sums. A change to the engine or to any
+layer it calls that is meant to keep behaviour must keep these digests; a
+deliberate behaviour change records the new ones.
 
 The digests pin the forwarding rule in which a busy satellite is never a
 transit hop but can be a packet's last hop: class B traffic bound for a busy
@@ -65,6 +67,10 @@ SHELL_8X7 = {
     "routing": ["slot_length_s = 2"],
 }
 
+# Stats buckets of 1 s: per-bucket rows in the delay, throughput and hop
+# series, and run-wide means summed over five buckets.
+BUCKETS = {"run": ["stats_interval_s = 1"]}
+
 SCENARIOS = {
     "baseline": ("", "composite", {}),
     "hotspot": (HOTSPOT_FLOW, "composite", {}),
@@ -72,6 +78,7 @@ SCENARIOS = {
     "hotspot_knobs": (HOTSPOT_FLOW, "composite", KNOBS),
     "hotspot_slots": (HOTSPOT_FLOW, "composite", SLOTS),
     "shell_8x7": (HOTSPOT_FLOW, "composite", SHELL_8X7),
+    "hotspot_buckets": (HOTSPOT_FLOW, "composite", BUCKETS),
 }
 
 DIGESTS = {
@@ -81,6 +88,7 @@ DIGESTS = {
     "hotspot_knobs": "4aee275fb281f2c3038dd1e596f8c2ecf1869bbb0fb5e9078402999626321e06",
     "hotspot_slots": "8840375524a3182181158a2bc1c4a337e24baed9de0b1fff71c1942cf91021e9",
     "shell_8x7": "79a6790e653a9efc24fcd7d98c262f4c430532d67a8af3850a775450736e559c",
+    "hotspot_buckets": "ec85bcc569028da60f1f0019d90f4147b2db7000218427a4bbe55b3d78d6bc13",
 }
 
 
@@ -162,7 +170,7 @@ def test_with_no_buffer_every_packet_that_reaches_a_satellite_drops():
     assert set(by_reason) <= {"buffer_overflow", "access_blocked"}
     assert report.delivered_total() == 0
     assert engine.conservation_audit(report)
-    assert all(node.in_service is None for node in sim.nodes)
+    assert all(pkt is None for pkt in sim.in_service)
 
 
 def test_hotspot_detours_over_the_backup_table(runs):
@@ -539,7 +547,7 @@ def park(sim, parked):
     for pkt_id, (sat, tos, dst_user, detoured) in enumerate(parked):
         pkt = Packet(pkt_id, tos, 0, dst_user, 0.0)
         pkt.detoured = detoured
-        sim.nodes[sat].wait_queue.append(pkt)
+        sim.wait_queues[sat].append(pkt)
 
 
 def test_a_slot_drain_at_a_quantum_boundary_reads_that_quantums_row():
@@ -593,7 +601,7 @@ def test_drain_keeps_fifo_order_and_counts_every_repark():
                (HERE, B2, near, False), (HERE, B1, far, False), (HERE, B0, near, True),
                (other, A, far, False)])
     report = sim.run()
-    assert [p.id for p in sim.nodes[HERE].wait_queue] == [0, 2, 4]
+    assert [p.id for p in sim.wait_queues[HERE]] == [0, 2, 4]
     assert report.wait_enqueues == 6
     # Every packet leaves its satellite by a "wait" or a first-hop "forward" row.
     first = [row[:3] for row in read_rows(report.trace) if row[1] == "wait" or row[5] == 0]
@@ -602,4 +610,4 @@ def test_drain_keeps_fifo_order_and_counts_every_repark():
          ("wait", 4), ("forward", 5), ("wait", 0), ("wait", 2), ("wait", 4)])
     assert [t for t, event, _ in first if event == "wait"] == [1.0] * 3 + [2.0] * 3
     assert report.backup_forwards == 1  # the detoured packet's last hop
-    assert all(not node.wait_queue for i, node in enumerate(sim.nodes) if i != HERE)
+    assert all(not pending for i, pending in enumerate(sim.wait_queues) if i != HERE)

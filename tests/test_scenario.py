@@ -80,6 +80,9 @@ KNOB_SECTIONS = {
         "constellation": ConstellationParams(planes=8, sats_per_plane=7, lat_threshold_deg=20.0),
         "routing": RoutingConfig(strategy="composite", dump_routes=True, slot_length_s=2.0),
     },
+    "hotspot_buckets": {
+        "run": RunConfig(duration_s=5.0, seed=42, trace=True, stats_interval_s=1.0),
+    },
 }
 
 

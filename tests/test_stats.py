@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from array import array
 from collections import Counter
+from contextlib import closing
 
 import pytest
 
@@ -136,6 +137,21 @@ class TestCollector:
         assert c.mean_hops(TrafficClass.A) == pytest.approx(4.0)
         assert c.mean_hops(TrafficClass.A, foreground=True) == pytest.approx(6.0)
 
+    def test_mean_delay_sums_the_buckets_left_to_right(self):
+        # From Python 3.12 `sum` compensates float sums and makes ten 0.1 s
+        # buckets exactly 1.0 s; summed left to right they make 0.9999999999999999 s,
+        # the bytes earlier Pythons export.
+        c = make_collector(horizon=600.0)
+        for cls in ALL_CLASSES:
+            c.delivered[cls] = 10
+            c.delay_sum_bucket[cls] = [0.1] * 10
+            c.fg_delivered_bucket[cls] = [1] * 10
+            c.fg_delay_sum_bucket[cls] = [0.1] * 10
+        left_to_right = 0.9999999999999999 / 10
+        for cls in ALL_CLASSES:
+            assert c.mean_delay_s(cls) == left_to_right
+            assert c.mean_delay_s(cls, foreground=True) == left_to_right
+
 
 def busy_buckets(bucket_s, horizon_s, *log):
     """The busy buckets of a collector whose state log holds `log`, given as
@@ -241,8 +257,8 @@ class TestExport:
     def test_an_untraced_export_leaves_no_trace_or_route_dump_behind(self, tmp_path):
         untraced = engine.Simulation(loads_scenario(SPOOLED_RUN)).run()
         export(untraced, tmp_path / "fresh")
-        traced = engine.Simulation(loads_scenario(SPOOLED_RUN + SPOOLS_ON)).run()
-        export(traced, tmp_path / "reused")
+        with closing(engine.Simulation(loads_scenario(SPOOLED_RUN + SPOOLS_ON)).run()) as traced:
+            export(traced, tmp_path / "reused")
         assert (tmp_path / "reused" / "packet_trace.csv").exists()
         assert (tmp_path / "reused" / "route_tables.csv").exists()
         export(untraced, tmp_path / "reused")
@@ -252,18 +268,19 @@ class TestExport:
     def test_spooled_files_are_copied_whole_on_every_export(self, tmp_path):
         # Each export copies a spool from its start, so a re-export, even
         # over an earlier copy, writes the same bytes the engine spooled.
-        report = engine.Simulation(loads_scenario(SPOOLED_RUN + SPOOLS_ON)).run()
         a, b = tmp_path / "a", tmp_path / "b"
-        export(report, a)
-        export(report, b)
-        export(report, b)
-        for f in sorted(a.iterdir()):
-            assert (b / f.name).read_bytes() == f.read_bytes()
-        for name, spool in (("packet_trace.csv", report.trace),
-                            ("route_tables.csv", report.route_dump)):
-            spool.seek(0)
-            assert (a / name).read_bytes() == spool.read().encode("utf-8")
-            assert read_rows(a / name) and read_rows(a / name) == read_rows(spool)
+        with closing(engine.Simulation(loads_scenario(SPOOLED_RUN + SPOOLS_ON)).run()) as report:
+            export(report, a)
+            export(report, b)
+            export(report, b)
+            for f in sorted(a.iterdir()):
+                assert (b / f.name).read_bytes() == f.read_bytes()
+            for name, spool in (("packet_trace.csv", report.trace),
+                                ("route_tables.csv", report.route_dump)):
+                spool.seek(0)
+                assert (a / name).read_bytes() == spool.read().encode("utf-8")
+                assert read_rows(a / name) and read_rows(a / name) == read_rows(spool)
+        assert report.trace.closed and report.route_dump.closed
 
     @pytest.mark.parametrize("n", [0, 1, 9, 10, 11])
     def test_summary_p90_is_the_cdf_quantile(self, tmp_path, n):
@@ -324,7 +341,8 @@ class TestExport:
             "[traffic]\nbackground_rate = 800\nflows = 40,-100 -> 50,10 @ 600\n"
             "[run]\nduration_s = 3\ntrace = true\n"
         )
-        export(engine.Simulation(cfg).run(), tmp_path)
+        with closing(engine.Simulation(cfg).run()) as report:
+            export(report, tmp_path)
         with open(tmp_path / "drops_per_sat.csv", newline="") as f:
             exported = Counter()
             for row in csv.DictReader(f):
