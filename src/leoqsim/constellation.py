@@ -17,8 +17,8 @@ Each geometric concept has one implementation here:
 - `build_topology_snapshot`: the link graph of one routing slot, a
   neighbour table of sorted `(j, delay_ps)` pairs per satellite;
 - `SatelliteId.__str__`: the printed name of a satellite in every export.
-  Every other layer knows a satellite by its index, plane * S + slot, and
-  the engine alone names one, through `ConstellationParams.sid_of`.
+  Every layer knows a satellite by its index, plane * S + slot; the
+  engine's name table, built through `ConstellationParams.sid_of`, names it.
 """
 
 from __future__ import annotations

@@ -38,11 +38,11 @@ into service, enqueued or dropped) before they are routed.
 The engine owns the event loop and the per-satellite state only. Orbit
 geometry and link delays come from `constellation.OrbitGeometry`, the link
 graph from `constellation.build_topology_snapshot` and the forwarding rule
-from `routing.decide_next_index`. Below the engine a satellite is its index:
-the schedulers, congestion states and route tables never name it. The
-engine's `sids` list names it for every record: drops, busy/idle changes,
-and trace and route-dump lines, written once, as they happen, to the
-report's spool files. `stats` gets those records and nothing else: no event
+from `routing.decide_next_index`. A satellite is its index, -1 meaning none,
+in every layer and in the report's drop and busy/idle records. The engine's
+`names` table alone names it: in the trace and route-dump lines written
+once, as they happen, to the report's spool files, and, through the report,
+in `stats.export`. `stats` gets those records and nothing else: no event
 marks a stats bucket.
 
 Pending events sit in three lanes. Every service completion falls one fixed
@@ -124,8 +124,8 @@ class Simulation:
         params = cfg.constellation
         self.params = params
         self.n = params.num_sats
-        self.sids = [params.sid_of(i) for i in range(self.n)]
-        self.names = [str(sid) for sid in self.sids] + ["-"]  # names[-1]: no satellite
+        # names[i] names satellite i in every export; names[-1] names no satellite.
+        self.names = [str(params.sid_of(i)) for i in range(self.n)] + ["-"]
         grid = cfg.load_grid()
         self.generator = ArrivalGenerator(
             flows=list(cfg.traffic.flows),
@@ -147,6 +147,7 @@ class Simulation:
             bucket_s=cfg.run.stats_interval_s,
             seed=cfg.run.seed,
             strategy=cfg.routing.strategy,
+            names=self.names,
         )
         self.composite = cfg.routing.strategy == "composite"
         self.busy_flags = [False] * self.n
@@ -200,7 +201,7 @@ class Simulation:
         packet and return the backup rows of the new busy set."""
         for idx, notif in notifs:
             self.busy_flags[idx] = notif.label is CongestionLabel.BUSY
-            self.stats.state_log.append((self.sids[idx], notif))
+            self.stats.state_log.append((idx, notif))
         self._release(released)
         return self._backup_rows()
 
@@ -256,7 +257,6 @@ class Simulation:
         wait_queues = self.wait_queues
         in_service = self.in_service
         chan_free = self.chan_free
-        sids = self.sids
         trace = stats.trace
         decide = decide_next_index  # read here, so a replaced module global takes effect
         busy_flags = self.busy_flags
@@ -309,7 +309,7 @@ class Simulation:
                         if trace is not None:
                             self._trace(t, "wait", b, a)
                     else:
-                        stats.record_drop(t, sids[a], b.tos, DropReason.ROUTE_WAIT_OVERFLOW)
+                        stats.record_drop(t, a, b.tos, DropReason.ROUTE_WAIT_OVERFLOW)
                         if trace is not None:
                             self._trace(t, "drop", b, a)
                     continue
@@ -330,7 +330,7 @@ class Simulation:
                 stats.record_generated(a)
                 src = access[a.src_user]
                 if src < 0:
-                    stats.record_drop(t, None, a.tos, DropReason.ACCESS_BLOCKED)
+                    stats.record_drop(t, -1, a.tos, DropReason.ACCESS_BLOCKED)
                 else:
                     delay = slant_delay(a.src_user, src, t)
                     heappush(heap, (t + delay, seq(), _EV_UPLINK, a, src))
@@ -355,7 +355,7 @@ class Simulation:
                     in_service[b] = a
                     svc_push((t + service_period, seq(), _EV_SERVICE, b, a))
                 elif not schedulers[b].enqueue(a):
-                    stats.record_drop(t, sids[b], a.tos, DropReason.BUFFER_OVERFLOW)
+                    stats.record_drop(t, b, a.tos, DropReason.BUFFER_OVERFLOW)
                     if trace is not None:
                         self._trace(t, "drop", a, b)
             elif kind == _EV_DELIVERY:

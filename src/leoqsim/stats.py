@@ -7,9 +7,9 @@ One `StatsCollector` holds a run's statistics: the event loop records packets,
 drops and busy/idle notifications into it and sets the residual at the
 horizon, and the same object is the report that the queries, `export` and
 `engine.conservation_audit` read. When some satellite was Busy is read off
-the notification log alone. Satellites arrive here already named: the engine
-passes each `SatelliteId`. The packet trace and route dump arrive as spools
-the engine wrote as the run went; `export` copies them and reads no row."""
+the notification log alone. A satellite is its index, -1 meaning none, and
+`export` names it from the engine's `names` table. The packet trace and route
+dump arrive as spools the engine wrote; `export` copies them, reading no row."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .congestion import CongestionLabel, Notification
-from .constellation import SatelliteId, periods_elapsed
+from .constellation import periods_elapsed
 from .scheduling import ALL_CLASSES, DropReason, TrafficClass
 
 MS_PER_S = 1000.0
@@ -58,11 +58,13 @@ class DelayCdf:
 class StatsCollector:
     """One run's statistics; once the run sets `residual` it is the run's report."""
 
-    def __init__(self, horizon_s: float, bucket_s: float, seed: int, strategy: str):
+    def __init__(self, horizon_s: float, bucket_s: float, seed: int, strategy: str,
+                 names: list[str]):
         self.horizon_s = horizon_s
         self.bucket_s = bucket_s
         self.seed = seed
         self.strategy = strategy
+        self.names = names  # names[i] names satellite i, names[-1] no satellite
         self.n_buckets = max(1, math.ceil(horizon_s / bucket_s))
         n = self.n_buckets
         self.generated = {c: 0 for c in ALL_CLASSES}
@@ -77,8 +79,8 @@ class StatsCollector:
         self.fg_delay_sum_bucket = {c: [0.0] * n for c in ALL_CLASSES}
         self.fg_hop_sum_bucket = {c: [0] * n for c in ALL_CLASSES}
         self.delay_samples = {c: array("d") for c in ALL_CLASSES}
-        self.drops_detail: dict[tuple[int, Optional[SatelliteId], TrafficClass, str], int] = {}
-        self.state_log: list[tuple[SatelliteId, Notification]] = []
+        self.drops_detail: dict[tuple[int, int, TrafficClass, str], int] = {}
+        self.state_log: list[tuple[int, Notification]] = []  # (satellite, notification)
         self.backup_forwards = 0
         self.wait_enqueues = 0
         self.residual = 0  # packets still in the network at the horizon
@@ -117,11 +119,9 @@ class StatsCollector:
             self.fg_delay_sum_bucket[cls][b] += delay
             self.fg_hop_sum_bucket[cls][b] += pkt.hop
 
-    def record_drop(
-        self, t: float, satellite: Optional[SatelliteId], tos: TrafficClass, reason: DropReason
-    ) -> None:
-        """Count one drop at time t under its bucket, satellite, class and
-        reason; a satellite of None marks a source-side (no satellite) drop."""
+    def record_drop(self, t: float, satellite: int, tos: TrafficClass, reason: DropReason) -> None:
+        """Count one drop at time t under its bucket, satellite index, class
+        and reason; a satellite of -1 marks a source-side (no satellite) drop."""
         b = int(t / self.bucket_s)
         if b >= self.n_buckets:
             b = self.n_buckets - 1
@@ -147,7 +147,7 @@ class StatsCollector:
         """The buckets a busy episode touches, read off `state_log` by the
         rule `export` states."""
         s = self.bucket_s
-        busy: set[SatelliteId] = set()
+        busy: set[int] = set()
         marked: set[int] = set()
         for sat, notif in self.state_log:
             if notif.label is CongestionLabel.BUSY:
@@ -206,6 +206,10 @@ def export(report: StatsCollector, out_dir) -> None:
     holding horizon_s, bucket_s, seed, strategy, generated, delivered,
     dropped, residual, backup_forwards, wait_enqueues and busy_buckets.
 
+    Bucket b's throughput_pkt_s is its deliveries over the time it covers:
+    bucket_s, or horizon_s - b * bucket_s when (b + 1) * bucket_s > horizon_s;
+    empty when that is 0 (float rounding adds a 31st bucket to 21 s of 0.7 s).
+
     busy_buckets lists every bucket from periods_elapsed(start, bucket_s) to
     periods_elapsed(end, bucket_s), clamped to the last, of each busy
     episode: from the Busy notification that makes the busy set non-empty to
@@ -222,13 +226,9 @@ def export(report: StatsCollector, out_dir) -> None:
 
     with open(out / "drops_per_sat.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("bucket,satellite,class,reason,count\n")
-        # No-satellite drops sort first, then satellites in (plane, slot) order.
-        for (b, sat, cls, reason), count in sorted(
-            report.drops_detail.items(),
-            key=lambda kv: (kv[0][0], () if kv[0][1] is None else kv[0][1], kv[0][2], kv[0][3]),
-        ):
-            name = "-" if sat is None else str(sat)
-            f.write(f"{b},{name},{cls.name},{reason},{count}\n")
+        # No-satellite drops (-1) sort first, then satellites in (plane, slot) order.
+        for (b, sat, cls, reason), count in sorted(report.drops_detail.items()):
+            f.write(f"{b},{report.names[sat]},{cls.name},{reason},{count}\n")
 
     with open(out / "delay_series.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("bucket,class,deliveries,mean_delay_ms\n")
@@ -258,13 +258,15 @@ def export(report: StatsCollector, out_dir) -> None:
 
     with open(out / "throughput.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("bucket,class,generated,delivered,throughput_pkt_s,ratio\n")
+        s, horizon = report.bucket_s, report.horizon_s
         for b in range(report.n_buckets):
+            span = s if (b + 1) * s <= horizon else horizon - b * s  # what the horizon leaves
             for cls in ALL_CLASSES:
                 gen = report.generated_bucket[cls][b]
                 dlv = report.delivered_bucket[cls][b]
-                rate = dlv / report.bucket_s
+                rate = _fmt(dlv / span) if span > 0 else ""
                 ratio = _fmt(dlv / gen) if gen else ""
-                f.write(f"{b},{cls.name},{gen},{dlv},{_fmt(rate)},{ratio}\n")
+                f.write(f"{b},{cls.name},{gen},{dlv},{rate},{ratio}\n")
 
     with open(out / "hops.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("bucket,class,scope,deliveries,mean_hops\n")
@@ -298,7 +300,7 @@ def export(report: StatsCollector, out_dir) -> None:
     with open(out / "state_log.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("time,satellite,new_label,rate\n")
         for sat, n in report.state_log:
-            f.write(f"{_fmt(n.time)},{sat},{n.label.value},{_fmt(n.rate)}\n")
+            f.write(f"{_fmt(n.time)},{report.names[sat]},{n.label.value},{_fmt(n.rate)}\n")
 
     meta = {
         "horizon_s": report.horizon_s,

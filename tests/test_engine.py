@@ -13,7 +13,10 @@ pairs, and its wait queues park tens of thousands of packets. One runs the
 hotspot with 1 s stats buckets, so its series hold a row per bucket and its
 summary means add five buckets' delay sums. A change to the engine or to any
 layer it calls that is meant to keep behaviour must keep these digests; a
-deliberate behaviour change records the new ones.
+deliberate behaviour change records the new ones. The six runs whose
+horizon (5 s, or 10 s) cuts their one 60 s stats bucket short were re-pinned
+when `throughput.csv` came to divide a bucket's deliveries by the time it
+covers rather than by the full bucket; no other file of theirs changed.
 
 The digests pin the forwarding rule in which a busy satellite is never a
 transit hop but can be a packet's last hop: class B traffic bound for a busy
@@ -25,6 +28,7 @@ import hashlib
 import heapq
 import tracemalloc
 from collections import Counter, deque
+from contextlib import closing
 from itertools import count
 from pathlib import Path
 from typing import Optional
@@ -82,12 +86,12 @@ SCENARIOS = {
 }
 
 DIGESTS = {
-    "baseline": "86fef41d092b29328c35c8a1d9b67085a6135c0dcb63a636391758e484d823cf",
-    "hotspot": "583d9056006d1f04f8c5d67b63bdfa7466d110f38fd23b7542b66894665e8710",
-    "hotspot_pqwrr_only": "c36ad117207acbdbb1c9a3075cbb95f37863a40a2e97cd380cf1a725f5a5ddb4",
-    "hotspot_knobs": "4aee275fb281f2c3038dd1e596f8c2ecf1869bbb0fb5e9078402999626321e06",
-    "hotspot_slots": "8840375524a3182181158a2bc1c4a337e24baed9de0b1fff71c1942cf91021e9",
-    "shell_8x7": "79a6790e653a9efc24fcd7d98c262f4c430532d67a8af3850a775450736e559c",
+    "baseline": "9c299d1b45a4732274ae95f44c4aa1a0b93ac61882fb921933ac04460134ee31",
+    "hotspot": "4cb0507d85f9716c4f7ac85d3a0a856b3e45b3d7fdfe03f30c16a83a425c96d2",
+    "hotspot_pqwrr_only": "a606bc7b64f09267fd6d92220652a480256d50a09b6fb5b9bc36f55ec276325d",
+    "hotspot_knobs": "4f6a25393f1b793a571d0918403943b876b936b5e4b1ddbb9370a06635b7ff23",
+    "hotspot_slots": "7f2aad1fb9fb0ea8f55ad33a12e248ed03c5c810bedd2f2aa1b267c20fb666be",
+    "shell_8x7": "afe0f6ad69c40ac17d5eb03ae3d749504f689586f17897f3df203fb1a33e7da0",
     "hotspot_buckets": "ec85bcc569028da60f1f0019d90f4147b2db7000218427a4bbe55b3d78d6bc13",
 }
 
@@ -124,9 +128,10 @@ def runs(tmp_path_factory):
     for name, (flows, strategy, knobs) in SCENARIOS.items():
         digests = []
         for k in range(2):
-            report = engine.Simulation(loads_scenario(scenario_text(flows, strategy, knobs))).run()
             out_dir = tmp_path_factory.mktemp(f"{name}_{k}")
-            stats.export(report, out_dir)
+            cfg = loads_scenario(scenario_text(flows, strategy, knobs))
+            with closing(engine.Simulation(cfg).run()) as report:
+                stats.export(report, out_dir)
             digests.append(export_digest(out_dir))
         out[name] = (report, digests)
     return out
@@ -156,8 +161,8 @@ def test_with_no_buffer_every_packet_that_reaches_a_satellite_drops():
     # enter is tail-dropped, not taken straight into service.
     text = "[scheduler]\nbuffer_capacity = 0\n[run]\nduration_s = 2\nseed = 42\ntrace = true\n"
     sim = engine.Simulation(loads_scenario(text))
-    report = sim.run()
-    trace = read_rows(report.trace)
+    with closing(sim.run()) as report:
+        trace = read_rows(report.trace)
     reached = [row[2] for row in trace if row[1] == "generated"]
     dropped = [row[2] for row in trace if row[1] == "drop"]
     assert len(reached) > 1000
@@ -187,6 +192,7 @@ def test_resolver_and_geometry_index_the_generators_terminals():
     # The terminals are the cells that carry demand (the default grid has no
     # weightless continent), then the flow's endpoints.
     sim = engine.Simulation(loads_scenario(scenario_text(HOTSPOT_FLOW, "composite")))
+    sim.stats.close()  # never run: its spools stay empty
     terminals = sim.generator.terminals
     flow = sim.cfg.traffic.flows[0]
     grid = sim.generator.grid
@@ -330,6 +336,7 @@ def test_both_lanes_dispatch_in_strictly_increasing_key_order(monkeypatch):
     sim = engine.Simulation(loads_scenario(scenario_text(HOTSPOT_FLOW, "composite")))
     sim._svc = RecordingDeque(dispatched)
     report = sim.run()
+    report.close()
     assert report.state_log
     keys = [event[:2] for event in dispatched]
     assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -345,9 +352,9 @@ def test_traced_events_never_go_back_in_time():
     # the event that wrote it.
     text = apply_overrides(HOTSPOT.read_text(encoding="utf-8"),
                            ["run.seed=42", "run.duration_s=10", "run.trace=true"])
-    report = engine.Simulation(loads_scenario(text)).run()
+    with closing(engine.Simulation(loads_scenario(text)).run()) as report:
+        times = [row[0] for row in read_rows(report.trace) if row[1] != "forward"]
     assert report.state_log
-    times = [row[0] for row in read_rows(report.trace) if row[1] != "forward"]
     assert len(times) > 150_000
     assert all(a <= b for a, b in zip(times, times[1:]))
 
@@ -360,7 +367,8 @@ def traced_peak(horizon_s: float, out_dir) -> int:
     gc.collect()
     tracemalloc.start()
     try:
-        stats.export(engine.Simulation(cfg).run(), out_dir)
+        with closing(engine.Simulation(cfg).run()) as report:
+            stats.export(report, out_dir)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -460,7 +468,7 @@ def test_every_forwarding_decision_reads_the_access_row_of_its_time(monkeypatch)
     monkeypatch.setattr(engine, "heappop", pop)
     monkeypatch.setattr(engine, "deque", ReleasedLane)  # built: only run()'s lane is new
     monkeypatch.setattr(engine, "decide_next_index", checked_decide)
-    sim.run()
+    sim.run().close()
     assert len(decisions) > 20_000
     assert all(decisions)
     assert moved
@@ -499,6 +507,7 @@ def test_each_busy_set_is_built_once_per_slot(monkeypatch):
     builds = record_backup_builds(monkeypatch)
     sim = engine.Simulation(loads_scenario(scenario_text(HOTSPOT_FLOW, "composite")))
     report = sim.run()
+    report.close()
     assert len(report.state_log) == 15
     assert len(builds) == 10
     idle = (False,) * sim.n
@@ -512,7 +521,8 @@ def test_a_new_slot_builds_its_busy_sets_again(monkeypatch):
     # on slot 1's snapshot.
     builds = record_backup_builds(monkeypatch)
     knobs = {"routing": ["slot_length_s = 1"]}
-    engine.Simulation(loads_scenario(scenario_text(HOTSPOT_FLOW, "composite", knobs))).run()
+    cfg = loads_scenario(scenario_text(HOTSPOT_FLOW, "composite", knobs))
+    engine.Simulation(cfg).run().close()
     assert len(set(builds)) == len(builds)
     assert {f for slot, f in builds if slot == 0} & {f for slot, f in builds if slot == 1}
 
@@ -576,10 +586,11 @@ def test_a_slot_drain_at_a_quantum_boundary_reads_that_quantums_row():
         return out
 
     sim.resolver.row = recording_row
-    report = sim.run()
+    with closing(sim.run()) as report:
+        trace = read_rows(report.trace)
     assert int(3 * 0.7 / 0.7) == 2
     assert reads == [(1, far), (2, far), (3, far)]
-    assert [row[:3] for row in read_rows(report.trace)] == [
+    assert [row[:3] for row in trace] == [
         (0.7, "wait", 0), (2 * 0.7, "wait", 0), (3 * 0.7, "wait", 0)]
     solved.clear()
     sim.resolver.access_index(0, 3 * 0.7)
@@ -600,11 +611,12 @@ def test_drain_keeps_fifo_order_and_counts_every_repark():
     park(sim, [(HERE, B1, far, False), (HERE, A, far, False), (HERE, B0, far, True),
                (HERE, B2, near, False), (HERE, B1, far, False), (HERE, B0, near, True),
                (other, A, far, False)])
-    report = sim.run()
+    with closing(sim.run()) as report:
+        trace = read_rows(report.trace)
     assert [p.id for p in sim.wait_queues[HERE]] == [0, 2, 4]
     assert report.wait_enqueues == 6
     # Every packet leaves its satellite by a "wait" or a first-hop "forward" row.
-    first = [row[:3] for row in read_rows(report.trace) if row[1] == "wait" or row[5] == 0]
+    first = [row[:3] for row in trace if row[1] == "wait" or row[5] == 0]
     assert [(event, pkt_id) for _, event, pkt_id in first] == (
         [("forward", 6), ("wait", 0), ("forward", 1), ("wait", 2), ("forward", 3),
          ("wait", 4), ("forward", 5), ("wait", 0), ("wait", 2), ("wait", 4)])

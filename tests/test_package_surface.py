@@ -9,8 +9,8 @@ harness patches functions by name). A class member (a method, a property, a
 class-level field or a `self.` attribute) counts as used only when it is
 read: loaded as an attribute, or named in a dotted string. Members are
 matched by name alone, whatever the class. Code that only tests call belongs
-in `tests/`. The layers below the engine know a satellite by its index and
-never name it.
+in `tests/`. The layers below the engine, and the report in `stats`, know a
+satellite by its index and never name it; the engine's name table does.
 """
 
 import ast
@@ -27,8 +27,9 @@ HARNESS = ROOT / "perfbench"
 # Documented API without an in-package caller: the scenario round trip.
 DOCUMENTED = {"serialize_scenario"}
 
-# Below the engine a satellite is its index: these modules never name one.
-INDEX_ONLY = ("congestion.py", "scheduling.py", "routing.py", "traffic.py")
+# Below the engine and in the report a satellite is its index: these modules
+# never name one.
+INDEX_ONLY = ("congestion.py", "scheduling.py", "routing.py", "traffic.py", "stats.py")
 NAMING = {"SatelliteId", "sid_of", "index_of"}
 
 # Members reached by value, not by name: grid files label cells with codes

@@ -1,5 +1,6 @@
 import random
 from array import array
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -216,10 +217,10 @@ def test_entries_give_python_floats_in_seconds():
     params = cfg.constellation
     n = params.num_sats
     next_idx, cost_ps = compute_shortest_path_table(build_topology_snapshot(params, 0.0))
-    spool = engine.Simulation(cfg).run().route_dump
-    rows = read_rows(spool)
-    spool.seek(0)
-    assert "np.float64(" not in spool.read()
+    with closing(engine.Simulation(cfg).run()) as report:
+        rows = read_rows(report.route_dump)
+        report.route_dump.seek(0)
+        assert "np.float64(" not in report.route_dump.read()
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     assert len(rows) == len(pairs)
     name = [str(SatelliteId(i // params.sats_per_plane, i % params.sats_per_plane))

@@ -10,7 +10,7 @@ import pytest
 
 from leoqsim import engine
 from leoqsim.congestion import CongestionLabel, Notification
-from leoqsim.constellation import SatelliteId
+from leoqsim.constellation import ConstellationParams
 from leoqsim.scenario import loads_scenario
 from leoqsim.scheduling import ALL_CLASSES, DropReason, TrafficClass
 from leoqsim.stats import DelayCdf, StatsCollector, export
@@ -23,8 +23,15 @@ SPOOLED_RUN = "[traffic]\nbackground_rate = 200\n[run]\nduration_s = 1\n"
 SPOOLS_ON = "trace = true\n[routing]\ndump_routes = true\n"
 
 
+# The default shell's name table, as the engine builds it: NAMES[i] names
+# satellite i, and NAMES[-1] names no satellite.
+PARAMS = ConstellationParams()
+NAMES = [str(PARAMS.sid_of(i)) for i in range(PARAMS.num_sats)] + ["-"]
+
+
 def make_collector(horizon=300.0):
-    return StatsCollector(horizon_s=horizon, bucket_s=60.0, seed=1, strategy="composite")
+    return StatsCollector(horizon_s=horizon, bucket_s=60.0, seed=1, strategy="composite",
+                          names=NAMES)
 
 
 def pkt(tos=TrafficClass.A, created=0.0, hop=0, flow=None, pid=0):
@@ -77,8 +84,8 @@ class TestCollector:
 
     def test_drop_bucket_placement(self):
         c = make_collector()
-        c.record_drop(250.0, SatelliteId(0, 0), TrafficClass.B0, DropReason.BUFFER_OVERFLOW)
-        assert c.drops_detail[(4, SatelliteId(0, 0), TrafficClass.B0, "buffer_overflow")] == 1
+        c.record_drop(250.0, 0, TrafficClass.B0, DropReason.BUFFER_OVERFLOW)
+        assert c.drops_detail[(4, 0, TrafficClass.B0, "buffer_overflow")] == 1
 
     def test_throughput_is_count_over_bucket(self):
         c = make_collector()
@@ -106,7 +113,7 @@ class TestCollector:
             cls = rng.choice(ALL_CLASSES)
             sat = rng.randrange(66)
             t = rng.uniform(0, 300)
-            c.record_drop(t, SatelliteId(sat // 11, sat % 11), cls, DropReason.BUFFER_OVERFLOW)
+            c.record_drop(t, sat, cls, DropReason.BUFFER_OVERFLOW)
             totals[cls] += 1
         for cls in ALL_CLASSES:
             detail = sum(
@@ -156,9 +163,10 @@ class TestCollector:
 def busy_buckets(bucket_s, horizon_s, *log):
     """The busy buckets of a collector whose state log holds `log`, given as
     (time, satellite index, label) triples."""
-    c = StatsCollector(horizon_s=horizon_s, bucket_s=bucket_s, seed=1, strategy="composite")
+    c = StatsCollector(horizon_s=horizon_s, bucket_s=bucket_s, seed=1, strategy="composite",
+                       names=NAMES)
     for t, sat, label in log:
-        c.state_log.append((SatelliteId(0, sat), Notification(t, label, 0.0)))
+        c.state_log.append((sat, Notification(t, label, 0.0)))
     return c.busy_buckets()
 
 
@@ -204,9 +212,9 @@ class TestExport:
                 if rng.random() < 0.9:
                     c.record_delivery(p, t0 + rng.expovariate(10.0))
                 else:
-                    c.record_drop(t0, SatelliteId(0, i % 11), cls, DropReason.BUFFER_OVERFLOW)
-            c.state_log.append((SatelliteId(1, 2), Notification(5.0, CongestionLabel.BUSY, 470.0)))
-            c.state_log.append((SatelliteId(1, 2), Notification(50.0, CongestionLabel.IDLE, 90.0)))
+                    c.record_drop(t0, i % 11, cls, DropReason.BUFFER_OVERFLOW)
+            c.state_log.append((13, Notification(5.0, CongestionLabel.BUSY, 470.0)))  # S-1-2
+            c.state_log.append((13, Notification(50.0, CongestionLabel.IDLE, 90.0)))
         return c
 
     def test_files_written_with_headers(self, tmp_path):
@@ -282,6 +290,42 @@ class TestExport:
                 assert read_rows(a / name) and read_rows(a / name) == read_rows(spool)
         assert report.trace.closed and report.route_dump.closed
 
+    @staticmethod
+    def rates(out_dir, cls):
+        """The throughput_pkt_s cells of one class, bucket by bucket."""
+        with open(out_dir / "throughput.csv", newline="") as f:
+            return [row["throughput_pkt_s"] for row in csv.DictReader(f) if row["class"] == cls]
+
+    def test_throughput_is_over_the_time_a_bucket_covers(self, tmp_path):
+        # A 150 s horizon cuts the third 60 s bucket to 30 s.
+        c = make_collector(horizon=150.0)
+        for i, t in enumerate((10.0, 70.0, 130.0, 140.0)):
+            p = pkt(TrafficClass.B1, created=t, pid=i)
+            c.record_generated(p)
+            c.record_delivery(p, t + 1.0)
+        export(c, tmp_path)
+        assert self.rates(tmp_path, "B1") == [repr(1 / 60), repr(1 / 60), repr(2 / 30)]
+
+    def test_a_bucket_of_no_length_has_no_rate(self, tmp_path):
+        # 21 / 0.7 rounds up past 30, so a 31st bucket starts at 30 * 0.7 == 21.0.
+        c = StatsCollector(horizon_s=21.0, bucket_s=0.7, seed=1, strategy="composite",
+                           names=NAMES)
+        assert c.n_buckets == 31 and 30 * 0.7 == 21.0
+        p = pkt(TrafficClass.A, created=20.0)
+        c.record_generated(p)
+        c.record_delivery(p, 20.5)
+        export(c, tmp_path)
+        assert self.rates(tmp_path, "A") == ["0.0"] * 29 + [repr(1 / 0.7), ""]
+
+    def test_a_short_runs_rate_is_its_deliveries_over_its_horizon(self, tmp_path):
+        # 5 s of a 60 s bucket: the rate is over 5 s, not 60.
+        report = engine.Simulation(loads_scenario(
+            "[traffic]\nbackground_rate = 200\n[run]\nduration_s = 5\n")).run()
+        export(report, tmp_path)
+        for cls in ALL_CLASSES:
+            assert report.delivered[cls] > 0
+            assert self.rates(tmp_path, cls.name) == [repr(report.delivered[cls] / 5.0)]
+
     @pytest.mark.parametrize("n", [0, 1, 9, 10, 11])
     def test_summary_p90_is_the_cdf_quantile(self, tmp_path, n):
         c = make_collector()
@@ -327,8 +371,8 @@ class TestExport:
 
     def test_drop_rows_sort_and_name_satellites(self, tmp_path):
         c = make_collector()
-        for sid in (SatelliteId(1, 0), None, SatelliteId(0, 10)):
-            c.record_drop(1.0, sid, TrafficClass.A, DropReason.BUFFER_OVERFLOW)
+        for sat in (11, -1, 10):  # S-1-0, no satellite, S-0-10
+            c.record_drop(1.0, sat, TrafficClass.A, DropReason.BUFFER_OVERFLOW)
         export(c, tmp_path)
         rows = (tmp_path / "drops_per_sat.csv").read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["-", "S-0-10", "S-1-0"]
