@@ -7,6 +7,6 @@ non-real-time traffic, with per-class loss/delay/throughput/hop statistics.
 
 __version__ = "0.1.0"
 
-from .constellation import ConstellationParams, GeoPosition, SatelliteId
+from .constellation import ConstellationParams, GeoPosition
 
-__all__ = ["ConstellationParams", "GeoPosition", "SatelliteId", "__version__"]
+__all__ = ["ConstellationParams", "GeoPosition", "__version__"]

@@ -16,9 +16,9 @@ Each geometric concept has one implementation here:
   passes (`build_topology_snapshot`, `AccessResolver`);
 - `build_topology_snapshot`: the link graph of one routing slot, a
   neighbour table of sorted `(j, delay_ps)` pairs per satellite;
-- `SatelliteId.__str__`: the printed name of a satellite in every export.
-  Every layer knows a satellite by its index, plane * S + slot; the
-  engine's name table, built through `ConstellationParams.sid_of`, names it.
+- the satellite index, plane * S + slot: the row order of every per-satellite
+  array here, and how every layer knows a satellite. Only the engine's name
+  table turns an index into a name, `S-<plane>-<slot>`, for the exports.
 """
 
 from __future__ import annotations
@@ -38,14 +38,6 @@ EARTH_ROTATION_RAD_S = 2.0 * math.pi / SIDEREAL_DAY_S
 # Link weights are quantized to integer picoseconds so route computations and
 # their oracles use exact arithmetic regardless of summation order.
 PICOSECONDS_PER_SECOND = 10**12
-
-
-class SatelliteId(NamedTuple):
-    plane: int
-    slot: int
-
-    def __str__(self) -> str:
-        return f"S-{self.plane}-{self.slot}"
 
 
 class GeoPosition(NamedTuple):
@@ -91,9 +83,6 @@ class ConstellationParams:
     @property
     def mean_motion_rad_s(self) -> float:
         return math.sqrt(MU_EARTH_KM3_S2 / self.orbit_radius_km**3)
-
-    def sid_of(self, index: int) -> SatelliteId:
-        return SatelliteId(index // self.sats_per_plane, index % self.sats_per_plane)
 
 
 def orbital_elements(params: ConstellationParams) -> tuple[np.ndarray, np.ndarray]:
@@ -250,9 +239,10 @@ class AccessResolver:
     terminal. Quantum k starts at `k * quantum_s`, and a time t falls in the
     largest k with `k * quantum_s <= t` (`periods_elapsed`): the rule by
     which the event loop schedules its access refreshes, routing slots and
-    sweeps, and `stats` places busy episodes. For `quantum_s = 1.0` it is
-    `int(t)`. For other quanta, `int(t / quantum_s)` can differ from it
-    within an ulp of a boundary (`int(3 * 0.7 / 0.7) == 2`).
+    sweeps, and by which `stats` places every record and busy episode in a
+    bucket, clamped to its last. For `quantum_s = 1.0` it is `int(t)`. For
+    other quanta, `int(t / quantum_s)` can differ from it within an ulp of a
+    boundary (`int(3 * 0.7 / 0.7) == 2`).
 
     The event loop holds the current quantum's `row` and refreshes it every
     quantum. `access_index` solves the row of one time and reads one

@@ -125,7 +125,8 @@ class Simulation:
         self.params = params
         self.n = params.num_sats
         # names[i] names satellite i in every export; names[-1] names no satellite.
-        self.names = [str(params.sid_of(i)) for i in range(self.n)] + ["-"]
+        self.names = [f"S-{p}-{s}" for p in range(params.planes)
+                      for s in range(params.sats_per_plane)] + ["-"]
         grid = cfg.load_grid()
         self.generator = ArrivalGenerator(
             flows=list(cfg.traffic.flows),

@@ -9,7 +9,13 @@ horizon, and the same object is the report that the queries, `export` and
 `engine.conservation_audit` read. When some satellite was Busy is read off
 the notification log alone. A satellite is its index, -1 meaning none, and
 `export` names it from the engine's `names` table. The packet trace and route
-dump arrive as spools the engine wrote; `export` copies them, reading no row."""
+dump arrive as spools the engine wrote; `export` copies them, reading no row.
+
+Bucket b starts at `b * bucket_s`, the float product at which the engine
+fires its periodic events, and the last bucket ends at the horizon, so the
+grid holds every b >= 0 with `b * bucket_s < horizon_s`. A time falls in the
+bucket of the last start at or before it: `periods_elapsed`'s rule, clamped
+to the last bucket. Every record and every busy episode is placed by it."""
 
 from __future__ import annotations
 
@@ -17,6 +23,7 @@ import json
 import math
 import shutil
 from array import array
+from bisect import bisect_right
 from pathlib import Path
 from typing import IO, Optional
 
@@ -65,8 +72,10 @@ class StatsCollector:
         self.seed = seed
         self.strategy = strategy
         self.names = names  # names[i] names satellite i, names[-1] no satellite
-        self.n_buckets = max(1, math.ceil(horizon_s / bucket_s))
-        n = self.n_buckets
+        k = periods_elapsed(horizon_s, bucket_s)
+        self.n_buckets = n = k + (k * bucket_s < horizon_s)
+        # The starts of buckets 1..n-1: a time's bucket is how many are at or before it.
+        self.starts = [b * bucket_s for b in range(1, n)]
         self.generated = {c: 0 for c in ALL_CLASSES}
         self.delivered = {c: 0 for c in ALL_CLASSES}
         self.dropped = {c: 0 for c in ALL_CLASSES}
@@ -97,17 +106,12 @@ class StatsCollector:
 
     def record_generated(self, pkt) -> None:
         cls = pkt.tos
-        b = int(pkt.created_at / self.bucket_s)
-        if b >= self.n_buckets:
-            b = self.n_buckets - 1
         self.generated[cls] += 1
-        self.generated_bucket[cls][b] += 1
+        self.generated_bucket[cls][bisect_right(self.starts, pkt.created_at)] += 1
 
     def record_delivery(self, pkt, t: float) -> None:
         cls = pkt.tos
-        b = int(t / self.bucket_s)
-        if b >= self.n_buckets:
-            b = self.n_buckets - 1
+        b = bisect_right(self.starts, t)
         delay = t - pkt.created_at
         self.delivered[cls] += 1
         self.delivered_bucket[cls][b] += 1
@@ -122,9 +126,7 @@ class StatsCollector:
     def record_drop(self, t: float, satellite: int, tos: TrafficClass, reason: DropReason) -> None:
         """Count one drop at time t under its bucket, satellite index, class
         and reason; a satellite of -1 marks a source-side (no satellite) drop."""
-        b = int(t / self.bucket_s)
-        if b >= self.n_buckets:
-            b = self.n_buckets - 1
+        b = bisect_right(self.starts, t)
         self.dropped[tos] += 1
         text = _REASON_TEXT[reason]
         key = (tos, text)
@@ -146,21 +148,21 @@ class StatsCollector:
     def busy_buckets(self) -> list[int]:
         """The buckets a busy episode touches, read off `state_log` by the
         rule `export` states."""
-        s = self.bucket_s
+        starts = self.starts
         busy: set[int] = set()
         marked: set[int] = set()
         for sat, notif in self.state_log:
             if notif.label is CongestionLabel.BUSY:
                 if not busy:
-                    first = periods_elapsed(notif.time, s)
+                    first = bisect_right(starts, notif.time)
                 busy.add(sat)
             else:
                 busy.remove(sat)
                 if not busy:
-                    marked.update(range(first, periods_elapsed(notif.time, s) + 1))
+                    marked.update(range(first, bisect_right(starts, notif.time) + 1))
         if busy:
-            marked.update(range(first, periods_elapsed(self.horizon_s, s) + 1))
-        return sorted({min(b, self.n_buckets - 1) for b in marked})
+            marked.update(range(first, self.n_buckets))
+        return sorted(marked)
 
     def delay_cdf(self, cls: TrafficClass) -> DelayCdf:
         return DelayCdf(self.delay_samples[cls])
@@ -207,14 +209,15 @@ def export(report: StatsCollector, out_dir) -> None:
     dropped, residual, backup_forwards, wait_enqueues and busy_buckets.
 
     Bucket b's throughput_pkt_s is its deliveries over the time it covers:
-    bucket_s, or horizon_s - b * bucket_s when (b + 1) * bucket_s > horizon_s;
-    empty when that is 0 (float rounding adds a 31st bucket to 21 s of 0.7 s).
+    bucket_s, or horizon_s - b * bucket_s when (b + 1) * bucket_s > horizon_s,
+    which the grid keeps above 0, if only by rounding: 2.1 s of 0.7 s ends in
+    a bucket 4.4e-16 s long, since 3 * 0.7 < 2.1.
 
-    busy_buckets lists every bucket from periods_elapsed(start, bucket_s) to
-    periods_elapsed(end, bucket_s), clamped to the last, of each busy
-    episode: from the Busy notification that makes the busy set non-empty to
-    the Idle one that empties it, or to the horizon. Re-exporting the same
-    report, spooled files included, yields byte-identical files."""
+    busy_buckets lists every bucket from the one holding the start to the one
+    holding the end of each busy episode: from the Busy notification that
+    makes the busy set non-empty to the Idle one that empties it, or to the
+    horizon. Re-exporting the same report, spooled files included, yields
+    byte-identical files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, spool in (("route_tables.csv", report.route_dump), ("packet_trace.csv", report.trace)):
@@ -264,9 +267,8 @@ def export(report: StatsCollector, out_dir) -> None:
             for cls in ALL_CLASSES:
                 gen = report.generated_bucket[cls][b]
                 dlv = report.delivered_bucket[cls][b]
-                rate = _fmt(dlv / span) if span > 0 else ""
                 ratio = _fmt(dlv / gen) if gen else ""
-                f.write(f"{b},{cls.name},{gen},{dlv},{rate},{ratio}\n")
+                f.write(f"{b},{cls.name},{gen},{dlv},{_fmt(dlv / span)},{ratio}\n")
 
     with open(out / "hops.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("bucket,class,scope,deliveries,mean_hops\n")

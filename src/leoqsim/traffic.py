@@ -29,7 +29,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from enum import IntEnum
 from itertools import repeat
 from math import isfinite, log
 from operator import itemgetter
@@ -44,15 +43,9 @@ GRID_ROWS = 12
 GRID_COLS = 24
 
 
-class Continent(IntEnum):
-    NORTH_AMERICA = 0
-    EUROPE = 1
-    ASIA = 2
-    SOUTH_AMERICA = 3
-    AFRICA = 4
-    OCEANIA = 5
-
-
+# A continent is its value: the index of its name here and of its row and
+# column in CONTINENT_RATIOS. Grid files label cells with CONTINENT_CODES.
+CONTINENT_NAMES = ("NORTH_AMERICA", "EUROPE", "ASIA", "SOUTH_AMERICA", "AFRICA", "OCEANIA")
 CONTINENT_CODES = {"NA": 0, "EU": 1, "AS": 2, "SA": 3, "AF": 4, "OC": 5}
 
 # Inter-continental traffic split, percent per source row (rows sum to ~100).
@@ -155,8 +148,9 @@ class DemandGrid:
         total = weights.sum()
         if total <= 0:
             raise ValueError("grid weights are all zero")
-        if continents.min() < 0 or continents.max() > 5:
-            raise ValueError("continent labels must map every cell to one of 6 continents")
+        n = len(CONTINENT_NAMES)
+        if continents.min() < 0 or continents.max() >= n:
+            raise ValueError(f"continent labels must map every cell to one of {n} continents")
         self.weights = weights / total
         self.continents = continents
         flat = self.weights.ravel()
@@ -167,10 +161,10 @@ class DemandGrid:
         self._src_cum = np.cumsum(flat)
         self._cell_cum: list[tuple[np.ndarray, np.ndarray]] = []
         reachable = flat > 0
-        for c in range(6):
+        for c, name in enumerate(CONTINENT_NAMES):
             cells = np.flatnonzero(continents.ravel() == c)
             if not len(cells):
-                raise ValueError(f"continent {Continent(c).name} has no cells")
+                raise ValueError(f"continent {name} has no cells")
             w = flat[cells]
             if w.sum() > 0:
                 cum = np.cumsum(w / w.sum())

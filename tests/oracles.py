@@ -28,7 +28,6 @@ from leoqsim.constellation import (
     SPEED_OF_LIGHT_KM_S,
     ConstellationParams,
     GeoPosition,
-    SatelliteId,
     satellite_positions,
 )
 from leoqsim.congestion import CongestionConfig, CongestionLabel, Notification
@@ -47,8 +46,23 @@ from leoqsim.traffic import _RATIOS_CUM, ArrivalGenerator, DemandGrid, Packet
 RATIOS_CUM = [row.tolist() for row in _RATIOS_CUM]
 
 
+class SatelliteId(NamedTuple):
+    """A satellite as (plane, slot); its `str` is the name the exports print."""
+
+    plane: int
+    slot: int
+
+    def __str__(self) -> str:
+        return f"S-{self.plane}-{self.slot}"
+
+
+def sid_of(params: ConstellationParams, index: int) -> SatelliteId:
+    """The (plane, slot) of satellite `index`."""
+    return SatelliteId(index // params.sats_per_plane, index % params.sats_per_plane)
+
+
 def index_of(params: ConstellationParams, sid: SatelliteId) -> int:
-    """The index of satellite `sid`: the inverse of `params.sid_of`."""
+    """The index of satellite `sid`: the inverse of `sid_of`."""
     return sid.plane * params.sats_per_plane + sid.slot
 
 
@@ -99,7 +113,7 @@ def access_satellite(
     best = int(np.argmax(sin_e))
     if sin_e[best] < math.sin(math.radians(params.min_elevation_deg)):
         return None
-    return params.sid_of(best)
+    return sid_of(params, best)
 
 
 def access_row(params: ConstellationParams, ground: list[GeoPosition], t: float) -> list[int]:
@@ -394,8 +408,8 @@ class StrictPriorityReference(_ReferenceQueues):
 
 
 def sample_destination(src: int, rng: random.Random) -> int:
-    """Destination continent (its `Continent` value) drawn from row `src` of
-    the ratio table."""
+    """Destination continent (its value, a row of the ratio table) drawn
+    from row `src` of that table."""
     cum = RATIOS_CUM[src]
     u = rng.random() * cum[-1]
     for j, c in enumerate(cum):
@@ -435,7 +449,7 @@ def sample_source_cell(grid: DemandGrid, rng: random.Random) -> int:
 
 
 def sample_cell_in_continent(grid: DemandGrid, continent: int, rng: random.Random) -> int:
-    """Flat cell index within a continent (a `Continent` or its value),
+    """Flat cell index within a continent (its value),
     weight-proportional (uniform if the continent carries zero demand)."""
     _, _, cum_by_continent, cells_by_continent = grid_tables(grid)
     cum = cum_by_continent[continent]

@@ -14,17 +14,18 @@ from leoqsim.constellation import (
     ConstellationParams,
     GeoPosition,
     OrbitGeometry,
-    SatelliteId,
     build_topology_snapshot,
     orbital_elements,
     satellite_positions,
 )
 from oracles import (
     OrbitGeometryReference,
+    SatelliteId,
     access_satellite,
     elevation_deg,
     index_of,
     orbital_period_s,
+    sid_of,
     subsatellite_point,
 )
 
@@ -34,7 +35,7 @@ LARGE_SHELL = ConstellationParams(planes=24, sats_per_plane=40, phase_offset_deg
 
 
 def satellite_ids(params):
-    return [params.sid_of(i) for i in range(params.num_sats)]
+    return [sid_of(params, i) for i in range(params.num_sats)]
 
 
 def sat_xyz(sid, t, geometry=REFERENCE, params=PARAMS):
@@ -44,7 +45,7 @@ def sat_xyz(sid, t, geometry=REFERENCE, params=PARAMS):
 def links(snap, i):
     """(neighbour SatelliteId, delay_ps) for every link of satellite index i
     in a neighbour table of PARAMS."""
-    return [(PARAMS.sid_of(j), ps) for j, ps in snap[i]]
+    return [(sid_of(PARAMS, j), ps) for j, ps in snap[i]]
 
 
 def intra_plane(snap, sid):
@@ -174,7 +175,7 @@ class TestTopologySnapshot:
             for i, lat in enumerate(lats):
                 if abs(lat) > PARAMS.lat_threshold_deg:
                     found_high = True
-                    assert inter_plane(snap, PARAMS.sid_of(i)) == []
+                    assert inter_plane(snap, sid_of(PARAMS, i)) == []
         assert found_high
 
     def test_iol_count_at_most_two(self):
@@ -231,13 +232,13 @@ class TestAccess:
         resolver = AccessResolver(PARAMS, users, quantum_s=1.0)
         for t in (0.0, 17.0, 600.0, 1799.0, 17.0):
             for h, u in enumerate(users):
-                assert PARAMS.sid_of(resolver.access_index(h, t)) == access_satellite(u, PARAMS, t)
+                assert sid_of(PARAMS, resolver.access_index(h, t)) == access_satellite(u, PARAMS, t)
 
     def test_resolver_quantizes_time(self):
         user = GeoPosition(10.0, 20.0)
         resolver = AccessResolver(PARAMS, [user], quantum_s=1.0)
         assert resolver.access_index(0, 5.2) == resolver.access_index(0, 5.9)
-        assert PARAMS.sid_of(resolver.access_index(0, 5.2)) == access_satellite(user, PARAMS, 5.0)
+        assert sid_of(PARAMS, resolver.access_index(0, 5.2)) == access_satellite(user, PARAMS, 5.0)
 
 
 def test_pair_delay_consistent_with_snapshot():

@@ -10,7 +10,6 @@ from leoqsim.constellation import (
     PICOSECONDS_PER_SECOND,
     ConstellationParams,
     GeoPosition,
-    SatelliteId,
     build_topology_snapshot,
 )
 from leoqsim.routing import (
@@ -20,7 +19,14 @@ from leoqsim.routing import (
 )
 from leoqsim.scenario import loads_scenario
 from leoqsim.scheduling import ALL_CLASSES, B_CLASSES, TrafficClass
-from oracles import access_satellite, index_of, orbital_period_s, route_table
+from oracles import (
+    SatelliteId,
+    access_satellite,
+    index_of,
+    orbital_period_s,
+    route_table,
+    sid_of,
+)
 from spooled import read_rows
 
 PARAMS = ConstellationParams()
@@ -53,14 +59,14 @@ def link_ps(snapshot):
 
 
 def neighbors(snapshot, sid):
-    return [PARAMS.sid_of(j) for j, _ in snapshot[index_of(PARAMS, sid)]]
+    return [sid_of(PARAMS, j) for j, _ in snapshot[index_of(PARAMS, sid)]]
 
 
 def next_hop(rows, cur, dst):
     """The next hop from cur toward dst of a table's next-hop rows on PARAMS;
     None when there is none (dst unreachable, or cur itself)."""
     n = rows[index_of(PARAMS, cur)][index_of(PARAMS, dst)]
-    return None if n < 0 else PARAMS.sid_of(n)
+    return None if n < 0 else sid_of(PARAMS, n)
 
 
 def path(rows, src, dst):
@@ -103,7 +109,7 @@ def random_busy(rng, size):
 
 def flags_of(busy, params=PARAMS):
     """The engine's busy flags for a set of satellite ids."""
-    return [params.sid_of(i) in busy for i in range(params.num_sats)]
+    return [sid_of(params, i) in busy for i in range(params.num_sats)]
 
 
 @pytest.mark.parametrize("planes, sats_per_plane", [(6, 11), (12, 22), (24, 40)])
@@ -155,7 +161,7 @@ def test_primary_matches_floyd_warshall_exactly():
             for j in range(PARAMS.num_sats):
                 if i == j:
                     continue
-                src, dst = PARAMS.sid_of(i), PARAMS.sid_of(j)
+                src, dst = sid_of(PARAMS, i), sid_of(PARAMS, j)
                 got = iterated_path_cost_ps(rows, snap, src, dst)
                 if oracle[i, j] >= INF:
                     assert got is None
@@ -176,7 +182,7 @@ def test_backup_matches_oracle_and_excludes_busy():
             for j in range(PARAMS.num_sats):
                 if i == j:
                     continue
-                src, dst = PARAMS.sid_of(i), PARAMS.sid_of(j)
+                src, dst = sid_of(PARAMS, i), sid_of(PARAMS, j)
                 nxt = next_hop(rows, src, dst)
                 assert nxt not in busy or nxt == dst
                 got = iterated_path_cost_ps(rows, snap, src, dst)
@@ -223,8 +229,7 @@ def test_entries_give_python_floats_in_seconds():
         assert "np.float64(" not in report.route_dump.read()
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     assert len(rows) == len(pairs)
-    name = [str(SatelliteId(i // params.sats_per_plane, i % params.sats_per_plane))
-            for i in range(n)]
+    name = [str(sid_of(params, i)) for i in range(n)]
     unreachable = 0
     for (slot, src, dst, nxt, cost), (i, j) in zip(rows, pairs):
         assert (slot, src, dst) == (0, name[i], name[j])
@@ -246,7 +251,7 @@ def test_all_neighbors_busy_isolates_source():
     busy = set(neighbors(snap, x))
     rows, _ = compute_backup_table(snap, flags_of(busy))
     for j in range(PARAMS.num_sats):
-        dst = PARAMS.sid_of(j)
+        dst = sid_of(PARAMS, j)
         if dst != x:
             assert next_hop(rows, x, dst) == (dst if dst in busy else None)
 
@@ -257,7 +262,7 @@ def test_busy_destination_reachable_but_never_relayed_through():
     busy = {target, SatelliteId(3, 4), SatelliteId(2, 3)}
     rows, _ = compute_backup_table(snap, flags_of(busy))
     for i in range(PARAMS.num_sats):
-        src = PARAMS.sid_of(i)
+        src = sid_of(PARAMS, i)
         if src != target:
             p = path(rows, src, target)
             assert p is not None and p[-1] == target
@@ -275,7 +280,7 @@ def test_loop_freedom_both_tables():
             for i in range(PARAMS.num_sats):
                 for j in range(PARAMS.num_sats):
                     if i != j:
-                        p = path(rows, PARAMS.sid_of(i), PARAMS.sid_of(j))  # raises on loop
+                        p = path(rows, sid_of(PARAMS, i), sid_of(PARAMS, j))  # raises on loop
                         if p is not None:
                             assert len(set(p)) == len(p)
                             assert len(p) - 1 <= PARAMS.num_sats - 1

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import random
 import tracemalloc
 from array import array
@@ -7,14 +8,17 @@ from collections import Counter
 from contextlib import closing
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from leoqsim import engine
 from leoqsim.congestion import CongestionLabel, Notification
-from leoqsim.constellation import ConstellationParams
+from leoqsim.constellation import ConstellationParams, periods_elapsed
 from leoqsim.scenario import loads_scenario
 from leoqsim.scheduling import ALL_CLASSES, DropReason, TrafficClass
 from leoqsim.stats import DelayCdf, StatsCollector, export
 from leoqsim.traffic import Packet
+from oracles import sid_of
 from spooled import read_rows
 
 
@@ -26,7 +30,7 @@ SPOOLS_ON = "trace = true\n[routing]\ndump_routes = true\n"
 # The default shell's name table, as the engine builds it: NAMES[i] names
 # satellite i, and NAMES[-1] names no satellite.
 PARAMS = ConstellationParams()
-NAMES = [str(PARAMS.sid_of(i)) for i in range(PARAMS.num_sats)] + ["-"]
+NAMES = [str(sid_of(PARAMS, i)) for i in range(PARAMS.num_sats)] + ["-"]
 
 
 def make_collector(horizon=300.0):
@@ -198,6 +202,60 @@ class TestBusyBuckets:
         assert busy_buckets(60.0, 300.0) == []
 
 
+STEPS = (0.1, 0.7, 1.0, 60.0)
+
+
+@st.composite
+def grids(draw):
+    """(horizon_s, bucket_s): horizons at a whole number of buckets, at
+    multiples of 0.1, 0.7, 1 and 60, which sit on or within rounding of a
+    bucket start, and anywhere; at most 400 buckets."""
+    s = draw(st.sampled_from(STEPS) | st.floats(0.05, 100.0))
+    h = draw(st.integers(1, 400).map(lambda k: k * s)
+             | st.builds(lambda m, step: m * step, st.integers(1, 400), st.sampled_from(STEPS))
+             | st.floats(0.05, 4000.0))
+    assume(h < 400 * s)
+    return h, s
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(grid=grids(), data=st.data())
+def test_stats_places_every_time_on_the_engines_grid(grid, data):
+    # The engine fires periodic event k at the float product k * s, and the
+    # grid's bucket k starts there: `periods_elapsed`, clamped to the last bucket.
+    h, s = grid
+    c = StatsCollector(horizon_s=h, bucket_s=s, seed=1, strategy="composite", names=NAMES)
+    n = 0
+    while n * s < h:
+        n += 1
+    assert c.n_buckets == n
+    edges = [b * s for b in range(n)] + [h]
+    assert all(lo < hi for lo, hi in zip(edges, edges[1:]))  # every bucket covers > 0 s
+
+    def bucket(t):
+        return min(periods_elapsed(t, s), n - 1)
+
+    A, overflow = TrafficClass.A, DropReason.BUFFER_OVERFLOW
+    cases = [(k * s, k) for k in range(n)] + [(h, n - 1)]
+    cases += [(math.nextafter(k * s, 0.0), k - 1) for k in range(1, n)]
+    for i, (t, b) in enumerate(cases):
+        assert bucket(t) == b
+        generated, delivered = c.generated_bucket[A][b], c.delivered_bucket[A][b]
+        p = pkt(A, created=t, pid=i)
+        c.record_generated(p)
+        c.record_delivery(p, t)
+        c.record_drop(t, i, A, overflow)
+        assert c.generated_bucket[A][b] == generated + 1
+        assert c.delivered_bucket[A][b] == delivered + 1
+        assert c.drops_detail[(b, i, A, overflow.value)] == 1
+
+    t1, t2, t3 = sorted(data.draw(st.sampled_from([t for t, _ in cases])) for _ in range(3))
+    for sat, label, t in ((0, BUSY, t1), (0, IDLE, t2), (1, BUSY, t3)):
+        c.state_log.append((sat, Notification(t, label, 0.0)))
+    marked = set(range(bucket(t1), bucket(t2) + 1)) | set(range(bucket(t3), n))
+    assert c.busy_buckets() == sorted(marked)
+
+
 class TestExport:
     def make_report(self, empty=False):
         c = make_collector(horizon=120.0)
@@ -306,16 +364,18 @@ class TestExport:
         export(c, tmp_path)
         assert self.rates(tmp_path, "B1") == [repr(1 / 60), repr(1 / 60), repr(2 / 30)]
 
-    def test_a_bucket_of_no_length_has_no_rate(self, tmp_path):
-        # 21 / 0.7 rounds up past 30, so a 31st bucket starts at 30 * 0.7 == 21.0.
+    def test_a_horizon_on_a_bucket_start_opens_no_bucket(self, tmp_path):
+        # 30 * 0.7 == 21.0, though 21 / 0.7 rounds up past 30: the grid ends
+        # at the horizon, so a delivery there falls in the 30th bucket.
         c = StatsCollector(horizon_s=21.0, bucket_s=0.7, seed=1, strategy="composite",
                            names=NAMES)
-        assert c.n_buckets == 31 and 30 * 0.7 == 21.0
-        p = pkt(TrafficClass.A, created=20.0)
-        c.record_generated(p)
-        c.record_delivery(p, 20.5)
+        assert c.n_buckets == 30 and 30 * 0.7 == 21.0
+        for i, t in enumerate((20.5, 21.0)):
+            p = pkt(TrafficClass.A, created=20.0, pid=i)
+            c.record_generated(p)
+            c.record_delivery(p, t)
         export(c, tmp_path)
-        assert self.rates(tmp_path, "A") == ["0.0"] * 29 + [repr(1 / 0.7), ""]
+        assert self.rates(tmp_path, "A") == ["0.0"] * 29 + [repr(2 / 0.7)]
 
     def test_a_short_runs_rate_is_its_deliveries_over_its_horizon(self, tmp_path):
         # 5 s of a 60 s bucket: the rate is over 5 s, not 60.

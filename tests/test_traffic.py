@@ -7,18 +7,19 @@ import numpy as np
 import pytest
 
 from leoqsim import traffic
-from leoqsim.constellation import AccessResolver, ConstellationParams, GeoPosition, SatelliteId
+from leoqsim.constellation import AccessResolver, ConstellationParams, GeoPosition
 from leoqsim.scheduling import ALL_CLASSES, TrafficClass
 from leoqsim.traffic import (
+    CONTINENT_CODES,
     CONTINENT_RATIOS,
     ArrivalGenerator,
-    Continent,
     DemandGrid,
     FlowSpec,
     Packet,
 )
 from oracles import (
     RATIOS_CUM,
+    SatelliteId,
     class_mix_cum,
     grid_tables,
     index_of,
@@ -34,6 +35,7 @@ from pathlib import Path
 GRID_PATH = Path(__file__).resolve().parents[1] / "src" / "leoqsim" / "data" / "default_grid.txt"
 
 PARAMS = ConstellationParams()
+CONTINENTS = sorted(CONTINENT_CODES.values())
 
 
 @pytest.fixture(scope="module")
@@ -49,22 +51,23 @@ def share(src, dst):
 
 class TestRatioTable:
     def test_rows_sum_to_100(self):
-        assert len(CONTINENT_RATIOS) == len(Continent)
+        assert len(CONTINENT_RATIOS) == len(CONTINENTS)
         for row in CONTINENT_RATIOS:
-            assert len(row) == len(Continent)
+            assert len(row) == len(CONTINENTS)
             assert abs(sum(row) - 100.0) <= 0.5
 
     def test_north_america_to_europe_share(self):
-        assert CONTINENT_RATIOS[Continent.NORTH_AMERICA][Continent.EUROPE] == 6.74
-        p = share(Continent.NORTH_AMERICA, Continent.EUROPE)
+        na, eu = CONTINENT_CODES["NA"], CONTINENT_CODES["EU"]
+        assert CONTINENT_RATIOS[na][eu] == 6.74
+        p = share(na, eu)
         assert p == pytest.approx(0.0674, abs=0.0005)
 
     def test_sampling_matches_rows(self):
         rng = random.Random(5)
         n = 100_000
-        for src in Continent:
+        for src in CONTINENTS:
             counts = Counter(sample_destination(src, rng) for _ in range(n))
-            for dst in Continent:
+            for dst in CONTINENTS:
                 p = share(src, dst)
                 sigma = math.sqrt(p * (1 - p) / n)
                 assert abs(counts[dst] / n - p) <= max(3 * sigma, 1e-4)
@@ -80,11 +83,16 @@ class TestDemandGrid:
         assert grid.continents.max() <= 5
         for r in range(12):
             for c in range(24):
-                assert grid.continents[r, c] in list(Continent)
+                assert grid.continents[r, c] in CONTINENTS
 
     def test_cell_centers(self, grid):
         assert grid.cell_center(0, 0) == GeoPosition(82.5, -172.5)
         assert grid.cell_center(11, 23) == GeoPosition(-82.5, 172.5)
+
+    def test_a_continent_without_cells_is_named(self, grid):
+        continents = np.where(grid.continents == CONTINENT_CODES["OC"], 0, grid.continents)
+        with pytest.raises(ValueError, match="^continent OCEANIA has no cells$"):
+            DemandGrid(grid.weights, continents)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="zero"):
@@ -102,10 +110,10 @@ class TestDemandGrid:
 
     def test_continent_cell_sampling_stays_inside(self, grid):
         rng = random.Random(3)
-        for cont in Continent:
+        for cont in CONTINENTS:
             for _ in range(200):
                 cell = sample_cell_in_continent(grid, cont, rng)
-                assert grid.continents.ravel()[cell] == int(cont)
+                assert grid.continents.ravel()[cell] == cont
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_weight_rejected(self, bad):
@@ -179,14 +187,14 @@ class TestArrivalGenerator:
             dst_c = continent_of[p.dst_user]
             by_src[src_c][dst_c] += 1
             totals[src_c] += 1
-        for src in Continent:
-            n = totals[int(src)]
+        for src in CONTINENTS:
+            n = totals[src]
             if n < 5000:
                 continue
-            for dst in Continent:
+            for dst in CONTINENTS:
                 p = share(src, dst)
                 sigma = math.sqrt(p * (1 - p) / n)
-                assert abs(by_src[int(src)][int(dst)] / n - p) <= max(4 * sigma, 2e-3)
+                assert abs(by_src[src][dst] / n - p) <= max(4 * sigma, 2e-3)
 
     def test_foreground_packets_are_tagged(self, grid):
         flow = FlowSpec(GeoPosition(-56.0, 26.0), GeoPosition(65.2, -58.0), 50.0)
@@ -258,7 +266,7 @@ def test_sampling_tables_hold_python_floats(grid):
     # every draw; numpy scalars would make each of those a numpy operation.
     # The weightless continent gets the uniform table.
     weights = grid.weights.copy()
-    weights[grid.continents == Continent.OCEANIA] = 0.0
+    weights[grid.continents == CONTINENT_CODES["OC"]] = 0.0
     no_oceania = DemandGrid(weights, grid.continents)
     gen = ArrivalGenerator([], grid, 1.0, (0.1, 0.2, 0.3, 0.4), 1)
     tables = [*RATIOS_CUM, class_mix_cum(gen)]
