@@ -11,7 +11,10 @@ Each geometric concept has one implementation here:
 
 - `orbital_elements`: every satellite's ascending node and initial phase;
 - `OrbitGeometry`: the scalar per-event path (one link delay, one
-  uplink/downlink delay) that the event loop calls;
+  uplink/downlink delay) that the event loop calls. Two satellites of one
+  plane are the plane's exact chord apart at every time; a cross-plane link
+  and a ground link are computed from the positions, in a frozen operation
+  order;
 - `satellite_positions`: all satellites at once, for whole-constellation
   passes (`build_topology_snapshot`, `AccessResolver`);
 - `build_topology_snapshot`: the link graph of one routing slot, a
@@ -122,12 +125,18 @@ class OrbitGeometry:
 
     `link_delay` and `slant_delay` are closures built once per instance over
     these constants and over `math.cos`, `math.sin` and `math.sqrt`, so a
-    call looks up no attribute. Their floating-point operation order is part
-    of every exported delay and is frozen: a change that is exact in real
-    arithmetic need not be in floats (`x ** 2 != x * x` for about one double
-    in 1,200 on x86-64 with glibc's `pow`). The order they were written in
-    is kept by `tests/oracles.OrbitGeometryReference`, and a test checks
-    them against it with `==`.
+    call looks up no attribute.
+
+    Satellites i and j of one plane, k = (j - i) mod S slots apart, are the
+    constant chord `2a * sin(pi * k / S)` apart, so `link_delay` returns that
+    chord's delay from a table built here and skips the trigonometry. It is
+    the exact value: the per-hop formula lands up to about 2e-14 from it
+    after cancellation. For a cross-plane pair and for `slant_delay`, the
+    floating-point operation order is part of every exported delay and is
+    frozen: a change that is exact in real arithmetic need not be in floats
+    (`x ** 2 != x * x` for about one double in 1,200 on x86-64 with glibc's
+    `pow`). `tests/oracles.OrbitGeometryReference` keeps both rules, and a
+    test checks the closures against it with `==`.
     """
 
     def __init__(self, params: ConstellationParams, ground: Sequence[GeoPosition]):
@@ -150,8 +159,15 @@ class OrbitGeometry:
         c_km_s = SPEED_OF_LIGHT_KM_S
         rotation = EARTH_ROTATION_RAD_S
 
+        S = params.sats_per_plane
+        plane = [i // S for i in range(params.num_sats)]
+        chord = [orb_a * (2.0 * abs(sin(math.pi * k / S))) / c_km_s for k in range(S)]
+
         def link_delay(i: int, j: int, t: float) -> float:
-            """Propagation delay (s) between satellites i and j at time t."""
+            """Propagation delay (s) between satellites i and j at time t; for
+            two satellites of one plane, its chord's at every t."""
+            if plane[i] == plane[j]:
+                return chord[(j - i) % S]
             nt = orb_n * t
             u = phase0[i] + nt
             cu, su = cos(u), sin(u)

@@ -28,6 +28,10 @@ from .traffic import DemandGrid, FlowSpec
 
 STRATEGIES = ("composite", "pqwrr_only")
 
+# A scenario expecting more packets, or more events of one periodic schedule,
+# than this could not finish in any useful time, so validation rejects it.
+MAX_EXPECTED_EVENTS = 10**9
+
 
 class ScenarioError(ValueError):
     """A named configuration key failed validation."""
@@ -104,6 +108,23 @@ class ScenarioConfig:
     routing: RoutingConfig = field(default_factory=RoutingConfig)
     run: RunConfig = field(default_factory=RunConfig)
     base_dir: Optional[str] = None  # scenario file location, for relative grid paths
+
+    def __post_init__(self) -> None:
+        duration = self.run.duration_s
+        rate = self.traffic.background_rate + sum(f.rate for f in self.traffic.flows)
+        if rate * duration > MAX_EXPECTED_EVENTS:
+            raise ScenarioError(
+                f"[traffic] background_rate and flows, [run] duration_s: {rate * duration:.3g}"
+                f" expected packets, more than {MAX_EXPECTED_EVENTS:.0e}")
+        periods = (("[routing] slot_length_s", self.routing.slot_length_s),
+                   ("[run] state_check_interval_s", self.run.state_check_interval_s),
+                   ("[run] access_refresh_s", self.run.access_refresh_s),
+                   ("[run] stats_interval_s", self.run.stats_interval_s))
+        for key, period in periods:
+            if duration / period > MAX_EXPECTED_EVENTS:
+                raise ScenarioError(
+                    f"{key} and [run] duration_s: {duration / period:.3g} periodic events,"
+                    f" more than {MAX_EXPECTED_EVENTS:.0e}")
 
     def load_grid(self) -> DemandGrid:
         name = self.traffic.grid_file

@@ -139,12 +139,13 @@ def access_row(params: ConstellationParams, ground: list[GeoPosition], t: float)
 
 class OrbitGeometryReference:
     """`constellation.OrbitGeometry` as first written: constants held as
-    attributes, `slant_delay` calling `sat_xyz`. Its floating-point
-    operation order is the one every exported delay is pinned to, so the
-    package's bound delays must equal these exactly."""
+    attributes, `slant_delay` calling `sat_xyz`, plus the same-plane chord.
+    Its floating-point operation order is the one every exported delay is
+    pinned to, so the package's bound delays must equal these exactly."""
 
     def __init__(self, params: ConstellationParams, ground: Sequence[GeoPosition]):
         n = params.num_sats
+        self._sats_per_plane = params.sats_per_plane
         self._orb_a = params.orbit_radius_km
         self._orb_n = params.mean_motion_rad_s
         self._orb_ci = math.cos(math.radians(params.inclination_deg))
@@ -177,8 +178,18 @@ class OrbitGeometryReference:
             a * su * self._orb_si,
         )
 
+    def chord_delay(self, k: int) -> float:
+        """Propagation delay (s) between two satellites of one plane k slots
+        apart: the chord 2a*sin(pi*k/S) of the circular orbit."""
+        S = self._sats_per_plane
+        return self._orb_a * (2.0 * abs(math.sin(math.pi * k / S))) / SPEED_OF_LIGHT_KM_S
+
     def link_delay(self, i: int, j: int, t: float) -> float:
-        """Propagation delay (s) between satellites i and j at time t."""
+        """Propagation delay (s) between satellites i and j at time t: the
+        plane's chord when both are in one plane, else from their positions."""
+        S = self._sats_per_plane
+        if i // S == j // S:
+            return self.chord_delay((j - i) % S)
         cos, sin = math.cos, math.sin
         nt = self._orb_n * t
         ci, si, a = self._orb_ci, self._orb_si, self._orb_a

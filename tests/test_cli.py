@@ -72,6 +72,27 @@ def test_validate_and_run_reject_a_flow_endpoint_off_the_globe(scenario, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    "[traffic]\nflows = 40,-100 -> 50,10 @ 1e300\n",
+    "[run]\nduration_s = 1e12\n[routing]\nslot_length_s = 1e-9\n",
+], ids=["flow of 1e300 pkt/s", "1e-9 s slots over 1e12 s"])
+def test_validate_and_run_reject_a_run_that_cannot_finish(text, scenario, tmp_path, monkeypatch,
+                                                          capsys):
+    def never(cfg):
+        raise AssertionError("a scenario past the bound was built into a simulation")
+
+    monkeypatch.setattr(engine, "Simulation", never)
+    path = scenario(text)
+    assert cli.main(["validate", path]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: [") and err.count("\n") == 1
+    assert "more than 1e+09" in err
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
 def test_run_rejects_a_missing_scenario_file(tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["run", str(tmp_path / "nosuch.ini"), "--out", str(out)])

@@ -255,14 +255,36 @@ def test_pair_delay_consistent_with_snapshot():
                     assert abs(geometry.link_delay(i, j, t) * PICOSECONDS_PER_SECOND - ps) <= 1
 
 
+@pytest.mark.parametrize("params", [PARAMS, LARGE_SHELL], ids=["default", "large_shell"])
+def test_same_plane_positions_are_one_chord_apart(params):
+    # Every pair of one plane, at many times: the distance of the two
+    # computed positions is the chord that `link_delay` returns for the pair,
+    # to within the formula's cancellation error. That error measured at most
+    # 2.0e-14 relative (on the large shell); the bound is about five times it.
+    reference = OrbitGeometryReference(params, [])
+    S = params.sats_per_plane
+    rng = random.Random(47)
+    for t in [0.0] + [rng.uniform(0, 3 * orbital_period_s(params)) for _ in range(19)]:
+        xyz = [reference.sat_xyz(i, t) for i in range(params.num_sats)]
+        for i in range(params.num_sats):
+            first = i // S * S
+            for j in range(first, first + S):
+                if j != i:
+                    chord = reference.chord_delay((j - i) % S)
+                    formula = math.dist(xyz[i], xyz[j]) / SPEED_OF_LIGHT_KM_S
+                    assert abs(formula - chord) <= 1e-13 * chord
+
+
 # Ground terminals every 20 degrees of latitude and 45 of longitude.
 LATTICE = [GeoPosition(lat, lon) for lat in range(-80, 81, 20) for lon in range(-180, 180, 45)]
 
 
 @pytest.mark.parametrize("params", [PARAMS, LARGE_SHELL], ids=["default", "large_shell"])
 def test_bound_delays_equal_the_reference_exactly(params):
-    # The closures keep the reference's operation order, so every delay is
-    # the same double: over every link of several snapshots, and over every
+    # The closures keep the reference's rules and operation order, so every
+    # delay is the same double: over every link of several snapshots and
+    # 1,000 pairs of any two satellites at each of their times (same-plane
+    # pairs take the chord, cross-plane pairs the formula), and over every
     # (terminal, satellite) pair at t = 0 and about a sidereal day on. Fewer
     # pairs would not do: writing `x * x` for `x ** 2` changes 3 of these
     # 14,256 slant delays on the default shell and 59 of 207,360 on the
@@ -270,11 +292,14 @@ def test_bound_delays_equal_the_reference_exactly(params):
     geometry = OrbitGeometry(params, LATTICE)
     reference = OrbitGeometryReference(params, LATTICE)
     rng = random.Random(41)
+    pick = random.Random(43)
     for t in [0.0] + [rng.uniform(0, 3 * orbital_period_s(params)) for _ in range(4)]:
         snap = build_topology_snapshot(params, t)
-        for i, row in enumerate(snap):
-            for j, _ in row:
-                assert geometry.link_delay(i, j, t) == reference.link_delay(i, j, t)
+        pairs = [(i, j) for i, row in enumerate(snap) for j, _ in row]
+        pairs += [(pick.randrange(params.num_sats), pick.randrange(params.num_sats))
+                  for _ in range(1000)]
+        for i, j in pairs:
+            assert geometry.link_delay(i, j, t) == reference.link_delay(i, j, t)
     for t in (0.0, SIDEREAL_DAY_S - 0.25, SIDEREAL_DAY_S + rng.random()):
         for terminal in range(len(LATTICE)):
             for sat in range(params.num_sats):

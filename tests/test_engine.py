@@ -17,6 +17,12 @@ deliberate behaviour change records the new ones. The six runs whose
 horizon (5 s, or 10 s) cuts their one 60 s stats bucket short were re-pinned
 when `throughput.csv` came to divide a bucket's deliveries by the time it
 covers rather than by the full bucket; no other file of theirs changed.
+All seven were re-pinned when a same-plane link's delay became its plane's
+exact chord: the last bits of some delays changed, so trace times, delay
+CDFs and delay means moved in their last digits, and the order of events
+that fall within an ulp of each other changed. In `shell_8x7`, whose wait
+queues park tens of thousands of packets, such reorderings also moved its
+drops, backup forwards and busy/idle log.
 
 The digests pin the forwarding rule in which a busy satellite is never a
 transit hop but can be a packet's last hop: class B traffic bound for a busy
@@ -64,7 +70,7 @@ SLOTS = {
 }
 
 # A non-default shell under congestion: 3,528 of its 9,240 dumped pairs are
-# unreachable, and 37 notifications give 1,483 backup forwards and 32,882
+# unreachable, and 37 notifications give 1,525 backup forwards and 32,900
 # parks.
 SHELL_8X7 = {
     "constellation": ["planes = 8", "sats_per_plane = 7", "lat_threshold_deg = 20"],
@@ -86,13 +92,13 @@ SCENARIOS = {
 }
 
 DIGESTS = {
-    "baseline": "9c299d1b45a4732274ae95f44c4aa1a0b93ac61882fb921933ac04460134ee31",
-    "hotspot": "4cb0507d85f9716c4f7ac85d3a0a856b3e45b3d7fdfe03f30c16a83a425c96d2",
-    "hotspot_pqwrr_only": "a606bc7b64f09267fd6d92220652a480256d50a09b6fb5b9bc36f55ec276325d",
-    "hotspot_knobs": "4f6a25393f1b793a571d0918403943b876b936b5e4b1ddbb9370a06635b7ff23",
-    "hotspot_slots": "7f2aad1fb9fb0ea8f55ad33a12e248ed03c5c810bedd2f2aa1b267c20fb666be",
-    "shell_8x7": "afe0f6ad69c40ac17d5eb03ae3d749504f689586f17897f3df203fb1a33e7da0",
-    "hotspot_buckets": "ec85bcc569028da60f1f0019d90f4147b2db7000218427a4bbe55b3d78d6bc13",
+    "baseline": "51dfc598e0327e515c6f1b7ea9dc922e9fe43299118de125787c12f93b9e8ea2",
+    "hotspot": "029dd103e04aa05b563022f5c940d8c870228337dfd9d8368bc8ffff8ab4065e",
+    "hotspot_pqwrr_only": "2be1745b7d06ec92509da84f4a5ccebf79e5288e3d2d89b0cb387f47e5e01fd5",
+    "hotspot_knobs": "689a6371b8f273f88c98f7618891881d0b334c30cb029da312a86d5f0914a199",
+    "hotspot_slots": "09ce536f19502cbedf64b30a4a301014967c86d11e17ec1478976167d56c65f6",
+    "shell_8x7": "b36dbeba1600f7c8a2797ef6bf7f03522a172a738bdcc98d942b7301daddbf6e",
+    "hotspot_buckets": "14bc540f4c371463a559c26ac07fd6e25447f38a216baeeb307088816b67c91b",
 }
 
 

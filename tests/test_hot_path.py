@@ -10,7 +10,8 @@ and the scenario, not on the host, so it is checked exactly against a
 ceiling: a change that adds a call to the per-hop pipeline shows up here long
 before it shows up in a wall-time benchmark. The same holds for the
 busy/idle rule runs of that baseline run, and for the busy/idle rule runs and
-the number of backup tables of a 10 s seed-42 run of the hotspot scenario.
+the number of backup tables of a 10 s seed-42 run of the hotspot scenario,
+and for the `math.cos` calls that `link_delay` makes in the 5 s runs.
 
 History of the hotspot's rule runs started by arrivals: 15,851, nearly all
 at Busy-notified nodes, while such a node ran the rule on every arrival; 438
@@ -18,9 +19,12 @@ since it runs the rule only once its rule cutoff has passed the m-th most
 recent time of its last run (m the smallest count not below alpha).
 """
 
+import math
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import leoqsim
 from leoqsim import engine
@@ -32,8 +36,12 @@ BASELINE = SCENARIOS / "baseline.ini"
 HOTSPOT = SCENARIOS / "hotspot.ini"
 PACKAGE = str(Path(leoqsim.__file__).resolve().parent)
 
-# Package calls made by one 5 s seed-42 baseline run() of 3,971 packets: 91,103
-# (22.9 per packet), since stats buckets schedule no tick event: one
+# Package calls made by one 5 s seed-42 baseline run() of 3,971 packets: 91,111
+# (22.9 per packet), since a same-plane link's delay is its plane's exact
+# chord: the last bits of some delays changed, and 8 packets that found their
+# satellite idle now find it busy, each making an `enqueue` and a `dequeue`
+# call in place of a `start` (5,530 + 5,529 + 11,661 became 5,538 + 5,537 +
+# 11,653). Before that 91,103, since stats buckets schedule no tick event: one
 # `periods_elapsed` call fewer in the periodic schedule. Before that 91,104,
 # since a snapshot is its neighbour table and a route table its (next_idx,
 # cost_ps) pair, with no wrapper object to build. Before that 91,106 (the
@@ -49,11 +57,15 @@ PACKAGE = str(Path(leoqsim.__file__).resolve().parent)
 # streams were drawn a block at a time the scalar samplers 169,419 (42.7);
 # before the forwarding decision moved into `Simulation._route` 186,608 (47.0);
 # before the per-hop pipeline was flattened 331,207 (83.4).
-MAX_CALLS = 91_103
+MAX_CALLS = 91_111
 
 # Package calls made by one 5 s seed-42 hotspot run() of 6,956 packets, with
 # 8,289 backup forwards, 1,317 buffer drops, 103 wait-queue parks and 15
-# busy/idle notifications: 176,297 (25.3 per packet), since busy buckets are
+# busy/idle notifications: 176,304 (25.3 per packet), since a same-plane
+# link's delay is its plane's exact chord: 7 packets that found their
+# satellite idle now find it busy, each making an `enqueue` and a `dequeue`
+# call in place of a `start` (19,023 + 17,421 + 13,882 became 19,030 + 17,428
+# + 13,875). Before that 176,297, since busy buckets are
 # read off the state log after the run: no `note_busy` and `bucket_of` call at
 # a Busy notification or at a sweep while some satellite is busy, and no stats
 # tick to schedule. Before that 176,334, since neither the snapshot nor its
@@ -65,7 +77,14 @@ MAX_CALLS = 91_103
 # routed by a `_route` call and each park made by a `_wait` call. Before
 # service completions forwarded in line, drops recorded their bucket in line
 # and arrival streams merged a block at a time, it was 209,190 (30.1).
-MAX_HOTSPOT_CALLS = 176_297
+MAX_HOTSPOT_CALLS = 176_304
+
+# `math.cos` calls made from `link_delay` in the same 5 s runs: two per
+# cross-plane forward, since a same-plane forward reads its plane's chord
+# from a table. Computing every forward's delay from the two positions made
+# 26,536 (baseline) and 52,056 (hotspot).
+MAX_LINK_DELAY_COSINES = 12_000
+MAX_HOTSPOT_LINK_DELAY_COSINES = 22_954
 
 # Busy/idle rule runs (`NodeCongestionState.evaluate`) in the baseline run: its ten
 # sweeps evaluate each of the 66 satellites, and 61 of its 17,191 satellite
@@ -87,14 +106,23 @@ MAX_HOTSPOT_ARRIVAL_RULE_RUNS = 438
 MAX_BACKUP_BUILDS = 20
 
 
-def package_calls(sim: engine.Simulation) -> int:
-    """Python calls into package code while `sim.run()` executes."""
-    calls = 0
+def profiled_run(scenario: Path) -> tuple[engine.Simulation, int, int]:
+    """A 5 s seed-42 run of the scenario; with it, the Python calls into
+    package code and the `math.cos` calls made from `link_delay` while
+    `sim.run()` executes."""
+    text = apply_overrides(scenario.read_text(encoding="utf-8"),
+                           ["run.seed=42", "run.duration_s=5"])
+    sim = engine.Simulation(loads_scenario(text))
+    calls = cosines = 0
 
     def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
-            calls += 1
+        nonlocal calls, cosines
+        code = frame.f_code
+        if code.co_filename.startswith(PACKAGE):
+            if event == "call":
+                calls += 1
+            elif event == "c_call" and arg is math.cos and code.co_name == "link_delay":
+                cosines += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -102,27 +130,36 @@ def package_calls(sim: engine.Simulation) -> int:
         sim.run()
     finally:
         sys.setprofile(previous)
-    return calls
+    return sim, calls, cosines
 
 
-def test_baseline_run_makes_no_more_package_calls_than_pinned():
-    text = apply_overrides(BASELINE.read_text(encoding="utf-8"),
-                           ["run.seed=42", "run.duration_s=5"])
-    sim = engine.Simulation(loads_scenario(text))
-    calls = package_calls(sim)
+@pytest.fixture(scope="module")
+def profiled() -> dict[str, tuple[engine.Simulation, int, int]]:
+    return {"baseline": profiled_run(BASELINE), "hotspot": profiled_run(HOTSPOT)}
+
+
+def test_baseline_run_makes_no_more_package_calls_than_pinned(profiled):
+    sim, calls, _ = profiled["baseline"]
     assert sim.stats.generated_total() == 3971
     assert calls <= MAX_CALLS
 
 
-def test_hotspot_run_makes_no_more_package_calls_than_pinned():
-    text = apply_overrides(HOTSPOT.read_text(encoding="utf-8"),
-                           ["run.seed=42", "run.duration_s=5"])
-    sim = engine.Simulation(loads_scenario(text))
-    calls = package_calls(sim)
+def test_hotspot_run_makes_no_more_package_calls_than_pinned(profiled):
+    sim, calls, _ = profiled["hotspot"]
     report = sim.stats
     assert report.generated_total() == 6956
     assert (report.backup_forwards, report.wait_enqueues, report.dropped_total()) == (8289, 103, 1317)
     assert calls <= MAX_HOTSPOT_CALLS
+
+
+def test_baseline_link_delays_make_no_more_cosines_than_pinned(profiled):
+    _, _, cosines = profiled["baseline"]
+    assert cosines <= MAX_LINK_DELAY_COSINES
+
+
+def test_hotspot_link_delays_make_no_more_cosines_than_pinned(profiled):
+    _, _, cosines = profiled["hotspot"]
+    assert cosines <= MAX_HOTSPOT_LINK_DELAY_COSINES
 
 
 def rule_runs(monkeypatch, scenario: Path, duration_s: int) -> Counter:

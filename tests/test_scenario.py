@@ -4,7 +4,7 @@ serialize/parse round trip."""
 
 import configparser
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from leoqsim.congestion import CongestionConfig
 from leoqsim.constellation import ConstellationParams, GeoPosition
 from leoqsim.scenario import (
+    MAX_EXPECTED_EVENTS,
     STRATEGIES,
     RoutingConfig,
     RunConfig,
@@ -140,6 +141,13 @@ BAD_INPUTS = {
     "service_rate nan": ("[scheduler]\nservice_rate = nan\n", "scheduler", "service_rate"),
     "flow not finite": ("[traffic]\nflows = 40,-100 -> 50,inf @ 600\n", "traffic", "flows"),
     "flow off the globe": ("[traffic]\nflows = 100,-100 -> 50,400 @ 600\n", "traffic", "flows"),
+    # More expected packets or periodic events than MAX_EXPECTED_EVENTS.
+    "flow of 1e300 pkt/s": ("[traffic]\nflows = 40,-100 -> 50,10 @ 1e300\n", "traffic",
+                            "expected packets"),
+    "1e-9 s slots over 1e12 s": ("[traffic]\nbackground_rate = 0\n[run]\nduration_s = 1e12\n"
+                                 "[routing]\nslot_length_s = 1e-9\n", "routing", "slot_length_s"),
+    "2e9 sweeps": ("[traffic]\nbackground_rate = 0\n[run]\nduration_s = 1e9\n", "run",
+                   "state_check_interval_s"),
     # configparser's default section would hand its keys to every section.
     "DEFAULT alone": ("[DEFAULT]\nseed = 7\n", "DEFAULT", "unknown section"),
     "DEFAULT beside a section": ("[DEFAULT]\nseed = 7\n[routing]\n", "DEFAULT", "unknown section"),
@@ -225,8 +233,26 @@ NONNEGATIVE = st.floats(min_value=0.0, **FINITE)
 FLAGS = st.booleans()
 GEO = st.builds(GeoPosition, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
 
+
+def total_rate(sections: dict) -> float:
+    traffic = sections["traffic"]
+    return traffic.background_rate + sum(f.rate for f in traffic.flows)
+
+
+def finishable(sections: dict) -> ScenarioConfig:
+    """The scenario of `sections`, its horizon cut so that it expects at most
+    half of MAX_EXPECTED_EVENTS packets and events of each periodic schedule."""
+    routing, run = sections["routing"], sections["run"]
+    half = MAX_EXPECTED_EVENTS / 2
+    shortest = min(routing.slot_length_s, run.state_check_interval_s, run.access_refresh_s,
+                   run.stats_interval_s)
+    rate = total_rate(sections)
+    duration = min(run.duration_s, half * shortest, half / rate if rate else math.inf)
+    return ScenarioConfig(**{**sections, "run": replace(run, duration_s=duration)})
+
+
 CONFIGS = st.builds(
-    ScenarioConfig,
+    dict,
     constellation=st.builds(
         ConstellationParams,
         planes=st.integers(1, 50),
@@ -276,7 +302,7 @@ CONFIGS = st.builds(
         state_check_interval_s=POSITIVE,
         trace=FLAGS,
     ),
-)
+).filter(lambda sections: math.isfinite(total_rate(sections))).map(finishable)
 
 
 @settings(derandomize=True, database=None, deadline=None)

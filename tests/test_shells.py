@@ -14,6 +14,7 @@ from leoqsim.constellation import (
     SPEED_OF_LIGHT_KM_S,
     AccessResolver,
     ConstellationParams,
+    OrbitGeometry,
     build_topology_snapshot,
     satellite_positions,
 )
@@ -36,11 +37,15 @@ TERMINALS = [DemandGrid.cell_center(r, c) for r in range(12) for c in range(24)]
 
 def check_links(params, t):
     """The snapshot at t holds each link both ways; same-plane neighbours are
-    ring edges one chord long, to within 1 ps; and the inter-plane links are
-    exactly the same-slot pairs of adjacent planes, the seam excluded, with
-    both ends at or below the latitude gate."""
+    ring edges one chord long, to within 1 ps, and the event loop's delay on
+    such an edge is exactly the chord; and the inter-plane links are exactly
+    the same-slot pairs of adjacent planes, the seam excluded, with both ends
+    at or below the latitude gate."""
     snap = build_topology_snapshot(params, t)
+    link_delay = OrbitGeometry(params, []).link_delay
     S = params.sats_per_plane
+    chord = {k: params.orbit_radius_km * (2.0 * abs(math.sin(math.pi * k / S)))
+             / SPEED_OF_LIGHT_KM_S for k in (1, S - 1)}
     lats = np.degrees(np.arcsin(satellite_positions(params, t)[:, 2] / params.orbit_radius_km))
     chord_ps = (2.0 * params.orbit_radius_km * math.sin(math.pi / S)
                 / SPEED_OF_LIGHT_KM_S * PICOSECONDS_PER_SECOND)
@@ -51,6 +56,7 @@ def check_links(params, t):
             if i // S == j // S:
                 assert (j - i) % S in (1, S - 1)
                 assert abs(ps - chord_ps) <= 1
+                assert link_delay(i, j, t) == chord[(j - i) % S]
             else:
                 inter.add((i, j))
     gate = params.lat_threshold_deg
